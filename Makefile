@@ -48,10 +48,10 @@ serve-test: build
 
 # Federation-scale differential harness (docs/SCENARIOS.md): three
 # pinned seeds — 11 (8 schemas, 241 ops), 23 (5 schemas, 196 ops) and
-# 42 (6 schemas, single round) — each replayed through five legs
-# (offline SIT_JOBS=1 and SIT_JOBS=nproc, a daemon over the JSON and
-# binary protocols, and a checkpoint-resumed daemon), all required to
-# produce byte-identical transcripts with full ground-truth recovery.
+# 42 (6 schemas, single round) — each replayed through four legs
+# (offline SIT_JOBS=1 and SIT_JOBS=nproc, a served daemon, and a
+# checkpoint-resumed daemon), all required to produce byte-identical
+# transcripts with full ground-truth recovery.
 # Budget: about 4 seconds per seed.  Also part of `make check`.
 scenario-test: build
 	sh scripts/scenario_test.sh
@@ -70,8 +70,8 @@ metrics:
 	dune exec bench/main.exe -- metrics
 
 # The experiments a data-plane or serving change most wants while
-# iterating: E21 (serving throughput), E23 (wire protocols + flat
-# kernels) and E24 (scenario engine).  Much faster than the full
+# iterating: E21 (serving throughput), E23 (flat similarity kernels)
+# and E24 (scenario engine).  Much faster than the full
 # `dune exec bench/main.exe`.
 bench-quick:
 	dune exec bench/main.exe -- e21 e23 e24

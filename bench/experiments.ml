@@ -1252,63 +1252,8 @@ let e22 () =
     \ json as meta.views)"
 
 (* ------------------------------------------------------------------ *)
-(* E23: the compact data plane — binary wire protocol vs JSON lines,
-   and the flat similarity kernels vs the string-keyed oracle.         *)
-
-type e23_serving_point = {
-  dpv_proto : string;
-  dpv_sent : int;
-  dpv_ok : int;
-  dpv_req_s : float;
-  dpv_mean_ms : float;
-}
-
-(* The E21 federation served once, the same workload replayed over each
-   protocol against the same process — any throughput delta is pure
-   framing cost. *)
-let e23_serving ?(requests = 1500) ?(conns = 4) () =
-  let session, pool = Lazy.force e21_setup in
-  let frames = Array.init requests (fun i -> pool.(i mod Array.length pool)) in
-  let cfg =
-    {
-      Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
-      jobs = 2;
-      queue = 256;
-      deadline_ms = None;
-      cache = 256;
-      debug = false;
-      repl = Server.default_repl;
-    }
-  in
-  match Server.start session cfg with
-  | Error msg -> failwith ("E23: server failed to start: " ^ msg)
-  | Ok t ->
-      Fun.protect
-        ~finally:(fun () -> Server.stop t)
-        (fun () ->
-          let addr =
-            match Server.port t with
-            | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
-            | None -> failwith "E23: no bound port"
-          in
-          List.map
-            (fun proto ->
-              let st = Server.Client.drive ~proto ~addr ~conns ~frames () in
-              if st.Server.Client.mismatches > 0 then
-                failwith "E23: divergent responses under load";
-              if st.Server.Client.ok < st.Server.Client.sent then
-                failwith "E23: error responses on a clean workload";
-              let wall = Float.max st.Server.Client.wall_s 1e-9 in
-              {
-                dpv_proto = Server.Wire.proto_to_string proto;
-                dpv_sent = st.Server.Client.sent;
-                dpv_ok = st.Server.Client.ok;
-                dpv_req_s = float_of_int st.Server.Client.sent /. wall;
-                dpv_mean_ms =
-                  wall *. float_of_int conns
-                  /. float_of_int st.Server.Client.sent *. 1000.;
-              })
-            [ Server.Wire.Json; Server.Wire.Bin ])
+(* E23: flat similarity kernels — the triangular shared-class array
+   vs the string-keyed partition walk it replaced.                     *)
 
 type e23_kernel_point = {
   dpk_concepts : int;
@@ -1413,22 +1358,11 @@ let e23_kernels ?(reps = 25) () =
     [ 10; 20; 40 ]
 
 let e23 () =
-  section "E23" "compact data plane: binary frames and flat kernels";
-  Printf.printf
+  section "E23" "flat similarity kernels";
+  print_endline
     "\n\
-     (top: the E21 federation served once, the same %d-frame workload\n\
-    \ replayed over each wire protocol — both legs byte-checked for\n\
-    \ divergence.  bottom: all-pairs shared-class counts, string-keyed\n\
-    \ partition walk vs triangular int array, equality-checked cell by\n\
-    \ cell before timing)\n"
-    1500;
-  Printf.printf "\n%-8s %-8s %-8s %-10s %-10s\n" "proto" "sent" "ok" "req/s"
-    "mean ms";
-  List.iter
-    (fun p ->
-      Printf.printf "%-8s %-8d %-8d %-10.0f %-10.3f\n" p.dpv_proto p.dpv_sent
-        p.dpv_ok p.dpv_req_s p.dpv_mean_ms)
-    (e23_serving ());
+     (all-pairs shared-class counts, string-keyed partition walk vs\n\
+    \ triangular int array, equality-checked cell by cell before timing)";
   Printf.printf "\n%-10s %-8s %-8s %-12s %-12s %-9s\n" "concepts" "owners"
     "pairs" "oracle (ms)" "flat (ms)" "speedup";
   List.iter
@@ -1438,9 +1372,9 @@ let e23 () =
     (e23_kernels ());
   print_endline
     "\n\
-     (the binary protocol saves parse/render per frame; the flat kernel\n\
-    \ answers each query with two id lookups and an array read.  Both\n\
-    \ sweeps land in the BENCH json as meta.dataplane)"
+     (the flat kernel answers each query with two id lookups and an\n\
+    \ array read.  The sweep lands in the BENCH json as\n\
+    \ meta.dataplane.kernels)"
 
 (* ------------------------------------------------------------------ *)
 (* E24: the scenario engine (Workload.Scenario) — generation cost and  *)

@@ -296,23 +296,10 @@ let run_metrics ?(out = default_metrics_out) () =
          (Experiments.e22_sweep ()))
   in
   let dataplane =
-    (* the E23 data-plane sweeps (JSON vs binary framing, string-keyed
-       oracle vs flat kernel), also outside the collection window *)
+    (* the E23 kernel sweep (string-keyed oracle vs flat kernel),
+       also outside the collection window *)
     Obs.Json.Obj
       [
-        ( "serving",
-          Obs.Json.List
-            (List.map
-               (fun p ->
-                 Obs.Json.Obj
-                   [
-                     ("proto", Obs.Json.String p.Experiments.dpv_proto);
-                     ("sent", Obs.Json.Int p.Experiments.dpv_sent);
-                     ("ok", Obs.Json.Int p.Experiments.dpv_ok);
-                     ("req_per_s", Obs.Json.Float p.Experiments.dpv_req_s);
-                     ("mean_ms", Obs.Json.Float p.Experiments.dpv_mean_ms);
-                   ])
-               (Experiments.e23_serving ~requests:1000 ())) );
         ( "kernels",
           Obs.Json.List
             (List.map

@@ -47,7 +47,7 @@ let parse_endpoints = function
       Some eps
 
 let drive addr endpoints timeout_ms conns requests queries global_queries
-    mat_views proto =
+    mat_views =
   let specs =
     List.map
       (fun spec ->
@@ -67,27 +67,10 @@ let drive addr endpoints timeout_ms conns requests queries global_queries
   let pool = Array.of_list specs in
   let n = max requests (Array.length pool) in
   let frames = Array.init n (fun i -> pool.(i mod Array.length pool)) in
-  let protos =
-    match proto with
-    | "both" -> [ Server.Wire.Json; Server.Wire.Bin ]
-    | p -> (
-        match Server.Wire.proto_of_string p with
-        | Some p -> [ p ]
-        | None -> hard_fail "--proto expects json, bin or both, got %s" p)
+  let stats =
+    Server.Client.drive ?endpoints ?timeout_ms ~addr ~conns ~frames ()
   in
-  let all_stats =
-    List.map
-      (fun p ->
-        let stats =
-          Server.Client.drive ~proto:p ?endpoints ?timeout_ms ~addr ~conns
-            ~frames ()
-        in
-        Format.printf "%s: %a@."
-          (Server.Wire.proto_to_string p)
-          Server.Client.pp_drive_stats stats;
-        stats)
-      protos
-  in
+  Format.printf "%a@." Server.Client.pp_drive_stats stats;
   (* health probe after the run: the daemon must still be answering —
      with --endpoints, any surviving endpoint will do *)
   let health_addr =
@@ -111,11 +94,8 @@ let drive addr endpoints timeout_ms conns requests queries global_queries
     (fun () ->
       let resp = Server.Client.request c "health" in
       if not (Server.Client.is_ok resp) then hard_fail "health check failed");
-  List.iter
-    (fun (stats : Server.Client.drive_stats) ->
-      if stats.Server.Client.mismatches > 0 then exit 1;
-      if stats.Server.Client.ok = 0 && stats.Server.Client.sent > 0 then exit 1)
-    all_stats
+  if stats.Server.Client.mismatches > 0 then exit 1;
+  if stats.Server.Client.ok = 0 && stats.Server.Client.sent > 0 then exit 1
 
 (* ---- scenario schedules ------------------------------------------- *)
 
@@ -158,25 +138,11 @@ let write_transcript out text =
       output_string oc text;
       close_out oc
 
-let drive_schedule addr endpoints timeout_ms conns proto schedule phases_spec
+let drive_schedule addr endpoints timeout_ms conns schedule phases_spec
     transcript_out =
   let phases = load_phases schedule phases_spec in
-  let proto =
-    match proto with
-    | "both" ->
-        (* Schedules mutate server state, so a second leg against the same
-           daemon replays from evolved state and trivially diverges.  The
-           differential harness starts a fresh daemon per leg instead. *)
-        hard_fail
-          "--proto both needs a fresh server per leg; drive each schedule \
-           leg with --proto json or --proto bin against its own daemon"
-    | p -> (
-        match Server.Wire.proto_of_string p with
-        | Some p -> p
-        | None -> hard_fail "--proto expects json or bin, got %s" p)
-  in
   let play ~storm frames =
-    Server.Client.play ~proto ?endpoints ?timeout_ms ~addr
+    Server.Client.play ?endpoints ?timeout_ms ~addr
       ~conns:(if storm then conns else 1)
       frames
   in
@@ -306,16 +272,16 @@ let serve files script data name journal listen jobs queue deadline_ms cache
 
 let run files script data name journal listen jobs queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every drive_addr endpoints
-    timeout_ms conns requests queries global_queries mat_views proto schedule
+    timeout_ms conns requests queries global_queries mat_views schedule
     phases_spec transcript_out =
   let endpoints = parse_endpoints endpoints in
   match (drive_addr, schedule) with
   | Some addr, Some file ->
-      drive_schedule (parse_addr addr) endpoints timeout_ms conns proto file
+      drive_schedule (parse_addr addr) endpoints timeout_ms conns file
         phases_spec transcript_out
   | Some addr, None ->
       drive (parse_addr addr) endpoints timeout_ms conns requests queries
-        global_queries mat_views proto
+        global_queries mat_views
   | None, _ ->
       serve files script data name journal (parse_addr listen) jobs queue
         deadline_ms cache metrics view_defs follow ack_replicas compact_every
@@ -521,16 +487,6 @@ let mat_views =
           "Drive-mode materialized read: a $(b,query) frame naming the view \
            $(docv) with no query text.  Repeatable.")
 
-let proto =
-  Arg.(
-    value
-    & opt string "json"
-    & info [ "proto" ] ~docv:"PROTO"
-        ~doc:
-          "Drive-mode wire protocol: $(b,json) (line-delimited), $(b,bin) \
-           (length-prefixed binary frames, docs/WIRE.md), or $(b,both) to \
-           replay the workload over each in turn.")
-
 let schedule =
   Arg.(
     value
@@ -561,7 +517,7 @@ let transcript_out =
         ~doc:
           "Write the normalized schedule transcript to $(docv) (default \
            stdout).  Transcripts are byte-comparable across offline/served, \
-           json/bin, SIT_JOBS and crash-resume legs.")
+           SIT_JOBS and crash-resume legs.")
 
 let cmd =
   Cmd.v
@@ -574,7 +530,7 @@ let cmd =
       $ listen $ jobs $ queue $ deadline_ms $ cache $ metrics $ view_defs
       $ follow $ ack_replicas $ compact_every $ drive_addr $ endpoints
       $ timeout_ms_arg
-      $ conns $ requests $ queries $ global_queries $ mat_views $ proto
+      $ conns $ requests $ queries $ global_queries $ mat_views
       $ schedule $ phases_spec $ transcript_out)
 
 let () = exit (Cmd.eval cmd)

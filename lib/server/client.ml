@@ -11,10 +11,9 @@ type t = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
-  proto : Wire.proto;
 }
 
-let connect ?(proto = Wire.Json) ?timeout_ms addr =
+let connect ?timeout_ms addr =
   let pretty = Wire.addr_to_string addr in
   let connect_fd fd sockaddr =
     try Unix.connect fd sockaddr
@@ -57,57 +56,18 @@ let connect ?(proto = Wire.Json) ?timeout_ms addr =
          Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
        with Unix.Unix_error _ -> ())
   | _ -> ());
-  let c =
-    { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; proto }
-  in
-  (match proto with
-  | Wire.Json -> ()
-  | Wire.Bin -> (
-      (* negotiate: send the magic, require it echoed back *)
-      match
-        output_string c.oc Wire.magic;
-        flush c.oc;
-        really_input_string c.ic (String.length Wire.magic)
-      with
-      | ack when String.equal ack Wire.magic -> ()
-      | _ | (exception (End_of_file | Sys_error _ | Unix.Unix_error _)) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          conn_fail "%s did not acknowledge the binary protocol" pretty));
-  c
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 let close c =
   (* flushing then closing the fd once; the channels share it *)
   (try flush c.oc with Sys_error _ -> ());
   try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-(* The [line] in and the string out are canonical JSON whatever the
-   connection's protocol: a binary connection re-frames the request
-   value and renders the response value back, so callers (and the
-   driver's byte-identity check) are protocol-independent. *)
 let roundtrip_raw c line =
-  match c.proto with
-  | Wire.Json ->
-      output_string c.oc line;
-      output_char c.oc '\n';
-      flush c.oc;
-      input_line c.ic
-  | Wire.Bin -> (
-      let v =
-        match Json.of_string line with
-        | Ok v -> v
-        | Error e -> failwith (Printf.sprintf "frame is not valid JSON: %s" e)
-      in
-      output_string c.oc (Wire.encode_bin Wire.Request v);
-      flush c.oc;
-      let hdr = really_input_string c.ic 4 in
-      match Wire.bin_length hdr with
-      | Error e -> failwith ("bad response frame: " ^ e)
-      | Ok n -> (
-          let body = really_input_string c.ic n in
-          match Wire.decode_bin (hdr ^ body) with
-          | Ok (Wire.Response, v) -> Json.to_string v
-          | Ok (Wire.Request, _) -> failwith "server sent a request frame"
-          | Error e -> failwith ("bad response frame: " ^ e)))
+  output_string c.oc line;
+  output_char c.oc '\n';
+  flush c.oc;
+  input_line c.ic
 
 let roundtrip c line =
   try roundtrip_raw c line with
@@ -135,7 +95,6 @@ let error_code resp =
 
 type failover = {
   eps : Wire.addr array;
-  fo_proto : Wire.proto;
   retry : Replicate.Backoff.policy;
   timeout_ms : int option;
   mutable conn : t option;
@@ -150,12 +109,10 @@ type failover = {
    instead of hammering a recovering leader in lockstep.  Tests that
    need reproducible delays pass [Replicate.Backoff.default]
    explicitly. *)
-let failover ?(proto = Wire.Json) ?(retry = Replicate.Backoff.fresh ())
-    ?timeout_ms endpoints =
+let failover ?(retry = Replicate.Backoff.fresh ()) ?timeout_ms endpoints =
   if endpoints = [] then invalid_arg "Client.failover: no endpoints";
   {
     eps = Array.of_list endpoints;
-    fo_proto = proto;
     retry;
     timeout_ms;
     conn = None;
@@ -217,9 +174,7 @@ let failover_roundtrip f line =
           match f.conn with
           | Some c -> c
           | None ->
-              let c =
-                connect ~proto:f.fo_proto ?timeout_ms:f.timeout_ms f.eps.(f.cur)
-              in
+              let c = connect ?timeout_ms:f.timeout_ms f.eps.(f.cur) in
               f.conn <- Some c;
               c
         in
@@ -258,16 +213,16 @@ type drive_stats = {
    [endpoints] is given — a failover handle walking the endpoint list,
    so the whole load harness (and every scenario leg built on it)
    tolerates a dying server without changing what it asserts. *)
-let worker_transport ?proto ?endpoints ?retry ?timeout_ms addr =
+let worker_transport ?endpoints ?retry ?timeout_ms addr =
   match endpoints with
   | Some (_ :: _ as eps) ->
-      let f = failover ?proto ?retry ?timeout_ms eps in
+      let f = failover ?retry ?timeout_ms eps in
       (failover_roundtrip f, fun () -> failover_close f)
   | Some [] | None ->
-      let c = connect ?proto ?timeout_ms addr in
+      let c = connect ?timeout_ms addr in
       (roundtrip c, fun () -> close c)
 
-let drive ?proto ?endpoints ?retry ?timeout_ms ~addr ~conns ~frames () =
+let drive ?endpoints ?retry ?timeout_ms ~addr ~conns ~frames () =
   let conns = max 1 conns in
   let n = Array.length frames in
   let mu = Mutex.create () in
@@ -292,7 +247,7 @@ let drive ?proto ?endpoints ?retry ?timeout_ms ~addr ~conns ~frames () =
               (1 + Option.value ~default:0 (Hashtbl.find_opt codes "unparseable")))
   in
   let worker k () =
-    let rt, fin = worker_transport ?proto ?endpoints ?retry ?timeout_ms addr in
+    let rt, fin = worker_transport ?endpoints ?retry ?timeout_ms addr in
     Fun.protect ~finally:fin (fun () ->
         let i = ref k in
         while !i < n do
@@ -319,12 +274,12 @@ let drive ?proto ?endpoints ?retry ?timeout_ms ~addr ~conns ~frames () =
    does — each index is written by exactly one worker, so no lock is
    needed around [out].  With [conns = 1] this is a plain sequential
    replay on a single connection. *)
-let play ?proto ?endpoints ?retry ?timeout_ms ~addr ~conns frames =
+let play ?endpoints ?retry ?timeout_ms ~addr ~conns frames =
   let conns = max 1 conns in
   let n = Array.length frames in
   let out = Array.make n "" in
   let worker k () =
-    let rt, fin = worker_transport ?proto ?endpoints ?retry ?timeout_ms addr in
+    let rt, fin = worker_transport ?endpoints ?retry ?timeout_ms addr in
     Fun.protect ~finally:fin (fun () ->
         let i = ref k in
         while !i < n do

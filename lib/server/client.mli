@@ -15,24 +15,20 @@ exception Connection_error of string
 
 type t
 
-val connect : ?proto:Wire.proto -> ?timeout_ms:int -> Wire.addr -> t
-(** Default protocol is [Json] (line-delimited).  [~proto:Wire.Bin]
-    performs the magic exchange of [docs/WIRE.md] on connect and frames
-    every exchange as binary.  [timeout_ms] bounds each subsequent send
-    and receive ([SO_SNDTIMEO]/[SO_RCVTIMEO]); a stalled peer then
-    fails the roundtrip with {!Connection_error} instead of hanging.
-    Raises {!Connection_error} when the endpoint cannot be reached or
-    does not acknowledge the binary magic. *)
+val connect : ?timeout_ms:int -> Wire.addr -> t
+(** Opens a JSON-lines connection ([docs/WIRE.md]).  [timeout_ms]
+    bounds each subsequent send and receive
+    ([SO_SNDTIMEO]/[SO_RCVTIMEO]); a stalled peer then fails the
+    roundtrip with {!Connection_error} instead of hanging.  Raises
+    {!Connection_error} when the endpoint cannot be reached. *)
 
 val close : t -> unit
 
 val roundtrip : t -> string -> string
-(** Sends one frame and reads one response.  The input line and the
-    returned string are canonical JSON on {e both} protocols — a binary
-    connection re-frames the request and renders the response value
-    back — so callers that compare responses byte-for-byte work
-    unchanged over either.  Raises {!Connection_error} if the transport
-    fails mid-roundtrip. *)
+(** Sends one request line and reads one response line (neither with
+    its newline).  The response is the daemon's canonical JSON, so
+    callers can compare responses byte-for-byte.  Raises
+    {!Connection_error} if the transport fails mid-roundtrip. *)
 
 val request :
   t ->
@@ -62,7 +58,6 @@ val error_code : Obs.Json.t -> string option
 type failover
 
 val failover :
-  ?proto:Wire.proto ->
   ?retry:Replicate.Backoff.policy ->
   ?timeout_ms:int ->
   Wire.addr list ->
@@ -106,7 +101,6 @@ type drive_stats = {
 }
 
 val drive :
-  ?proto:Wire.proto ->
   ?endpoints:Wire.addr list ->
   ?retry:Replicate.Backoff.policy ->
   ?timeout_ms:int ->
@@ -115,7 +109,7 @@ val drive :
   frames:string array ->
   unit ->
   drive_stats
-(** Plays [frames] (canonical JSON lines, whatever the protocol) over
+(** Plays [frames] (canonical JSON lines) over
     [conns] concurrent connections (frame [i] goes to connection
     [i mod conns]; each connection sends its frames in order, one at a
     time).  Identical frame lines are checked to receive identical
@@ -125,7 +119,6 @@ val drive :
     of surviving a leader kill mid-load. *)
 
 val play :
-  ?proto:Wire.proto ->
   ?endpoints:Wire.addr list ->
   ?retry:Replicate.Backoff.policy ->
   ?timeout_ms:int ->
@@ -138,7 +131,7 @@ val play :
     back).  [conns:1] is a sequential replay on a single connection —
     the serial phases of a scenario schedule; larger values fan a storm
     phase out while keeping the response array deterministic for
-    order-independent phases.  Canonical JSON on both protocols, like
-    {!roundtrip}.  [endpoints] adds failover exactly as in {!drive}. *)
+    order-independent phases.  Canonical JSON, like {!roundtrip}.
+    [endpoints] adds failover exactly as in {!drive}. *)
 
 val pp_drive_stats : Format.formatter -> drive_stats -> unit

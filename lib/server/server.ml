@@ -1235,9 +1235,8 @@ let create session cfg =
           replay_repl_log t ~from:1;
           Ok t)
 
-(* Responses are built as values and rendered per-connection: the same
-   [Json.t] goes out as a JSON line or a binary frame depending on what
-   the connection negotiated. *)
+(* Responses are built as values and rendered once, when the
+   connection writes the line. *)
 let respond_ok t id payload =
   Atomic.incr t.s_ok;
   Obs.Counter.incr c_ok;
@@ -1447,8 +1446,8 @@ let repl_frame t (req : Wire.request) =
                 (Printf.sprintf "no replicated frame %d (log is at %d)" s
                    (Replicate.Log.seq log))))
 
-(* Snapshot transfer, one bounded chunk per round-trip so a frame never
-   outgrows the binary protocol's frame cap.  The chunk index rides the
+(* Snapshot transfer, one bounded chunk per round-trip so no response
+   line grows with the snapshot.  The chunk index rides the
    request's [seq] field; every chunk repeats the covered seq and the
    chunk count, so a follower detects a snapshot replaced mid-transfer
    and restarts the fetch.  A pulling follower's liveness is refreshed
@@ -1667,75 +1666,26 @@ end
 
 (* ---- connections and lifecycle ------------------------------------ *)
 
-(* A connection announces its protocol with its first byte: JSON lines
-   start with a printable character (in practice '{'), a binary
-   connection with the 0xB5 of [Wire.magic] — which no JSON line can
-   ever start with.  Framing errors that leave the stream positioned at
-   a frame boundary are answered and the connection continues; an
-   unusable length prefix or a bad magic is answered once and the
-   connection closed, since resynchronisation is impossible. *)
+(* One JSON line in, one JSON line out, until the peer hangs up.  A
+   malformed line is answered with a typed error and the connection
+   continues: the newline is the frame boundary, so the stream never
+   loses its place. *)
 let handle_conn t conn_id fd =
   Atomic.incr t.s_conns;
   Obs.Counter.incr c_connections;
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let write s = match output_string oc s; flush oc with
+  let write v =
+    match output_string oc (Obs.Json.to_string v ^ "\n"); flush oc with
     | () -> true
     | exception Sys_error _ -> false
   in
-  let write_json v = write (Obs.Json.to_string v ^ "\n") in
-  let write_bin v = write (Wire.encode_bin Wire.Response v) in
-  let rec json_loop line =
-    if write_json (handle_request t (Wire.request_of_line line)) then
-      match input_line ic with
-      | exception (End_of_file | Sys_error _) -> ()
-      | line -> json_loop line
-  in
-  let rec bin_loop () =
-    match really_input_string ic 4 with
+  let rec loop () =
+    match input_line ic with
     | exception (End_of_file | Sys_error _) -> ()
-    | hdr -> (
-        match Wire.bin_length hdr with
-        | Error e ->
-            (* cannot trust the stream position any more: answer, close *)
-            ignore (write_bin (respond_err t None Wire.Bad_frame e))
-        | Ok n -> (
-            match really_input_string ic n with
-            | exception (End_of_file | Sys_error _) -> ()
-            | body ->
-                (* the frame was fully consumed, so decode errors keep
-                   the stream in sync and the connection alive *)
-                let decoded =
-                  match Wire.decode_bin (hdr ^ body) with
-                  | Error e -> Error (Wire.Bad_frame, e)
-                  | Ok (Wire.Response, _) ->
-                      Error (Wire.Bad_frame, "expected a request frame (0x01)")
-                  | Ok (Wire.Request, v) -> Wire.request_of_json v
-                in
-                if write_bin (handle_request t decoded) then bin_loop ()))
+    | line -> if write (handle_request t (Wire.request_of_line line)) then loop ()
   in
-  (match input_char ic with
-  | exception (End_of_file | Sys_error _) -> ()
-  | '\xb5' -> (
-      match really_input_string ic (String.length Wire.magic - 1) with
-      | exception (End_of_file | Sys_error _) -> ()
-      | rest ->
-          if String.equal ("\xb5" ^ rest) Wire.magic then begin
-            (* ack: echo the magic so the client knows this version of
-               the protocol is spoken here *)
-            if write Wire.magic then bin_loop ()
-          end
-          else
-            ignore
-              (write_bin
-                 (respond_err t None Wire.Bad_frame
-                    "unsupported binary magic/version")))
-  | '\n' -> json_loop ""
-  | c -> (
-      match input_line ic with
-      | exception (End_of_file | Sys_error _) ->
-          ignore (write_json (handle_request t (Wire.request_of_line (String.make 1 c))))
-      | line -> json_loop (String.make 1 c ^ line)));
+  loop ();
   Mutex.protect t.conns_mu (fun () ->
       Hashtbl.remove t.live_conns conn_id;
       let self, live =

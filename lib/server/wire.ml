@@ -136,7 +136,7 @@ let request_of_line line =
   | Error e -> Error (Bad_frame, "frame is not valid JSON: " ^ e)
   | Ok v -> request_of_json v
 
-let request_to_json ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
+let request_to_line ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
     ?wait_ms ?node op =
   let int_opt name = function
     | Some i -> [ (name, Json.Int i) ]
@@ -163,13 +163,7 @@ let request_to_json ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
     @ int_opt "wait_ms" wait_ms
     @ str_opt "node" node
   in
-  Json.Obj fields
-
-let request_to_line ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
-    ?wait_ms ?node op =
-  Json.to_string
-    (request_to_json ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
-       ?wait_ms ?node op)
+  Json.to_string (Json.Obj fields)
 
 let with_id id fields =
   match id with Some v -> ("id", v) :: fields | None -> fields
@@ -195,193 +189,6 @@ let ok_line ?id payload = Json.to_string (ok_response ?id payload)
 
 let error_line ?id ?data code message =
   Json.to_string (error_response ?id ?data code message)
-
-(* --- binary framing ------------------------------------------------
-   The normative description of everything below is docs/WIRE.md; keep
-   the two in lockstep.  A binary connection opens with an 8-byte magic
-   (version-carrying, echoed by the server as the acceptance ack), then
-   exchanges length-prefixed frames: u32 big-endian body length, one
-   frame-type byte, one tagged value.  The value encoding is a direct
-   image of [Json.t], so both protocols share every request/response
-   constructor above — only the bytes on the wire differ. *)
-
-type proto = Json | Bin
-
-let proto_to_string = function Json -> "json" | Bin -> "bin"
-
-let proto_of_string = function
-  | "json" -> Some Json
-  | "bin" -> Some Bin
-  | _ -> None
-
-(* 0xB5 is deliberately outside printable ASCII — no JSON line can ever
-   start with it, which is what makes first-byte sniffing unambiguous.
-   The last two bytes are the protocol version, major.minor. *)
-let magic = "\xb5SITB1\x00\x01"
-let max_frame = 16 * 1024 * 1024
-let max_depth = 512
-
-type frame_kind = Request | Response
-
-let kind_byte = function Request -> '\x01' | Response -> '\x02'
-
-let add_u32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (n land 0xff))
-
-let add_i64 b (n : int64) =
-  for shift = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical n (shift * 8)) land 0xff))
-  done
-
-let rec add_value b = function
-  | Json.Null -> Buffer.add_char b '\x00'
-  | Json.Bool false -> Buffer.add_char b '\x01'
-  | Json.Bool true -> Buffer.add_char b '\x02'
-  | Json.Int i ->
-      Buffer.add_char b '\x03';
-      add_i64 b (Int64.of_int i)
-  | Json.Float f ->
-      Buffer.add_char b '\x04';
-      add_i64 b (Int64.bits_of_float f)
-  | Json.String s ->
-      Buffer.add_char b '\x05';
-      add_u32 b (String.length s);
-      Buffer.add_string b s
-  | Json.List items ->
-      Buffer.add_char b '\x06';
-      add_u32 b (List.length items);
-      List.iter (add_value b) items
-  | Json.Obj fields ->
-      Buffer.add_char b '\x07';
-      add_u32 b (List.length fields);
-      List.iter
-        (fun (k, v) ->
-          add_u32 b (String.length k);
-          Buffer.add_string b k;
-          add_value b v)
-        fields
-
-let encode_bin kind v =
-  let body = Buffer.create 256 in
-  Buffer.add_char body (kind_byte kind);
-  add_value body v;
-  let frame = Buffer.create (Buffer.length body + 4) in
-  add_u32 frame (Buffer.length body);
-  Buffer.add_buffer frame body;
-  Buffer.contents frame
-
-exception Bin_error of string
-
-let bin_fail fmt = Printf.ksprintf (fun s -> raise (Bin_error s)) fmt
-
-let get_byte s pos =
-  if !pos >= String.length s then bin_fail "truncated frame at byte %d" !pos;
-  let c = Char.code s.[!pos] in
-  incr pos;
-  c
-
-let get_u32 s pos =
-  if !pos + 4 > String.length s then
-    bin_fail "truncated length at byte %d" !pos;
-  let n =
-    (Char.code s.[!pos] lsl 24)
-    lor (Char.code s.[!pos + 1] lsl 16)
-    lor (Char.code s.[!pos + 2] lsl 8)
-    lor Char.code s.[!pos + 3]
-  in
-  pos := !pos + 4;
-  n
-
-let get_i64 s pos =
-  if !pos + 8 > String.length s then
-    bin_fail "truncated 64-bit value at byte %d" !pos;
-  let n = ref 0L in
-  for k = 0 to 7 do
-    n := Int64.logor (Int64.shift_left !n 8) (Int64.of_int (Char.code s.[!pos + k]))
-  done;
-  pos := !pos + 8;
-  !n
-
-let get_string s pos =
-  let n = get_u32 s pos in
-  if n > String.length s - !pos then
-    bin_fail "string length %d exceeds frame at byte %d" n (!pos - 4);
-  let out = String.sub s !pos n in
-  pos := !pos + n;
-  out
-
-let rec get_value s pos depth =
-  if depth > max_depth then bin_fail "value nested deeper than %d" max_depth;
-  let at = !pos in
-  match get_byte s pos with
-  | 0x00 -> Json.Null
-  | 0x01 -> Json.Bool false
-  | 0x02 -> Json.Bool true
-  | 0x03 ->
-      let n64 = get_i64 s pos in
-      let n = Int64.to_int n64 in
-      (* OCaml ints are 63-bit: reject rather than silently wrap, so
-         every accepted frame re-encodes to its own bytes *)
-      if not (Int64.equal (Int64.of_int n) n64) then
-        bin_fail "integer %Ld does not fit a 63-bit int" n64;
-      Json.Int n
-  | 0x04 -> Json.Float (Int64.float_of_bits (get_i64 s pos))
-  | 0x05 -> Json.String (get_string s pos)
-  | 0x06 ->
-      let n = get_u32 s pos in
-      (* every element is at least one byte, so a count beyond the
-         remaining bytes is corrupt — reject before allocating *)
-      if n > String.length s - !pos then
-        bin_fail "list count %d exceeds frame at byte %d" n at;
-      Json.List (List.init n (fun _ -> get_value s pos (depth + 1)))
-  | 0x07 ->
-      let n = get_u32 s pos in
-      if n > String.length s - !pos then
-        bin_fail "object count %d exceeds frame at byte %d" n at;
-      Json.Obj
-        (List.init n (fun _ ->
-             let k = get_string s pos in
-             (k, get_value s pos (depth + 1))))
-  | tag -> bin_fail "bad value tag 0x%02x at byte %d" tag at
-
-(* [hdr] is the 4-byte length prefix alone; streaming readers call this
-   before pulling the body off the socket so an adversarial length can
-   never trigger the allocation. *)
-let bin_length hdr =
-  if String.length hdr <> 4 then Error "length prefix must be 4 bytes"
-  else
-    let pos = ref 0 in
-    let n = get_u32 hdr pos in
-    if n > max_frame then
-      Error (Printf.sprintf "frame length %d exceeds the %d-byte limit" n max_frame)
-    else if n < 1 then Error "empty frame (no frame-type byte)"
-    else Ok n
-
-let decode_bin s =
-  try
-    if String.length s < 4 then bin_fail "truncated length prefix";
-    match bin_length (String.sub s 0 4) with
-    | Error e -> Error e
-    | Ok n ->
-        if String.length s - 4 <> n then
-          bin_fail "frame declares %d body bytes but carries %d" n
-            (String.length s - 4);
-        let pos = ref 4 in
-        let kind =
-          match get_byte s pos with
-          | 0x01 -> Request
-          | 0x02 -> Response
-          | t -> bin_fail "bad frame type 0x%02x" t
-        in
-        let v = get_value s pos 0 in
-        if !pos <> String.length s then
-          bin_fail "%d trailing bytes after value" (String.length s - !pos);
-        Ok (kind, v)
-  with Bin_error e -> Error e
 
 let value_to_json = function
   | Instance.Value.Str s -> Json.String s

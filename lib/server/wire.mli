@@ -1,14 +1,10 @@
-(** The serving protocol: line-delimited JSON frames, or the equivalent
-    length-prefixed binary frames.
+(** The serving protocol: line-delimited JSON frames.
 
-    One request per frame, one response frame per request, in order.
-    Both protocols carry the same request/response values; a connection
-    picks one at accept time (a binary connection announces itself with
-    {!magic}, anything else is JSON lines).  The operation and
-    error-code reference lives in [docs/SERVING.md]; the normative
-    byte-level description of both framings is [docs/WIRE.md].  This
-    module owns the framing so the daemon and the client cannot drift
-    apart. *)
+    One request per line, one response line per request, in order.  The
+    operation and error-code reference lives in [docs/SERVING.md]; the
+    normative byte-level description of the framing is [docs/WIRE.md].
+    This module owns the framing so the daemon and the client cannot
+    drift apart. *)
 
 (** Where a server listens / a client connects. *)
 type addr = Unix_path of string | Tcp of string * int
@@ -78,14 +74,10 @@ type request = {
 }
 
 val request_of_line : string -> (request, error_code * string) result
-(** Decodes one frame.  [Error] carries the code and a human message;
+(** Decodes one frame.  Never raises: every input, whatever its bytes,
+    is [Ok] or an [Error] with {!Bad_frame} or {!Bad_request}.  [Error] carries the code and a human message;
     no id is available for a frame that does not decode to an object,
     so the error response echoes [id] only when one was recoverable. *)
-
-val request_of_json : Obs.Json.t -> (request, error_code * string) result
-(** Field validation shared by both protocols: what {!request_of_line}
-    does after parsing, and what the binary path does after
-    {!decode_bin}. *)
 
 val request_to_line :
   ?id:Obs.Json.t ->
@@ -103,23 +95,9 @@ val request_to_line :
 (** [request_to_line op] builds the client-side frame (no trailing
     newline). *)
 
-val request_to_json :
-  ?id:Obs.Json.t ->
-  ?view:string ->
-  ?text:string ->
-  ?base:string ->
-  ?policy:string ->
-  ?deadline_ms:int ->
-  ?seq:int ->
-  ?max:int ->
-  ?wait_ms:int ->
-  ?node:string ->
-  string ->
-  Obs.Json.t
-(** The request value itself, for clients that frame it as binary. *)
-
 val ok_response : ?id:Obs.Json.t -> (string * Obs.Json.t) list -> Obs.Json.t
-(** The response value behind {!ok_line}, for binary framing. *)
+(** The response value behind {!ok_line}: the daemon builds responses
+    as values and renders them once, when it writes the line. *)
 
 val error_response :
   ?id:Obs.Json.t ->
@@ -127,10 +105,9 @@ val error_response :
   error_code ->
   string ->
   Obs.Json.t
-(** The response value behind {!error_line}, for binary framing.
-    [data] fields are appended inside the ["error"] object after
-    ["code"] and ["message"] — {!Not_leader} carries its ["leader"]
-    address this way. *)
+(** The response value behind {!error_line}.  [data] fields are
+    appended inside the ["error"] object after ["code"] and ["message"]
+    — {!Not_leader} carries its ["leader"] address this way. *)
 
 val ok_line : ?id:Obs.Json.t -> (string * Obs.Json.t) list -> string
 (** [{"id":..,"ok":true,<payload fields>}] (no trailing newline). *)
@@ -142,45 +119,6 @@ val error_line :
   string ->
   string
 (** [{"id":..,"ok":false,"error":{"code":..,"message":..}}]. *)
-
-(** {1 Binary framing}
-
-    Byte-level spec: [docs/WIRE.md].  Frames are a u32 big-endian body
-    length, one frame-type byte ([0x01] request, [0x02] response), one
-    tagged value mirroring [Obs.Json.t].  A binary connection starts
-    with the client sending {!magic}; the server echoes it back as the
-    acceptance ack. *)
-
-type proto = Json | Bin
-
-val proto_to_string : proto -> string
-val proto_of_string : string -> proto option
-
-val magic : string
-(** 8 bytes: [0xB5 "SITB1"] then the two version bytes (major, minor).
-    The leading byte is outside printable ASCII, so no JSON-lines frame
-    can ever be mistaken for it — that is the whole negotiation. *)
-
-val max_frame : int
-(** Largest accepted frame body (16 MiB).  Receivers reject the length
-    prefix before reading the body. *)
-
-type frame_kind = Request | Response
-
-val encode_bin : frame_kind -> Obs.Json.t -> string
-(** The complete frame: length prefix, frame-type byte, encoded value.
-    Write it verbatim; no trailing delimiter. *)
-
-val decode_bin : string -> (frame_kind * Obs.Json.t, string) result
-(** Decodes one complete frame (prefix included).  Rejects truncated
-    and oversized frames, bad frame types, bad value tags, counts that
-    exceed the frame, nesting beyond an internal depth limit, and
-    trailing bytes — the error is a human-readable reason. *)
-
-val bin_length : string -> (int, string) result
-(** [bin_length hdr] validates a 4-byte length prefix and returns the
-    body length.  Streaming readers call this before allocating or
-    reading the body, so a hostile length can never balloon memory. *)
 
 val value_to_json : Instance.Value.t -> Obs.Json.t
 (** [Str]/[Int]/[Real]/[Bool] map to their JSON counterparts, [Date] to

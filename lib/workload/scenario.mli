@@ -27,8 +27,8 @@
     ({!write_files}) consumable by [sit_serve], and the same schedule
     replays through any [play] function ({!transcript}), which is what
     makes the differential harness possible: offline in-process
-    execution, the JSON and binary wire protocols, different [SIT_JOBS]
-    values and a crash-resumed daemon must all produce byte-identical
+    execution, a served daemon, different [SIT_JOBS] values and a
+    crash-resumed daemon must all produce byte-identical
     transcripts (see [docs/SCENARIOS.md] and [test/test_scenario.ml]).
 
     {2 Determinism contract}

@@ -79,7 +79,7 @@ converge() {
   i=0
   while :; do
     i=$((i + 1))
-    if "$SERVE" --drive "$1" --conns 1 --proto json \
+    if "$SERVE" --drive "$1" --conns 1 \
          --schedule "$READS_SCHED" --transcript "$2" >/dev/null 2>&1 \
        && cmp -s "$OUT/ref_reads.txt" "$2"; then
       return 0
@@ -108,10 +108,10 @@ READS_SCHED="$OUT/reads_sched.txt"
 
 start_node "$WORK/ref.log"
 REF_PID=$LAST_PID
-"$SERVE" --drive "127.0.0.1:$PORT" --conns 4 --proto json \
+"$SERVE" --drive "127.0.0.1:$PORT" --conns 4 \
   --schedule "$SCHED" --transcript "$OUT/ref.txt" \
   || fail "reference schedule leg failed"
-"$SERVE" --drive "127.0.0.1:$PORT" --conns 1 --proto json \
+"$SERVE" --drive "127.0.0.1:$PORT" --conns 1 \
   --schedule "$READS_SCHED" --transcript "$OUT/ref_reads.txt" \
   || fail "reference read-deck leg failed"
 kill -TERM "$REF_PID" && wait "$REF_PID" || fail "reference daemon exited non-zero"
@@ -126,7 +126,7 @@ F1PORT=$PORT
 start_node "$WORK/f2.log" --follow "127.0.0.1:$LPORT"
 F2PORT=$PORT
 
-"$SERVE" --drive "127.0.0.1:$LPORT" --conns 4 --proto json \
+"$SERVE" --drive "127.0.0.1:$LPORT" --conns 4 \
   --schedule "$SCHED" --transcript "$OUT/repl.txt" \
   || fail "replicated schedule leg failed"
 cmp -s "$OUT/ref.txt" "$OUT/repl.txt" \
@@ -167,7 +167,7 @@ wait "$LEADER_PID" 2>/dev/null || true
 # the reference bytes — no acknowledged write may be missing
 "$SERVE" --drive "127.0.0.1:$LPORT" \
   --endpoints "127.0.0.1:$LPORT,127.0.0.1:$F1PORT,127.0.0.1:$F2PORT" \
-  --conns 4 --proto json --timeout-ms 2000 \
+  --conns 4 --timeout-ms 2000 \
   --schedule "$READS_SCHED" --transcript "$OUT/failover_reads.txt" \
   || fail "post-kill failover leg failed"
 cmp -s "$OUT/ref_reads.txt" "$OUT/failover_reads.txt" \
@@ -178,7 +178,7 @@ cmp -s "$OUT/ref_reads.txt" "$OUT/failover_reads.txt" \
 start_node "$WORK/f3.log" --follow "127.0.0.1:$LPORT"
 F3PORT=$PORT
 F3_PID=$LAST_PID
-"$SERVE" --drive "127.0.0.1:$F3PORT" --conns 1 --requests 4 --proto json \
+"$SERVE" --drive "127.0.0.1:$F3PORT" --conns 1 --requests 4 \
   --global "select * from G_Root" >/dev/null 2>&1 \
   || true # the query itself may be a typed error; the daemon answering is the point
 if command -v python3 >/dev/null 2>&1; then
@@ -201,7 +201,7 @@ wait "$F3_PID" 2>/dev/null || true
 start_node "$WORK/leader2.log"
 LPORT2=$PORT
 LEADER2_PID=$LAST_PID
-"$SERVE" --drive "127.0.0.1:$LPORT2" --conns 4 --proto json \
+"$SERVE" --drive "127.0.0.1:$LPORT2" --conns 4 \
   --schedule "$SCHED" --transcript "$OUT/l2.txt" \
   || fail "second leader schedule leg failed"
 cmp -s "$OUT/ref.txt" "$OUT/l2.txt" || fail "second leader diverged"
@@ -218,7 +218,7 @@ mkdir -p "$JDIR"
 start_node "$WORK/leader3.log" --journal "$JDIR" --compact-every 4
 LPORT3=$PORT
 LEADER3_PID=$LAST_PID
-"$SERVE" --drive "127.0.0.1:$LPORT3" --conns 4 --proto json \
+"$SERVE" --drive "127.0.0.1:$LPORT3" --conns 4 \
   --schedule "$SCHED" --transcript "$OUT/l3.txt" \
   || fail "compacting leader schedule leg failed"
 cmp -s "$OUT/ref.txt" "$OUT/l3.txt" \

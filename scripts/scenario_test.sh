@@ -6,9 +6,8 @@
 #
 #   1. offline in-process execution, SIT_JOBS=1  (the reference)
 #   2. offline execution with a machine-sized pool (SIT_JOBS=nproc)
-#   3. a real daemon over the JSON line protocol
-#   4. a real daemon over the binary frame protocol
-#   5. a daemon stopped at the checkpoint phase and a fresh daemon
+#   3. a real daemon over the wire
+#   4. a daemon stopped at the checkpoint phase and a fresh daemon
 #      resumed from its journal (prefix + suffix = uninterrupted run)
 #
 # sit_scenario itself exits non-zero when the scenario's integration
@@ -83,29 +82,26 @@ run_seed() {
   cmp -s "$OUT/ref.txt" "$OUT/jobs.txt" \
     || fail "seed $SEED: SIT_JOBS=$NPROC leg diverged from the reference"
 
-  # legs 3 and 4: one fresh daemon per protocol — schedules mutate
-  # server state, so the legs cannot share a daemon
-  for PROTO in json bin; do
-    SOCK="$WORK/s$SEED.$PROTO.sock"
-    start_daemon "$WORK/j$SEED.$PROTO" "$SOCK"
-    "$SERVE" --drive "unix:$SOCK" --conns 4 --proto "$PROTO" \
-      --schedule "$SCHED" --transcript "$OUT/$PROTO.txt" \
-      || fail "seed $SEED: served $PROTO leg failed"
-    stop_daemon
-    cmp -s "$OUT/ref.txt" "$OUT/$PROTO.txt" \
-      || fail "seed $SEED: served $PROTO leg diverged from the reference"
-  done
+  # leg 3: a fresh daemon over the wire
+  SOCK="$WORK/s$SEED.served.sock"
+  start_daemon "$WORK/j$SEED.served" "$SOCK"
+  "$SERVE" --drive "unix:$SOCK" --conns 4 \
+    --schedule "$SCHED" --transcript "$OUT/served.txt" \
+    || fail "seed $SEED: served leg failed"
+  stop_daemon
+  cmp -s "$OUT/ref.txt" "$OUT/served.txt" \
+    || fail "seed $SEED: served leg diverged from the reference"
 
-  # leg 5: stop at the checkpoint phase, resume from the journal
+  # leg 4: stop at the checkpoint phase, resume from the journal
   SOCK="$WORK/s$SEED.resume.sock"
   JDIR="$WORK/j$SEED.resume"
   start_daemon "$JDIR" "$SOCK"
-  "$SERVE" --drive "unix:$SOCK" --conns 4 --proto json \
+  "$SERVE" --drive "unix:$SOCK" --conns 4 \
     --schedule "$SCHED" --phases "0:$CK" --transcript "$OUT/prefix.txt" \
     || fail "seed $SEED: resume prefix leg failed"
   stop_daemon
   start_daemon "$JDIR" "$SOCK"
-  "$SERVE" --drive "unix:$SOCK" --conns 4 --proto json \
+  "$SERVE" --drive "unix:$SOCK" --conns 4 \
     --schedule "$SCHED" --phases "$CK:$NPH" --transcript "$OUT/suffix.txt" \
     || fail "seed $SEED: resume suffix leg failed"
   stop_daemon

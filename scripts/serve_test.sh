@@ -35,19 +35,14 @@ while [ ! -S "$SOCK" ]; do
   sleep 0.1
 done
 
-# the load client exits non-zero on byte mismatches or all-error runs;
-# the JSON-lines and binary-frame protocols (docs/WIRE.md) are driven
-# as separate legs so a failure names the leg that broke and its exit
-# status propagates instead of vanishing into a combined run
-for PROTO in json bin; do
-  "$SERVE" --drive "unix:$SOCK" --conns 4 --requests 1000 --proto "$PROTO" \
-    --query "sc1: select Name, GPA from Student where GPA > 3.0" \
-    --query "sc1: select Name from Department" \
-    --query "sc2: select Name from Faculty" \
-    --global "select Name from Student" \
-    --mat honors \
-    || { RC=$?; echo "serve-test: $PROTO leg failed (exit $RC)"; cat "$LOG"; exit "$RC"; }
-done
+# the load client exits non-zero on byte mismatches or all-error runs
+"$SERVE" --drive "unix:$SOCK" --conns 4 --requests 1000 \
+  --query "sc1: select Name, GPA from Student where GPA > 3.0" \
+  --query "sc1: select Name from Department" \
+  --query "sc2: select Name from Faculty" \
+  --global "select Name from Student" \
+  --mat honors \
+  || { RC=$?; echo "serve-test: unix-socket leg failed (exit $RC)"; cat "$LOG"; exit "$RC"; }
 
 # TCP leg on an ephemeral port: the daemon asks the kernel for a free
 # port (:0) and advertises it on stderr; we parse that line and point
@@ -65,7 +60,7 @@ while [ -z "$PORT" ]; do
   PORT=$(sed -n 's/^sit_serve: listening on port \([0-9][0-9]*\)$/\1/p' "$TCPLOG")
   [ -n "$PORT" ] || sleep 0.1
 done
-"$SERVE" --drive "127.0.0.1:$PORT" --conns 4 --requests 200 --proto json \
+"$SERVE" --drive "127.0.0.1:$PORT" --conns 4 --requests 200 \
   --query "sc1: select Name, GPA from Student where GPA > 3.0" \
   --global "select Name from Student" \
   || { RC=$?; echo "serve-test: TCP ephemeral-port leg failed (exit $RC)"; cat "$TCPLOG"; exit "$RC"; }
@@ -74,8 +69,8 @@ wait "$TCPPID" || { echo "serve-test: TCP daemon exited non-zero"; cat "$TCPLOG"
 TCPPID=""
 
 # deliberate failure: an all-error workload must exit non-zero — this
-# smoke-checks that the per-leg propagation above can actually fire
-if "$SERVE" --drive "unix:$SOCK" --conns 2 --requests 20 --proto json \
+# smoke-checks that the exit-status propagation above can actually fire
+if "$SERVE" --drive "unix:$SOCK" --conns 2 --requests 20 \
      --query "sc9: select Name from Nowhere" >/dev/null 2>&1; then
   echo "serve-test: deliberate-failure check did not fail"; exit 1
 fi

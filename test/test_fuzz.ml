@@ -131,129 +131,116 @@ let fuzz_tests =
           [ ""; " \t\n"; "-- just a comment\n" ]);
   ]
 
-(* ---- binary wire-frame fuzzing ------------------------------------ *)
+(* ---- wire request-line fuzzing ----------------------------------- *)
 
-(* The decoder contract (docs/WIRE.md): [Wire.decode_bin] on arbitrary
-   bytes either returns a decoded frame or a human-readable [Error] —
-   never any exception, never an unbounded allocation, never an accept
-   of a frame that does not round-trip. *)
+(* The decoder contract (docs/WIRE.md): [Wire.request_of_line] on
+   arbitrary bytes returns a request or a [Bad_frame]/[Bad_request]
+   error with a human-readable message — never any other code, never an
+   exception. *)
 module Wire = Server.Wire
 module Json = Obs.Json
 
-let sample_values =
-  [
-    Json.Null;
-    Json.Bool true;
-    Json.Int (-42);
-    Json.Int max_int;
-    Json.Float 3.25;
-    Json.Float nan;
-    Json.String "";
-    Json.String "héllo\nworld\x00";
-    Json.List [ Json.Int 1; Json.String "two"; Json.Null ];
-    Json.Obj [ ("op", Json.String "query"); ("deadline_ms", Json.Int 50) ];
-    Json.Obj
-      [
-        ( "rows",
-          Json.List
-            [ Json.Obj [ ("Name", Json.String "Ann"); ("GPA", Json.Float 3.9) ] ]
-        );
-        ("count", Json.Int 1);
-      ];
-  ]
+(* Every op the daemon knows, plus frames carrying each optional field. *)
+let line_corpus =
+  List.map (fun op -> Wire.request_to_line op) Wire.ops
+  @ [
+      Wire.request_to_line ~id:(Json.Int 7) ~view:"sc1"
+        ~text:"select Name, GPA from Student where GPA > 3.0" ~deadline_ms:50
+        "query";
+      Wire.request_to_line ~id:(Json.String "w-1") ~view:"sc1"
+        ~text:"insert into Student { Name = 'Zoe', GPA = 3.5 }" "update";
+      Wire.request_to_line ~view:"honors" ~base:"sc1" ~policy:"eager"
+        ~text:"select Name from Student where GPA >= 3.0" "define_view";
+      Wire.request_to_line ~seq:7 ~max:32 ~wait_ms:150 ~node:"f1" "repl_pull";
+      Wire.request_to_line
+        ~id:(Json.List [ Json.Int 1; Json.Null ])
+        ~seq:3 ~node:"f2" "repl_snapshot";
+      Wire.request_to_line ~id:(Json.Obj [ ("k", Json.Float 2.5) ])
+        ~text:"select Name from Student" ~deadline_ms:0 "rewrite";
+    ]
 
-let frame_corpus =
-  List.concat_map
-    (fun v -> [ Wire.encode_bin Wire.Request v; Wire.encode_bin Wire.Response v ])
-    sample_values
+let reencode (r : Wire.request) =
+  Wire.request_to_line ?id:r.id ?view:r.view ?text:r.text ?base:r.base
+    ?policy:r.policy ?deadline_ms:r.deadline_ms ?seq:r.seq ?max:r.max
+    ?wait_ms:r.wait_ms ?node:r.node r.op
+
+let decode input =
+  match Wire.request_of_line input with
+  | r -> r
+  | exception e ->
+      Alcotest.failf "request_of_line raised %s on %S" (Printexc.to_string e)
+        input
 
 let decode_contract input =
-  match Wire.decode_bin input with
-  | Ok (kind, v) ->
-      (* an accepted frame must re-encode to the very same bytes: the
-         encoding has no redundancy, so decode is injective *)
-      check string "accepted frames round-trip" input (Wire.encode_bin kind v)
-  | Error e -> check bool "error message is not empty" true (String.length e > 0)
-  | exception e ->
-      Alcotest.failf "decode_bin raised %s on %d bytes" (Printexc.to_string e)
-        (String.length input)
+  match decode input with
+  | Ok _ -> ()
+  | Error ((Wire.Bad_frame | Wire.Bad_request), msg) ->
+      check bool "error message is not empty" true (String.length msg > 0)
+  | Error (code, _) ->
+      Alcotest.failf "decoder answered %s on %S" (Wire.code_to_string code) input
 
-let bin_fuzz_tests =
+let expect_error want input =
+  match decode input with
+  | Error (code, msg) when code = want ->
+      check bool "error message is not empty" true (String.length msg > 0)
+  | Error (code, _) ->
+      Alcotest.failf "%S: expected %s, got %s" input (Wire.code_to_string want)
+        (Wire.code_to_string code)
+  | Ok _ -> Alcotest.failf "accepted %S" input
+
+let line_fuzz_tests =
   [
     tc "well-formed frames round-trip through encode/decode" (fun () ->
         List.iter
-          (fun frame ->
-            match Wire.decode_bin frame with
-            | Ok (kind, v) ->
-                check string "identical bytes" frame (Wire.encode_bin kind v)
-            | Error e -> Alcotest.failf "rejected a well-formed frame: %s" e)
-          frame_corpus);
+          (fun line ->
+            match decode line with
+            | Ok r -> check string "identical bytes" line (reencode r)
+            | Error (_, e) -> Alcotest.failf "rejected %S: %s" line e)
+          line_corpus);
     tc "5000 seeded frame mutations never escape Ok/Error" (fun () ->
         let g = Workload.Prng.create 0xB14A9 in
         for _ = 1 to 5000 do
-          decode_contract (mutate g (Workload.Prng.pick g frame_corpus))
+          decode_contract (mutate g (Workload.Prng.pick g line_corpus))
         done);
     tc "truncations at every byte are rejected or consistent" (fun () ->
         List.iter
-          (fun frame ->
-            for k = 0 to String.length frame - 1 do
-              (* every proper prefix must be an Error: the length prefix
-                 no longer matches the body *)
-              match Wire.decode_bin (String.sub frame 0 k) with
-              | Error _ -> ()
-              | Ok _ -> Alcotest.failf "accepted a %d-byte truncation" k
+          (fun line ->
+            (* a proper prefix of an object never closes it *)
+            for k = 0 to String.length line - 1 do
+              expect_error Wire.Bad_frame (String.sub line 0 k)
             done)
-          frame_corpus);
+          line_corpus);
     tc "adversarial prefixes and tags are typed errors" (fun () ->
-        let reject input reason =
-          match Wire.decode_bin input with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "accepted %s" reason
-        in
-        (* oversized length prefix: must be rejected before allocation *)
-        reject "\xff\xff\xff\xff\x01\x00" "a 4 GiB length prefix";
-        reject "\x7f\xff\xff\xff\x01\x00" "a 2 GiB length prefix";
-        (* length prefix exceeding max_frame by one *)
-        let over = Wire.max_frame + 1 in
-        let hdr =
-          String.init 4 (fun i ->
-              Char.chr ((over lsr ((3 - i) * 8)) land 0xff))
-        in
-        (match Wire.bin_length hdr with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "bin_length accepted max_frame+1");
-        (* bad frame type *)
-        reject "\x00\x00\x00\x02\x03\x00" "frame type 0x03";
-        (* bad value tag *)
-        reject "\x00\x00\x00\x02\x01\x7f" "value tag 0x7f";
-        (* list claiming more elements than bytes remain *)
-        reject "\x00\x00\x00\x06\x01\x06\xff\xff\xff\xff" "a 4G-element list";
-        (* string overrunning the frame *)
-        reject "\x00\x00\x00\x07\x01\x05\x00\x00\x00\x10x" "an overrunning string";
-        (* trailing bytes after a complete value *)
-        reject "\x00\x00\x00\x03\x01\x00\x00" "trailing bytes";
-        (* empty body: no frame-type byte *)
-        reject "\x00\x00\x00\x00" "an empty body");
-    tc "deep nesting is bounded, not a stack overflow" (fun () ->
-        (* 100k nested single-element lists: tag 0x06 + count 1, repeated *)
+        List.iter
+          (fun (input, code) -> expect_error code input)
+          [
+            (* the retired binary framing's magic and a frame of it *)
+            ("\xb5SITB1\x00\x01", Wire.Bad_frame);
+            ("\x00\x00\x00\x02\x01\xff", Wire.Bad_frame);
+            ("\xef\xbb\xbf{\"op\":\"health\"}", Wire.Bad_frame);
+            ("", Wire.Bad_frame);
+            ("{\"op\":\"health\"} {}", Wire.Bad_frame);
+            ("{\"op\":\"\\u12\"}", Wire.Bad_frame);
+            ("{\"op\":\"query\",\"seq\":99999999999999999999999}", Wire.Bad_frame);
+            (* valid JSON that is not an object *)
+            ("[\"op\",\"health\"]", Wire.Bad_frame);
+            ("\"health\"", Wire.Bad_frame);
+            ("null", Wire.Bad_frame);
+            (* objects whose fields are missing or ill-typed *)
+            ("{}", Wire.Bad_request);
+            ("{\"op\":5}", Wire.Bad_request);
+            ("{\"op\":\"query\",\"deadline_ms\":\"soon\"}", Wire.Bad_request);
+            ("{\"op\":\"repl_pull\",\"seq\":1.5}", Wire.Bad_request);
+            ("{\"op\":\"query\",\"view\":null}", Wire.Bad_request);
+          ]);
+    tc "deep nesting is a typed error, not a stack overflow" (fun () ->
         let depth = 100_000 in
-        let b = Buffer.create (5 * depth + 16) in
-        for _ = 1 to depth do
-          Buffer.add_string b "\x06\x00\x00\x00\x01"
-        done;
-        Buffer.add_char b '\x00';
-        let body = "\x01" ^ Buffer.contents b in
-        let hdr =
-          String.init 4 (fun i ->
-              Char.chr ((String.length body lsr ((3 - i) * 8)) land 0xff))
-        in
-        match Wire.decode_bin (hdr ^ body) with
-        | Error _ -> () (* rejected at the depth limit: the contract *)
-        | Ok _ -> Alcotest.fail "accepted 100k-deep nesting"
-        | exception e ->
-            Alcotest.failf "raised %s on deep nesting" (Printexc.to_string e));
+        let nested = String.make depth '[' ^ String.make depth ']' in
+        expect_error Wire.Bad_frame nested;
+        expect_error Wire.Bad_request ("{\"op\":" ^ nested ^ "}");
+        expect_error Wire.Bad_frame (String.make depth '['));
   ]
 
 let () =
   Alcotest.run "fuzz"
-    [ ("ddl-fuzz", fuzz_tests); ("wire-fuzz", bin_fuzz_tests) ]
+    [ ("ddl-fuzz", fuzz_tests); ("wire-fuzz", line_fuzz_tests) ]

@@ -9,8 +9,7 @@
      every barrier phase (views fresh, materialized extents equal to
      from-scratch recomputation);
    - offline execution with a wider pool;
-   - the JSON wire protocol through a real daemon;
-   - the binary wire protocol through a real daemon;
+   - a real daemon over the wire;
    - a daemon killed at the checkpoint phase and restarted from its
      journal, replaying the schedule suffix.
 
@@ -153,8 +152,8 @@ let with_served f =
       in
       Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f addr)
 
-let served_play proto addr ~storm frames =
-  Server.Client.play ~proto ~addr ~conns:(if storm then 4 else 1) frames
+let served_play addr ~storm frames =
+  Server.Client.play ~addr ~conns:(if storm then 4 else 1) frames
 
 (* ---- scenario structure ------------------------------------------- *)
 
@@ -258,15 +257,7 @@ let leg_tests =
         with_served (fun addr ->
             let phases, _ = Lazy.force phases_and_checkpoint in
             check Alcotest.string "transcript" (Lazy.force reference)
-              (Scn.transcript
-                 ~play:(served_play Server.Wire.Json addr)
-                 phases)));
-    tc "served binary leg matches the offline reference" (fun () ->
-        with_served (fun addr ->
-            let phases, _ = Lazy.force phases_and_checkpoint in
-            check Alcotest.string "transcript" (Lazy.force reference)
-              (Scn.transcript ~play:(served_play Server.Wire.Bin addr)
-                 phases)));
+              (Scn.transcript ~play:(served_play addr) phases)));
     tc "daemon killed at the checkpoint resumes byte-identically" (fun () ->
         let phases, ck = Lazy.force phases_and_checkpoint in
         check Alcotest.bool "schedule has a checkpoint" true (ck >= 0);
@@ -284,9 +275,7 @@ let leg_tests =
               Fun.protect
                 ~finally:(fun () -> Server.stop t)
                 (fun () ->
-                  Scn.transcript
-                    ~play:(served_play Server.Wire.Json addr)
-                    range)
+                  Scn.transcript ~play:(served_play addr) range)
         in
         let prefix = run_leg (split 0 ck) in
         (* the daemon is gone; a fresh one resumes from the journal *)

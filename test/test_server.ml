@@ -340,11 +340,9 @@ let server_tests =
             Server.stop t);
   ]
 
-(* ---- binary protocol ---------------------------------------------- *)
+(* ---- the retired binary magic ------------------------------------ *)
 
-(* One raw binary exchange over [fd]-level primitives, so negotiation
-   details (magic echo, framing) are asserted byte-by-byte rather than
-   through the client's convenience layer. *)
+(* A raw TCP connection, so the test controls every byte sent. *)
 let raw_connect addr =
   match addr with
   | Server.Wire.Tcp (host, port) ->
@@ -353,128 +351,31 @@ let raw_connect addr =
       (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   | Server.Wire.Unix_path _ -> Alcotest.fail "tests use TCP"
 
-let binary_tests =
+let retired_binary_tests =
   [
-    tc "negotiation: the magic is echoed byte-for-byte" (fun () ->
+    tc "0xB5 is no longer a special first byte" (fun () ->
         with_server (fun _t addr ->
             let fd, ic, oc = raw_connect addr in
             Fun.protect
               ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
-                output_string oc Server.Wire.magic;
-                flush oc;
-                let ack =
-                  really_input_string ic (String.length Server.Wire.magic)
+                let response () =
+                  match Json.of_string (input_line ic) with
+                  | Ok v -> v
+                  | Error e -> Alcotest.fail ("response is not a JSON line: " ^ e)
                 in
-                check Alcotest.string "ack" Server.Wire.magic ack;
-                (* and the connection then answers a framed request *)
-                output_string oc
-                  (Server.Wire.encode_bin Server.Wire.Request
-                     (Server.Wire.request_to_json "health"));
-                flush oc;
-                let hdr = really_input_string ic 4 in
-                match Server.Wire.bin_length hdr with
-                | Error e -> Alcotest.fail e
-                | Ok n -> (
-                    let body = really_input_string ic n in
-                    match Server.Wire.decode_bin (hdr ^ body) with
-                    | Ok (Server.Wire.Response, v) ->
-                        check Alcotest.bool "ok" true (Server.Client.is_ok v)
-                    | Ok (Server.Wire.Request, _) ->
-                        Alcotest.fail "server sent a request frame"
-                    | Error e -> Alcotest.fail e))));
-    tc "bad magic version is answered with bad_frame and closed" (fun () ->
-        with_server (fun _t addr ->
-            let fd, ic, oc = raw_connect addr in
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                (* right sniff byte, wrong version *)
-                output_string oc "\xb5SITB1\x09\x09";
-                flush oc;
-                let hdr = really_input_string ic 4 in
-                match Server.Wire.bin_length hdr with
-                | Error e -> Alcotest.fail e
-                | Ok n -> (
-                    let body = really_input_string ic n in
-                    (match Server.Wire.decode_bin (hdr ^ body) with
-                    | Ok (Server.Wire.Response, v) ->
-                        check
-                          Alcotest.(option string)
-                          "code" (Some "bad_frame")
-                          (Server.Client.error_code v)
-                    | _ -> Alcotest.fail "expected an error response frame");
-                    (* connection is closed after the error *)
-                    match input_char ic with
-                    | exception End_of_file -> ()
-                    | _ -> Alcotest.fail "connection still open after bad magic"))));
-    tc "binary and JSON responses carry identical payloads" (fun () ->
-        with_server (fun _t addr ->
-            with_client addr (fun cj ->
-                let cb = Server.Client.connect ~proto:Server.Wire.Bin addr in
-                Fun.protect
-                  ~finally:(fun () -> Server.Client.close cb)
-                  (fun () ->
-                    List.iter
-                      (fun line ->
-                        check Alcotest.string line
-                          (Server.Client.roundtrip cj line)
-                          (Server.Client.roundtrip cb line))
-                      (frames ())))));
-    tc "binary framing errors keep the connection alive" (fun () ->
-        with_server (fun _t addr ->
-            let fd, ic, oc = raw_connect addr in
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                output_string oc Server.Wire.magic;
-                flush oc;
-                ignore (really_input_string ic (String.length Server.Wire.magic));
-                let read_resp () =
-                  let hdr = really_input_string ic 4 in
-                  match Server.Wire.bin_length hdr with
-                  | Error e -> Alcotest.fail e
-                  | Ok n -> (
-                      let body = really_input_string ic n in
-                      match Server.Wire.decode_bin (hdr ^ body) with
-                      | Ok (Server.Wire.Response, v) -> v
-                      | _ -> Alcotest.fail "expected a response frame")
-                in
-                (* a complete frame with a bad value tag: answered, not
-                   fatal, because the stream stays at a frame boundary *)
-                output_string oc "\x00\x00\x00\x02\x01\xff";
+                (* the 8-byte magic that once opened a binary connection *)
+                output_string oc "\xb5SITB1\x00\x01\n";
                 flush oc;
                 check
                   Alcotest.(option string)
-                  "bad tag" (Some "bad_frame")
-                  (Server.Client.error_code (read_resp ()));
-                (* same connection still serves *)
-                output_string oc
-                  (Server.Wire.encode_bin Server.Wire.Request
-                     (Server.Wire.request_to_json "health"));
+                  "code" (Some "bad_frame")
+                  (Server.Client.error_code (response ()));
+                (* exactly one answer, and the connection still serves *)
+                output_string oc (Server.Wire.request_to_line "health" ^ "\n");
                 flush oc;
-                check Alcotest.bool "still serving" true
-                  (Server.Client.is_ok (read_resp ()));
-                (* an oversized length prefix is fatal: error, then EOF *)
-                output_string oc "\x7f\xff\xff\xff";
-                flush oc;
-                check
-                  Alcotest.(option string)
-                  "oversized" (Some "bad_frame")
-                  (Server.Client.error_code (read_resp ()));
-                match input_char ic with
-                | exception End_of_file -> ()
-                | _ -> Alcotest.fail "connection open after oversized prefix")));
-    tc "drive runs the same workload over the binary protocol" (fun () ->
-        with_server ~jobs:2 (fun _t addr ->
-            let pool = Array.of_list (frames ()) in
-            let load = Array.init 400 (fun i -> pool.(i mod Array.length pool)) in
-            let stats =
-              Server.Client.drive ~proto:Server.Wire.Bin ~addr ~conns:4
-                ~frames:load ()
-            in
-            check Alcotest.int "all ok" 400 stats.Server.Client.ok;
-            check Alcotest.int "no divergence" 0 stats.Server.Client.mismatches));
+                check Alcotest.bool "health ok" true
+                  (Server.Client.is_ok (response ())))));
   ]
 
 (* ---- regression: strategy error paths ----------------------------- *)
@@ -683,7 +584,7 @@ let () =
   Alcotest.run "server"
     [
       ("server", server_tests);
-      ("binary protocol", binary_tests);
+      ("retired binary magic", retired_binary_tests);
       ("strategy regressions", strategy_tests);
       ("conflict diagnostics", conflict_tests);
       ("sit_batch regressions", sit_batch_tests);
