@@ -167,20 +167,20 @@ let parse_view_def spec =
                 (String.trim
                    (String.sub head (j + 1) (String.length head - j - 1))) )
       in
-      let name, policy =
+      let view, policy =
         match String.index_opt head '@' with
-        | None -> (head, None)
+        | None -> (head, Server.View.Lazy)
         | Some j -> (
             let p =
               String.trim (String.sub head (j + 1) (String.length head - j - 1))
             in
             match Server.View.policy_of_string p with
-            | Some pol -> (String.trim (String.sub head 0 j), Some pol)
+            | Some pol -> (String.trim (String.sub head 0 j), pol)
             | None ->
                 hard_fail "--view: unknown policy %S (eager, lazy or manual)" p)
       in
-      if name = "" then hard_fail "--view: empty view name in %s" spec;
-      (name, policy, base, source)
+      if view = "" then hard_fail "--view: empty view name in %s" spec;
+      { Server.view; base; policy; query = source }
 
 let serve files script data name journal listen jobs queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every schedule phases_spec
@@ -219,16 +219,11 @@ let serve files script data name journal listen jobs queue deadline_ms cache
           repl;
         }
       in
-      match Server.create session cfg with
+      match
+        Server.create ~views:(List.map parse_view_def view_defs) session cfg
+      with
       | Error msg -> hard_fail "%s" msg
       | Ok t -> (
-          List.iter
-            (fun spec ->
-              let vname, policy, base, source = parse_view_def spec in
-              match Server.define_view t ~name:vname ?base ?policy source with
-              | Ok () -> ()
-              | Error msg -> hard_fail "--view %s: %s" vname msg)
-            view_defs;
           match schedule with
           | Some file ->
               (* offline mode: replay the schedule in-process through the
@@ -318,8 +313,10 @@ let journal_dir =
     & opt (some string) None
     & info [ "journal" ] ~docv:"DIR"
         ~doc:
-          "Write-ahead journal the setup session to $(docv)/serve.journal; \
-           a restart resumes from it automatically.")
+          "Durable directory: a leader logs acknowledged writes to \
+           $(docv)/repl.journal and snapshots to $(docv)/repl.snap.SEQ; a \
+           restart rebuilds the session from the input files and replays \
+           them.")
 
 let listen =
   Arg.(

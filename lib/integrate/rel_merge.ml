@@ -94,6 +94,19 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
     end
   in
 
+  (* Slots on one class must carry distinct roles to be told apart —
+     the rule [Schema.validate] enforces on every relationship. *)
+  let ambiguous slots =
+    List.exists
+      (fun s ->
+        let same = List.filter (fun s' -> Name.equal s'.node s.node) slots in
+        List.length same > 1
+        &&
+        let roles = List.filter_map (fun s' -> s'.role) same in
+        List.length (List.sort_uniq Name.compare roles) <> List.length same)
+      slots
+  in
+
   (* --- equals-merge groups ---------------------------------------- *)
   let edges = Assertions.integration_edges matrix in
   let uf = Hashtbl.create 16 in
@@ -367,6 +380,15 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
                   warn
                     "relationship sets %s and %s related but participants do \
                      not correspond; no derived set generated"
+                    (Qname.to_string a) (Qname.to_string b);
+                  None
+              | Some slots when ambiguous slots ->
+                  (* a class paired with its own subclass widens both
+                     slots to one ancestor, leaving twin participants *)
+                  warn
+                    "relationship sets %s and %s related but participants \
+                     widen to one class without distinct roles; no derived \
+                     set generated"
                     (Qname.to_string a) (Qname.to_string b);
                   None
               | Some slots ->

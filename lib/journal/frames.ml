@@ -1,7 +1,7 @@
 (* The byte layer shared by every framed log in the system: magic
    header, length+CRC framing, longest-valid-prefix recovery, fsync
    policy, atomic rewrite.  Payload semantics live in the callers
-   (journal.ml, lib/server's view catalog). *)
+   (journal.ml, lib/replicate's log and snapshots). *)
 
 type fsync_policy = Never | Every of int | Always
 
@@ -16,8 +16,9 @@ type t = {
 
 type recovery = { payloads : string list; truncated_bytes : int }
 
-(* Shared with journal.ml: a view-catalog log is a journal too, so its
-   appends/fsyncs land on the same journal.* observability names. *)
+(* Shared by every framed log (the session journal, the replication
+   log, snapshots): their fsyncs land on the same journal.*
+   observability names. *)
 let c_fsyncs = Obs.Counter.make "journal.fsyncs"
 let c_truncated = Obs.Counter.make "journal.truncated_bytes"
 let h_fsync_ms = Obs.Histogram.make "journal.fsync_ms"

@@ -1,5 +1,5 @@
 (** Generic CRC-framed append-only record log — the byte layer under
-    {!Journal} and under the serving tier's view-catalog log.
+    {!Journal} and under the replication log and its snapshots.
 
     A frames file is an 8-byte magic string followed by records,
 
@@ -10,8 +10,9 @@
     record prefix and ignores everything after the first damaged byte —
     a torn or corrupted tail is truncated, never fatal.  What the
     payloads {e mean} is the caller's business: {!Journal} stores
-    session ops and workspace snapshots, [lib/server] stores
-    view-catalog entries ([docs/VIEWS.md]). *)
+    session ops and workspace snapshots, [lib/replicate] stores
+    replicated request lines and serving-state snapshots
+    ([docs/ROBUSTNESS.md]). *)
 
 type t
 (** An open log, positioned for appending. *)

@@ -13,15 +13,11 @@ type t = {
   checkpoint_every : int;
   mu : Mutex.t;
       (* serializes every mutation (append/checkpoint/compact/reset/
-         close) and subscriber registration, so concurrent appenders —
-         connection threads of a serving daemon — get a total order:
-         seq numbers are dense, frames hit the file in seq order, and
-         each subscriber sees every op exactly once, in that order
-         (subscribers run under the lock; they must not call back). *)
+         close), so concurrent appenders get a total order: seq numbers
+         are dense and frames hit the file in seq order *)
   mutable seq : int;
   mutable since_checkpoint : int;
   mutable closed : bool;
-  mutable subscribers : (Integrate.Op.t -> unit) list;
 }
 
 type recovery = {
@@ -176,13 +172,9 @@ let open_ ?(fsync = Every 8) ?(checkpoint_every = 64) path =
       seq = recovery.seq;
       since_checkpoint = ops_since_snapshot records;
       closed = false;
-      subscribers = [];
     } )
 
 let check_open t = if t.closed then invalid_arg "Journal: journal is closed"
-
-let subscribe t f =
-  Mutex.protect t.mu (fun () -> t.subscribers <- t.subscribers @ [ f ])
 
 let checkpoint_locked t ws =
   check_open t;
@@ -199,7 +191,6 @@ let append ?after t op =
       t.seq <- t.seq + 1;
       t.since_checkpoint <- t.since_checkpoint + 1;
       Obs.Counter.incr c_appends;
-      List.iter (fun f -> f op) t.subscribers;
       match after with
       | Some ws when t.since_checkpoint >= t.checkpoint_every ->
           checkpoint_locked t ws

@@ -32,14 +32,13 @@
     the op/snapshot payload syntax and the replay logic.
 
     Thread safety: every mutation ({!append}, {!checkpoint},
-    {!compact}, {!reset}, {!close}) and {!subscribe} is serialized on
-    an internal mutex, so concurrent appenders — the connection threads
-    of a serving daemon — get dense sequence numbers, records in
-    sequence order, and exactly-once in-order subscriber delivery. *)
+    {!compact}, {!reset}, {!close}) is serialized on an internal mutex,
+    so concurrent appenders get dense sequence numbers and records in
+    sequence order. *)
 
 module Frames = Frames
 (** The generic framed-log layer, for other write-ahead logs (the
-    serving tier's view-catalog log persists through it). *)
+    replication log and its snapshots persist through it). *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -74,19 +73,7 @@ val open_ :
 val append : ?after:Integrate.Workspace.t -> t -> Integrate.Op.t -> unit
 (** Appends one op record (a single [write], then fsync per policy).
     [~after], the workspace {e after} the op, enables the automatic
-    checkpoint; omit it to journal without checkpointing.  Subscribers
-    ({!subscribe}) are notified after the record is written. *)
-
-val subscribe : t -> (Integrate.Op.t -> unit) -> unit
-(** [subscribe t f] registers [f] on the journal's live op stream: every
-    subsequent {!append} calls [f op] once the record is durably
-    ordered (written, before any checkpointing).  This is the hook a
-    derived-state maintainer attaches to — [lib/view] invalidates
-    materialized extents here when the session mutates under it.
-    Callbacks run on the appending thread, under the journal's lock —
-    concurrent appends deliver each op to each subscriber exactly once,
-    in the journal's total order.  They must not call back into the
-    same journal; exceptions propagate to the appender. *)
+    checkpoint; omit it to journal without checkpointing. *)
 
 val checkpoint : t -> Integrate.Workspace.t -> unit
 (** Appends a snapshot record of the full workspace now. *)

@@ -83,6 +83,19 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 exception Parse_error of int * string
 
+(* Arrays and objects nest at most this deep.  The parser recurses once
+   per level, so without a bound a line of 10M '[' costs stack and
+   memory in proportion; with it, such a line fails within its first
+   few hundred bytes.  No frame or report this system writes comes
+   close. *)
+let max_depth = 512
+
+(* A byte quoted in an error message, kept ASCII so the message (and a
+   wire answer that carries it) stays valid UTF-8 whatever the input. *)
+let show_byte c =
+  if c >= ' ' && c <= '~' then Printf.sprintf "'%c'" c
+  else Printf.sprintf "0x%02X" (Char.code c)
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -182,10 +195,12 @@ let of_string s =
       | Some i -> Int i
       | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some 'n' -> literal "null" Null
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -198,11 +213,11 @@ let of_string s =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -221,7 +236,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let fields = ref [ field () ] in
@@ -235,10 +250,10 @@ let of_string s =
           Obj (List.rev !fields)
         end
     | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | Some c -> fail ("unexpected character " ^ show_byte c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input";
     v

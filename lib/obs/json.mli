@@ -29,8 +29,11 @@ val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parses a complete JSON document; the error string carries a byte
-    offset.  Numbers without [.], [e] or [E] parse as {!Int}, all
-    others as {!Float}. *)
+    offset and is pure ASCII (an offending byte outside printable ASCII
+    is quoted as [0xNN]).  Numbers without [.], [e] or [E] parse as
+    {!Int}, all others as {!Float}.  Arrays and objects nested more
+    than 512 deep are an [Error], reported at the byte that opens the
+    513th level. *)
 
 val member : string -> t -> t option
 (** [member k v] is the field [k] of object [v]; [None] when [v] is not

@@ -99,59 +99,24 @@ let load_session setup =
           with Integrate.Script.Parse_error _ as e ->
             setup_fail "%s" (Integrate.Script.parse_error_to_string e))
     in
-    let items =
-      List.map (fun s -> `Schema s) schemas
-      @ List.map (fun d -> `Directive d) directives
-    in
-    let start, base, jopt =
-      match setup.journal with
-      | None -> (0, Integrate.Workspace.empty, None)
-      | Some dir ->
-          (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-           with Unix.Unix_error (e, _, _) ->
-             setup_fail "cannot create journal directory %s: %s" dir
-               (Unix.error_message e));
-          let recovery, j = Journal.open_ (Filename.concat dir "serve.journal") in
-          if recovery.Journal.seq > List.length items then
-            setup_fail
-              "journal records %d operations but the inputs only define %d — \
-               did the DDL files or the script change?"
-              recovery.Journal.seq (List.length items);
-          (recovery.Journal.seq, recovery.Journal.workspace, Some j)
-    in
-    let ws, _ =
+    (* always rebuilt from the inputs, so a restart picks up an edit *)
+    let ws =
       List.fold_left
-        (fun (ws, i) item ->
-          if i < start then (ws, i + 1) (* recovered from the journal *)
-          else begin
-            let ws =
-              match item with
-              | `Schema s -> Integrate.Workspace.add_schema s ws
-              | `Directive d -> (
-                  match Integrate.Script.apply_one d ws with
-                  | Ok ws -> ws
-                  | Error e ->
-                      setup_fail "%s" (Integrate.Script.apply_error_to_string e))
-            in
-            (match jopt with
-            | Some j ->
-                let op =
-                  match item with
-                  | `Schema s -> Integrate.Op.Add_schema s
-                  | `Directive d -> Integrate.Op.of_directive d
-                in
-                Journal.append ~after:ws j op
-            | None -> ());
-            (ws, i + 1)
-          end)
-        (base, 0) items
+        (fun ws s -> Integrate.Workspace.add_schema s ws)
+        Integrate.Workspace.empty schemas
     in
-    (match jopt with
-    | Some j ->
-        (* setup complete: leave one compact snapshot for fast restart *)
-        Journal.compact j ws;
-        Journal.close j
-    | None -> ());
+    let ws =
+      match Integrate.Script.apply directives ws with
+      | Ok ws -> ws
+      | Error e -> setup_fail "%s" (Integrate.Script.apply_error_to_string e)
+    in
+    (match setup.journal with
+    | Some dir when not (Sys.file_exists dir) -> (
+        try Unix.mkdir dir 0o755
+        with Unix.Unix_error (e, _, _) ->
+          setup_fail "cannot create journal directory %s: %s" dir
+            (Unix.error_message e))
+    | _ -> ());
     let result = Integrate.Workspace.integrate ?name:setup.name ws in
     let stores =
       match setup.data with
@@ -242,7 +207,6 @@ type t = {
       (** bumped by every mutation; part of every plan key, so cached
           plans from before a state change can never be served after it *)
   views : View.t;  (** under [state_mu], like the store they index *)
-  mutable viewlog : Journal.Frames.t option;  (** under [state_mu] *)
   repl_log : Replicate.Log.t option;  (** [Some] iff this node leads *)
   repl_mu : Mutex.t;
       (** serializes mutating ops end to end (execute, then append to
@@ -370,8 +334,9 @@ let load_node_id journal_dir =
           | () -> id
           | exception Sys_error _ -> id))
 
-(* Binds the socket and builds the record; the view catalog is replayed
-   by [create] below, which needs the plan helpers defined after this. *)
+(* Binds the socket and builds the record; the durable state is
+   recovered by [create] below, which needs the op dispatch defined
+   after this. *)
 let create_bound session cfg =
   match bind_listen cfg.listen with
   | exception Setup msg -> Error msg
@@ -394,7 +359,6 @@ let create_bound session cfg =
           cache_mu = Mutex.create ();
           cache_epoch = Atomic.make 0;
           views = View.create ();
-          viewlog = None;
           repl_log =
             (match cfg.repl.role with
             | Follower _ -> None
@@ -545,43 +509,11 @@ exception Op_error of Wire.error_code * string
 
 let op_fail code fmt = Printf.ksprintf (fun s -> raise (Op_error (code, s))) fmt
 
-(* The catalog is persisted as its own framed log (DIR/views.journal,
-   next to the setup journal): one JSON payload per define/drop,
-   replayed on restart and compacted to the live definitions. *)
-let viewlog_magic = "SITVCAT1"
-
-let view_define_payload ~name ~base ~policy ~source =
-  Json.to_string
-    (Json.Obj
-       ([ ("a", Json.String "define"); ("name", Json.String name) ]
-       @ (match base with
-         | Some b -> [ ("base", Json.String b) ]
-         | None -> [])
-       @ [
-           ("policy", Json.String (View.policy_to_string policy));
-           ("q", Json.String source);
-         ]))
-
-let view_drop_payload name =
-  Json.to_string
-    (Json.Obj [ ("a", Json.String "drop"); ("name", Json.String name) ])
-
-let view_payload_valid p =
-  match Json.of_string p with
-  | Ok (Json.Obj _ as o) -> (
-      match (Json.member "a" o, Json.member "name" o) with
-      | Some (Json.String ("define" | "drop")), Some (Json.String _) -> true
-      | _ -> false)
-  | _ -> false
-
-let log_view_payload t payload =
-  match t.viewlog with
-  | None -> ()
-  | Some frames -> Journal.Frames.append frames payload
-
 (* Parse, rewrite (through [base] if given) and register one view
-   definition.  [log:false] only while replaying the catalog log. *)
-let define_view_core t ~log ~name ~base ~policy ~source =
+   definition.  The catalog keeps no log of its own: the replication
+   log's [define_view]/[drop_view] frames and its snapshots are its
+   durable history. *)
+let define_view_core t ~name ~base ~policy ~source =
   if find_view t name <> None then
     Error
       ( Wire.Bad_request,
@@ -612,71 +544,7 @@ let define_view_core t ~log ~name ~base ~policy ~source =
                     ~post t.merged
                 with
                 | Error msg -> Error (Wire.Bad_request, msg)
-                | Ok () ->
-                    if log then
-                      log_view_payload t
-                        (view_define_payload ~name ~base ~policy ~source);
-                    Ok ()))
-
-let define_view t ~name ?base ?(policy = View.Lazy) source =
-  match define_view_core t ~log:true ~name ~base ~policy ~source with
-  | Ok () -> Ok ()
-  | Error (_, msg) -> Error msg
-
-(* Rewrite the catalog log down to one define payload per live view. *)
-let compact_viewlog t =
-  match t.viewlog with
-  | None -> ()
-  | Some frames ->
-      let payloads =
-        Mutex.protect t.state_mu (fun () ->
-            List.map
-              (fun (i : View.info) ->
-                view_define_payload ~name:i.View.name ~base:i.View.base
-                  ~policy:i.View.policy ~source:i.View.source)
-              (View.infos t.views))
-      in
-      Journal.Frames.rewrite frames payloads
-
-let replay_view_payload t payload =
-  match Json.of_string payload with
-  | Error _ -> ()
-  | Ok o -> (
-      let str k =
-        match Json.member k o with Some (Json.String s) -> Some s | _ -> None
-      in
-      match (str "a", str "name") with
-      | Some "define", Some name ->
-          let source = Option.value ~default:"" (str "q") in
-          let policy =
-            Option.value ~default:View.Lazy
-              (Option.bind (str "policy") View.policy_of_string)
-          in
-          (* a definition the current session can no longer satisfy
-             (changed schemas, changed mappings) is dropped, same as a
-             view whose query stops typechecking across a reset *)
-          ignore
-            (define_view_core t ~log:false ~name ~base:(str "base") ~policy
-               ~source)
-      | Some "drop", Some name ->
-          ignore (Mutex.protect t.state_mu (fun () -> View.drop t.views name))
-      | _ -> ())
-
-let load_views t =
-  match t.session.journal_dir with
-  | None -> ()
-  | Some dir ->
-      let path = Filename.concat dir "views.journal" in
-      let recovery, frames =
-        Journal.Frames.open_ ~fsync:Journal.Frames.Always
-          ~validate:view_payload_valid ~magic:viewlog_magic path
-      in
-      List.iter (replay_view_payload t) recovery.Journal.Frames.payloads;
-      t.viewlog <- Some frames;
-      compact_viewlog t
-
-(* [create] itself is defined after [run_op]: a restarted leader must
-   replay its recovered replication log through the op dispatch. *)
+                | Ok () -> Ok ()))
 
 let view_info_json (i : View.info) =
   Json.Obj
@@ -830,7 +698,6 @@ let run_op_inner t (req : Wire.request) =
             t.merged <- merged;
             View.notify_reset t.views merged)
       in
-      if dropped <> [] then compact_viewlog t;
       [
         ("report", migration_report_json report);
         ("views_dropped", Json.List (List.map (fun n -> Json.String n) dropped));
@@ -855,9 +722,7 @@ let run_op_inner t (req : Wire.request) =
                      (Printf.sprintf
                         "bad policy %S (expected eager, lazy or manual)" p)))
       in
-      match
-        define_view_core t ~log:true ~name ~base:req.Wire.base ~policy ~source
-      with
+      match define_view_core t ~name ~base:req.Wire.base ~policy ~source with
       | Error (code, msg) -> raise (Op_error (code, msg))
       | Ok () ->
           let rows =
@@ -879,10 +744,7 @@ let run_op_inner t (req : Wire.request) =
             raise (Invalid_argument "op \"drop_view\" needs a \"view\" field")
       in
       Mutex.protect t.state_mu (fun () ->
-          if View.drop t.views name then begin
-            log_view_payload t (view_drop_payload name);
-            [ ("dropped", Json.String name) ]
-          end
+          if View.drop t.views name then [ ("dropped", Json.String name) ]
           else op_fail Wire.Unknown_view "unknown view %s" name))
   | "refresh_view" -> (
       let name =
@@ -934,23 +796,28 @@ let apply_repl t _seq line =
   | Ok req -> (
       match run_op t req with
       | (_ : (string * Json.t) list) -> Ok ()
+      | exception Op_error (_, msg) -> Error msg
       | exception e -> Error (Printexc.to_string e))
 
 (* A leader restarting over a journal directory rebuilds its runtime
-   state by replaying the recovered replication log over the setup
-   snapshot — the same snapshot + log-shipping a follower does over the
-   wire.  Frames that no longer apply (a define_view already recovered
-   from views.journal) are skipped: the catalog replay and the history
-   replay converge on the same live set. *)
+   state by replaying its recovered replication log — the same
+   snapshot + log-shipping a follower does over the wire.  Every logged
+   frame was acknowledged, so a frame that no longer applies refuses
+   the start rather than silently drop an acknowledged write. *)
 let replay_repl_log t ~from =
   match t.repl_log with
-  | None -> ()
+  | None -> Ok ()
   | Some log ->
-      for s = from to Replicate.Log.seq log do
-        match Replicate.Log.get log s with
-        | None -> ()
-        | Some line -> ignore (apply_repl t s line)
-      done
+      List.fold_left
+        (fun acc (s, line) ->
+          Result.bind acc (fun () ->
+              Result.map_error
+                (Printf.sprintf
+                   "the replication log frame at seq %d no longer applies: %s"
+                   s)
+                (apply_repl t s line)))
+        (Ok ())
+        (Replicate.Log.from log from ~max:(Replicate.Log.seq log))
 
 (* ---- state snapshots ---------------------------------------------- *)
 
@@ -1138,7 +1005,6 @@ let install_snapshot t seq payload =
               (Ok ()) decoded)
       in
       Atomic.incr t.cache_epoch;
-      compact_viewlog t;
       Ok ()
 
 (* ---- compaction ---------------------------------------------------- *)
@@ -1198,42 +1064,63 @@ let maybe_compact_locked t log =
   if n > 0 && Replicate.Log.seq log - snapshot_seq t >= n then
     ignore (compact_locked t log)
 
-let create session cfg =
-  match create_bound session cfg with
-  | Error _ as e -> e
-  | Ok t -> (
-      load_views t;
-      match (t.repl_log, session.journal_dir) with
-      | Some log, Some dir -> (
-          let base = Replicate.Log.base_seq log in
-          match Replicate.Snapshot.load ~dir with
-          | Some (sseq, payload) when sseq >= base -> (
-              (* restart = snapshot + suffix, never a full-history
-                 replay: install the newest readable snapshot, then
-                 replay only the frames after it *)
-              match install_snapshot t sseq payload with
-              | Ok () ->
-                  Mutex.protect t.snap_mu (fun () ->
-                      t.snapshot <- Some (sseq, payload));
-                  replay_repl_log t ~from:(sseq + 1);
-                  Ok t
-              | Error msg ->
-                  Error (Printf.sprintf "cannot restart from snapshot: %s" msg)
-              )
-          | Some _ | None ->
-              if base = 0 then begin
-                replay_repl_log t ~from:1;
-                Ok t
-              end
-              else
-                Error
-                  (Printf.sprintf
-                     "the replication log is truncated to seq %d but no \
-                      valid snapshot could be read from %s"
-                     base dir))
-      | _ ->
-          replay_repl_log t ~from:1;
-          Ok t)
+(* ---- restart ------------------------------------------------------- *)
+
+(* [create] starts a node in four steps, each over the state the one
+   before left: the session rebuilt from the input files, the newest
+   snapshot, the startup views, the log frames after the snapshot.  A
+   first start is the same with no snapshot and no frames, so a restart
+   applies every logged frame to the state it was first applied to. *)
+
+(* Step 2; returns the first seq step 4 replays. *)
+let recover_snapshot t =
+  match (t.repl_log, t.session.journal_dir) with
+  | Some log, Some dir -> (
+      let base = Replicate.Log.base_seq log in
+      match Replicate.Snapshot.load ~dir with
+      | Some (sseq, payload) when sseq >= base -> (
+          match install_snapshot t sseq payload with
+          | Ok () ->
+              Mutex.protect t.snap_mu (fun () ->
+                  t.snapshot <- Some (sseq, payload));
+              Ok (sseq + 1)
+          | Error msg ->
+              Error (Printf.sprintf "cannot restart from snapshot: %s" msg))
+      | Some _ | None ->
+          if base = 0 then Ok 1
+          else
+            Error
+              (Printf.sprintf
+                 "the replication log is truncated to seq %d but no valid \
+                  snapshot could be read from %s"
+                 base dir))
+  | _ -> Ok 1
+
+type view_def = {
+  view : string;
+  base : string option;
+  policy : View.policy;
+  query : string;
+}
+
+(* Step 3: a view the snapshot holds under the same definition is kept
+   as recovered (its extent and freshness are history). *)
+let define_startup_view t d =
+  match Mutex.protect t.state_mu (fun () -> View.info t.views d.view) with
+  | Some i
+    when (i.View.base, i.View.policy, i.View.source)
+         = (d.base, d.policy, d.query) ->
+      Ok ()
+  | Some _ ->
+      Error
+        (Printf.sprintf
+           "view %s: the recovered snapshot holds a different definition"
+           d.view)
+  | None ->
+      define_view_core t ~name:d.view ~base:d.base ~policy:d.policy
+        ~source:d.query
+      |> Result.map_error (fun (_, msg) ->
+             Printf.sprintf "view %s: %s" d.view msg)
 
 (* Responses are built as values and rendered once, when the
    connection writes the line. *)
@@ -1750,13 +1637,31 @@ let drain t =
            th)
      in
      match tail with Some th -> Thread.join th | None -> ());
-    Par.shutdown t.pool;
-    match t.viewlog with
-    | Some frames ->
-        (try Journal.Frames.close frames with _ -> ());
-        t.viewlog <- None
-    | None -> ()
+    Par.shutdown t.pool
   end
+
+(* The four restart steps (see "restart" above); a node that cannot
+   reproduce its history releases its socket and pool and refuses. *)
+let create ?(views = []) session cfg =
+  match create_bound session cfg with
+  | Error _ as e -> e
+  | Ok t -> (
+      let ( let* ) = Result.bind in
+      match
+        let* from = recover_snapshot t in
+        let* () =
+          List.fold_left
+            (fun acc d ->
+              let* () = acc in
+              define_startup_view t d)
+            (Ok ()) views
+        in
+        replay_repl_log t ~from
+      with
+      | Ok () -> Ok t
+      | Error msg ->
+          drain t;
+          Error msg)
 
 let request_stop t = Atomic.set t.stop_requested true
 

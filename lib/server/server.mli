@@ -50,9 +50,11 @@ type session = {
   initial_merged : Instance.Store.t;  (** the migrated instance *)
   migration : Query.Migrate.report;
   journal_dir : string option;
-      (** when set, the server persists its view catalog to
-          [DIR/views.journal] (framed log, {!Journal.Frames}) and
-          replays it on {!create} *)
+      (** when set, the node's durable directory: a leader persists its
+          replication log to [DIR/repl.journal] and its snapshots to
+          [DIR/repl.snap.<seq>], and every node keeps its replication
+          identity in [DIR/node_id].  Nothing else is written there: the
+          session itself is always rebuilt from the input files *)
 }
 
 val make_session :
@@ -70,16 +72,16 @@ type setup = {
   script : string option;  (** session script ({!Integrate.Script}) *)
   data : string option;  (** instance file ({!Instance.Loader}) *)
   journal : string option;
-      (** journal directory: the setup session is write-ahead logged to
-          [DIR/serve.journal] and a restart resumes from it
-          automatically (then compacts) *)
+      (** the session's [journal_dir], created if missing.  It holds no
+          copy of the setup: every start integrates the files above, so
+          an edited script takes effect on the next restart *)
   name : string option;  (** name of the integrated schema *)
 }
 
 val load_session : setup -> (session, string) result
 (** The [bin/sit_serve] entry point: everything from files, every
-    failure (DDL/script/instance syntax, assertion conflicts, journal
-    mismatches) as a printable [Error]. *)
+    failure (DDL/script/instance syntax, assertion conflicts, an
+    uncreatable journal directory) as a printable [Error]. *)
 
 (** {1 Server} *)
 
@@ -152,40 +154,42 @@ type stats = {
 
 type t
 
-val create : session -> config -> (t, string) result
+(** A view defined at startup ([sit_serve --view]), as the wire
+    [define_view] operation would: with [base], [query] is a
+    component-view query rewritten through the mapping; without, it is
+    already in integrated-schema terms. *)
+type view_def = {
+  view : string;  (** the view's name *)
+  base : string option;
+  policy : View.policy;
+  query : string;  (** the defining query text *)
+}
+
+val create : ?views:view_def list -> session -> config -> (t, string) result
 (** Binds and listens (for [Tcp] with port [0], the kernel picks the
-    port — see {!port}); no thread is started yet.  When the session
-    has a [journal_dir], the view catalog logged to [views.journal] is
-    replayed here (definitions the current session can no longer
-    satisfy are dropped) and the log compacted.  A [Leader] with a
-    [journal_dir] also recovers [DIR/repl.journal] (longest valid
-    prefix) and replays it into its runtime state, so a restarted
-    leader serves exactly what it last acknowledged.  When compaction
-    has run, recovery is snapshot + suffix: the newest readable
-    [DIR/repl.snap.<seq>] is installed and only frames after its seq
-    replay — a torn snapshot tail falls back to the previous retained
-    snapshot.  [Error] when the log is truncated past every readable
-    snapshot (state would be unreconstructible). *)
+    port — see {!port}); no thread is started yet.  The replication log
+    and its snapshots are the node's only durable history, so a start
+    runs four steps, each over the state the one before left:
+    + the session, already rebuilt from the input files
+      ({!load_session});
+    + a [Leader] with a [journal_dir] installs the newest readable
+      [DIR/repl.snap.<seq>] (a torn snapshot falls back to the previous
+      retained one);
+    + the [views] are defined: a name the snapshot already holds with
+      the same base, policy and query text is kept as recovered;
+    + the leader replays the frames of [DIR/repl.journal] (longest valid
+      prefix) after the snapshot's seq.
+    A first start is the same sequence with no snapshot and no frames,
+    so a restarted leader serves exactly what it last acknowledged.
+    [Error] (after releasing the socket) when the log is truncated past
+    every readable snapshot, when a view name the snapshot holds is
+    given a different definition, when a view fails to define, or when
+    a logged frame no longer applies (the message names its seq). *)
 
 val start_follower : t -> unit
 (** Starts the follower tail thread (no-op on a leader; idempotent).
     {!serve} calls this itself — it is exposed for tests that drive a
     follower without an accept loop. *)
-
-val define_view :
-  t ->
-  name:string ->
-  ?base:string ->
-  ?policy:View.policy ->
-  string ->
-  (unit, string) result
-(** Registers and materializes a named view from its query text, as the
-    wire [define_view] operation does — the entry point for definitions
-    given on the [sit_serve] command line before serving starts.  With
-    [base], the text is a component-view query rewritten through the
-    mapping; without, it must already be in integrated-schema terms.
-    [policy] defaults to [Lazy].  The definition is appended to the
-    catalog log when the session has one. *)
 
 val port : t -> int option
 (** The bound TCP port, [None] for Unix sockets. *)

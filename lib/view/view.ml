@@ -366,8 +366,6 @@ let notify_reset t store =
   List.iter (fun n -> ignore (drop t n)) dropped;
   dropped
 
-let notify_op t (_ : Integrate.Op.t) = iter_entries t (fun e -> mark_stale e)
-
 module For_testing = struct
   let raw_rows t name = Option.map (fun e -> (e.rows, e.fresh)) (find t name)
 end

@@ -168,12 +168,6 @@ val notify_reset : t -> Instance.Store.t -> string list
     query no longer typechecks.  Restores the catalog invariant that
     every registered view is evaluable. *)
 
-val notify_op : t -> Integrate.Op.t -> unit
-(** The journal's op-stream hook ({!Journal.subscribe} target): a
-    schema-level mutation invalidates every materialized extent, so all
-    views are marked stale pending the {!notify_reset} that follows the
-    rebuild. *)
-
 (** Test-only access to raw internal state. *)
 module For_testing : sig
   val raw_rows : t -> string -> (Query.Eval.row list * bool) option

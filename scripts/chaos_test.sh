@@ -57,6 +57,9 @@ fail() { echo "chaos-test: $*"; exit 1; }
 # parallel runs never collide) and $LAST_PID to its pid
 start_node() {
   LOGF=$1; shift
+  # the log exists before the daemon starts, so the first poll cannot
+  # race its creation
+  : >"$LOGF"
   "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
     --data "$OUT/instances.ecd" --listen 127.0.0.1:0 --jobs 2 \
     "$@" >"$LOGF" 2>&1 &

@@ -2,8 +2,10 @@
 # End-to-end check of the serving daemon (docs/SERVING.md): start
 # sit_serve on the paper's worked example, load it with the drive
 # client (4 connections, 1000 requests, byte-identity checked), verify
-# the health op and error-path resilience, then confirm SIGTERM drains
-# and exits cleanly.  Run via `make serve-test` (part of `make check`).
+# the health op and error-path resilience, confirm SIGTERM drains and
+# exits cleanly, then restart a --journal daemon with a startup --view
+# twice and require the view to answer byte-identically across each
+# restart.  Run via `make serve-test` (part of `make check`).
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -12,6 +14,7 @@ DATA="$ROOT/examples/data"
 SOCK="${TMPDIR:-/tmp}/sit_serve_test_$$.sock"
 LOG="${TMPDIR:-/tmp}/sit_serve_test_$$.log"
 TCPLOG="${TMPDIR:-/tmp}/sit_serve_test_tcp_$$.log"
+JWORK="${TMPDIR:-/tmp}/sit_serve_test_journal_$$"
 
 [ -x "$SERVE" ] || { echo "serve-test: build first (dune build)"; exit 1; }
 
@@ -21,10 +24,13 @@ TCPLOG="${TMPDIR:-/tmp}/sit_serve_test_tcp_$$.log"
   --listen "unix:$SOCK" --jobs 4 >"$LOG" 2>&1 &
 PID=$!
 TCPPID=""
+JPID=""
 cleanup() {
   kill "$PID" 2>/dev/null || true
   [ -n "$TCPPID" ] && kill "$TCPPID" 2>/dev/null || true
+  [ -n "$JPID" ] && kill "$JPID" 2>/dev/null || true
   rm -f "$SOCK" "$LOG" "$TCPLOG"
+  rm -rf "$JWORK"
 }
 trap cleanup EXIT
 
@@ -47,7 +53,9 @@ done
 # TCP leg on an ephemeral port: the daemon asks the kernel for a free
 # port (:0) and advertises it on stderr; we parse that line and point
 # the drive client at it — no fixed port, so parallel runs of this
-# script (or anything else on the host) can never collide
+# script (or anything else on the host) can never collide.  The log
+# exists before the daemon starts, so the first poll cannot race it.
+: >"$TCPLOG"
 "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" \
   --script "$DATA/paper_session.sit" --data "$DATA/paper_instances.ecd" \
   --listen ":0" --jobs 2 >"$TCPLOG" 2>&1 &
@@ -113,5 +121,90 @@ kill -TERM "$PID"
 wait "$PID" || { echo "serve-test: daemon exited non-zero"; cat "$LOG"; exit 1; }
 grep -q "drained" "$LOG" || { echo "serve-test: no drain line in log"; cat "$LOG"; exit 1; }
 [ ! -S "$SOCK" ] || { echo "serve-test: socket not removed on shutdown"; exit 1; }
+
+# Journaled restarts: the replication log (and its snapshots) is the
+# only durable history, so a restart rebuilds the session from the
+# files, installs the newest snapshot, defines the --view views and
+# replays the logged writes after it.  A manual view serves stale rows
+# honestly, which makes it the sharpest probe of that order.
+mkdir -p "$JWORK"
+JDIR="$JWORK/dir"
+JSOCK="$JWORK/serve.sock"
+JLOG="$JWORK/serve.log"
+HONORS="honors@manual:sc1=select Name from Student where GPA >= 3.0"
+
+# jstart ARGS... — a journaled daemon on $JSOCK with the honors view
+jstart() {
+  "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" \
+    --script "$DATA/paper_session.sit" --data "$DATA/paper_instances.ecd" \
+    --journal "$JDIR" --view "$HONORS" "$@" \
+    --listen "unix:$JSOCK" >"$JLOG" 2>&1 &
+  JPID=$!
+  i=0
+  while [ ! -S "$JSOCK" ]; do
+    i=$((i + 1))
+    [ "$i" -le 100 ] || { echo "serve-test: journaled daemon did not come up"; cat "$JLOG"; exit 1; }
+    sleep 0.1
+  done
+}
+jstop() {
+  kill -TERM "$JPID"
+  wait "$JPID" || { echo "serve-test: journaled daemon exited non-zero"; cat "$JLOG"; exit 1; }
+  JPID=""
+}
+# jplay SCHEDULE OUT — replay a schedule file, transcript to OUT
+jplay() {
+  "$SERVE" --drive "unix:$JSOCK" --schedule "$1" --transcript "$2" \
+    || { echo "serve-test: journaled leg: $1 failed"; cat "$JLOG"; exit 1; }
+}
+cat >"$JWORK/read.txt" <<'EOF'
+!phase read serial
+{"op":"query","view":"honors"}
+EOF
+# deleting Ann leaves the manual extent stale: it still lists her
+cat >"$JWORK/delete.txt" <<'EOF'
+!phase delete serial
+{"op":"update","view":"sc1","u":"delete from Student where Name = 'Ann'"}
+EOF
+# a snapshot, then a suffix the next restart must replay after it
+cat >"$JWORK/compact.txt" <<'EOF'
+!phase compact serial
+{"op":"repl_compact"}
+{"op":"refresh_view","view":"honors"}
+{"op":"update","view":"sc1","u":"insert into Student { Name = 'Zed', GPA = 3.9 }"}
+EOF
+
+jstart
+jplay "$JWORK/delete.txt" "$JWORK/delete.out"
+jplay "$JWORK/read.txt" "$JWORK/before1.txt"
+grep -q '"fresh":false' "$JWORK/before1.txt" \
+  || { echo "serve-test: the manual view did not go stale"; cat "$JWORK/before1.txt"; exit 1; }
+jstop
+# restart 1, compaction off: the startup view, then the whole log
+jstart
+jplay "$JWORK/read.txt" "$JWORK/after1.txt"
+cmp -s "$JWORK/before1.txt" "$JWORK/after1.txt" \
+  || { echo "serve-test: the view answered differently after a restart"; cat "$JWORK/before1.txt" "$JWORK/after1.txt"; exit 1; }
+jplay "$JWORK/compact.txt" "$JWORK/compact.out"
+jplay "$JWORK/read.txt" "$JWORK/before2.txt"
+jstop
+# restart 2, after repl_compact and with a second --view: the snapshot
+# keeps honors as recovered, the new view is defined, the suffix replays
+jstart --view "depts@eager:sc1=select Name from Department"
+jplay "$JWORK/read.txt" "$JWORK/after2.txt"
+cmp -s "$JWORK/before2.txt" "$JWORK/after2.txt" \
+  || { echo "serve-test: the view answered differently after a snapshot restart"; cat "$JWORK/before2.txt" "$JWORK/after2.txt"; exit 1; }
+"$SERVE" --drive "unix:$JSOCK" --conns 1 --requests 4 --mat depts >/dev/null \
+  || { echo "serve-test: a --view added on restart is not served"; cat "$JLOG"; exit 1; }
+jstop
+# the replication log and its snapshots are all the directory holds
+for f in "$JDIR"/*; do
+  case "${f##*/}" in
+    node_id | repl.journal | repl.snap.*) ;;
+    *) echo "serve-test: unexpected file in the journal directory: ${f##*/}"; exit 1 ;;
+  esac
+done
+ls "$JDIR"/repl.snap.* >/dev/null 2>&1 \
+  || { echo "serve-test: repl_compact left no snapshot"; exit 1; }
 
 echo "serve-test: ok"

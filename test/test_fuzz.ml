@@ -171,18 +171,25 @@ let decode input =
       Alcotest.failf "request_of_line raised %s on %S" (Printexc.to_string e)
         input
 
+(* A decode error's message goes back on the wire: non-empty, and pure
+   ASCII whatever bytes the input held, so the answer is valid UTF-8. *)
+let check_message msg =
+  check bool "error message is not empty" true (String.length msg > 0);
+  check bool
+    (Printf.sprintf "error message is ASCII: %S" msg)
+    true
+    (String.for_all (fun c -> Char.code c < 0x80) msg)
+
 let decode_contract input =
   match decode input with
   | Ok _ -> ()
-  | Error ((Wire.Bad_frame | Wire.Bad_request), msg) ->
-      check bool "error message is not empty" true (String.length msg > 0)
+  | Error ((Wire.Bad_frame | Wire.Bad_request), msg) -> check_message msg
   | Error (code, _) ->
       Alcotest.failf "decoder answered %s on %S" (Wire.code_to_string code) input
 
 let expect_error want input =
   match decode input with
-  | Error (code, msg) when code = want ->
-      check bool "error message is not empty" true (String.length msg > 0)
+  | Error (code, msg) when code = want -> check_message msg
   | Error (code, _) ->
       Alcotest.failf "%S: expected %s, got %s" input (Wire.code_to_string want)
         (Wire.code_to_string code)
@@ -234,11 +241,36 @@ let line_fuzz_tests =
             ("{\"op\":\"query\",\"view\":null}", Wire.Bad_request);
           ]);
     tc "deep nesting is a typed error, not a stack overflow" (fun () ->
-        let depth = 100_000 in
-        let nested = String.make depth '[' ^ String.make depth ']' in
+        let nest depth = String.make depth '[' ^ String.make depth ']' in
+        let nested = nest 100_000 in
         expect_error Wire.Bad_frame nested;
-        expect_error Wire.Bad_request ("{\"op\":" ^ nested ^ "}");
-        expect_error Wire.Bad_frame (String.make depth '['));
+        (* past the parser's depth bound the whole line is a bad frame;
+           within it, a list where the op belongs is a bad request *)
+        expect_error Wire.Bad_frame ("{\"op\":" ^ nested ^ "}");
+        expect_error Wire.Bad_request ("{\"op\":" ^ nest 500 ^ "}");
+        expect_error Wire.Bad_frame (String.make 100_000 '['));
+    tc "a 10M-deep line fails within its first 600 bytes" (fun () ->
+        let line = String.make 10_000_000 '[' in
+        match decode line with
+        | Error (Wire.Bad_frame, msg) -> (
+            let key = "at byte " in
+            let rec offset i =
+              if i + String.length key > String.length msg then None
+              else if String.sub msg i (String.length key) = key then
+                Scanf.sscanf_opt
+                  (String.sub msg (i + String.length key)
+                     (String.length msg - i - String.length key))
+                  "%d" Fun.id
+              else offset (i + 1)
+            in
+            match offset 0 with
+            | Some at ->
+                check bool (Printf.sprintf "fails at byte %d < 600" at) true
+                  (at < 600)
+            | None -> Alcotest.failf "no byte offset in %S" msg)
+        | Error (code, _) ->
+            Alcotest.failf "expected bad_frame, got %s" (Wire.code_to_string code)
+        | Ok _ -> Alcotest.fail "accepted a 10M-deep line");
   ]
 
 let () =

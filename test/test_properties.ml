@@ -188,8 +188,41 @@ let run_workload p =
   let result, _ = Protocol.run w.Workload.Generator.schemas w.Workload.Generator.oracle in
   (w, result)
 
+(* Workloads the property above once drew that integrated to an invalid
+   schema: a derived D_ set relating a class to its own subclass widened
+   both participants to the same ancestor, with no roles to tell them
+   apart.  Pinned so the fix is exercised on every run, not one in 80. *)
+let pinned_invalid_workloads =
+  [
+    (7719, 7, 0.890105, 0.488560);
+    (9106, 7, 0.973234, 0.364101);
+    (7782, 8, 0.826889, 0.248440);
+    (4127, 8, 0.996591, 0.197784);
+  ]
+
 let integration_props =
   [
+    Alcotest.test_case "pinned workloads integrate to valid schemas" `Quick
+      (fun () ->
+        List.iter
+          (fun (seed, concepts, coverage, noise) ->
+            let _, result =
+              run_workload
+                {
+                  Workload.Generator.default_params with
+                  seed;
+                  concepts;
+                  coverage;
+                  naming_noise = noise;
+                  population = 120;
+                }
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "seed %d validates" seed)
+              []
+              (List.map Schema.error_to_string
+                 (Schema.validate result.Result.schema)))
+          pinned_invalid_workloads);
     qtest ~count:40 "integrated schemas always validate" params
       (fun p ->
         let _, result = run_workload p in

@@ -1015,6 +1015,88 @@ let cluster_tests =
                     let h = Server.Client.request c "health" in
                     check Alcotest.int "repl_seq recovered" 3
                       (int_field "repl_seq" h)))));
+    tc "a journaled follower restarted after a define_view catches up"
+      (fun () ->
+        (* the follower's directory holds only its node id: a restart
+           rebuilds from the inputs and re-pulls from seq 1, so the
+           leader's define_view applies again exactly once *)
+        let dir = fresh_dir () in
+        let leader, laddr = start_server () in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop leader;
+            rm_rf dir)
+          (fun () ->
+            let define =
+              Server.Wire.request_to_line ~view:"m" ~base:"sc1"
+                ~policy:"manual" ~text:"select Name from Student"
+                "define_view"
+            in
+            with_client laddr (fun c ->
+                ignore (Server.Client.roundtrip c (insert_frame 1));
+                check Alcotest.bool "define ok" true
+                  (Server.Client.is_ok
+                     (match Json.of_string (Server.Client.roundtrip c define) with
+                     | Ok v -> v
+                     | Error e -> Alcotest.fail e)));
+            let leader_seq =
+              with_client laddr (fun c ->
+                  int_field "repl_seq" (Server.Client.request c "health"))
+            in
+            let read c = Json.to_string (Server.Client.request c ~view:"m" "query") in
+            let want = with_client laddr read in
+            let run_follower () =
+              let f, faddr =
+                start_server ~journal_dir:dir ~repl:(follower_of laddr) ()
+              in
+              Fun.protect
+                ~finally:(fun () -> Server.stop f)
+                (fun () ->
+                  with_client faddr (fun c ->
+                      eventually "the follower to apply the leader's log"
+                        (fun () ->
+                          int_field "applied_seq"
+                            (Server.Client.request c "health")
+                          = leader_seq);
+                      let h = Server.Client.request c "health" in
+                      check Alcotest.int "staleness_seq" 0
+                        (int_field "staleness_seq" h);
+                      check Alcotest.int "repl_apply_errors" 0
+                        (int_field "repl_apply_errors" h);
+                      check Alcotest.string "view answers like the leader"
+                        want (read c)))
+            in
+            run_follower ();
+            run_follower ();
+            check
+              Alcotest.(list string)
+              "the follower's directory" [ "node_id" ]
+              (Array.to_list (Sys.readdir dir))));
+    tc "a leader whose log holds a frame that no longer applies refuses"
+      (fun () ->
+        let dir = fresh_dir () in
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            (* frame 2 drops a view no replay of frame 1 defines: the
+               history cannot be reproduced from these inputs *)
+            let log =
+              Log.create ~persist:(Filename.concat dir "repl.journal") ()
+            in
+            ignore (Log.append log (insert_frame 1));
+            ignore
+              (Log.append log
+                 (Server.Wire.request_to_line ~view:"gone" "drop_view"));
+            Log.close log;
+            let cfg = Server.default_config local in
+            match Server.create (fresh_session ~journal_dir:dir ()) cfg with
+            | Ok t ->
+                Server.stop t;
+                Alcotest.fail "a log that does not replay must refuse to start"
+            | Error msg ->
+                check Alcotest.bool
+                  (Printf.sprintf "the refusal names seq 2: %s" msg)
+                  true (contains msg "seq 2")));
     tc "repl_compact truncates the log; a late follower installs the snapshot"
       (fun () ->
         let dir = fresh_dir () in

@@ -11,11 +11,7 @@
    - offline execution with a wider pool;
    - a real daemon over the wire;
    - a daemon killed at the checkpoint phase and restarted from its
-     journal, replaying the schedule suffix.
-
-   Plus the torn-journal ladder: the journaled setup session is crashed
-   at a ladder of byte budgets (Journal.For_testing.write_limit) and
-   each resumed load must converge to the uninterrupted session. *)
+     journal, replaying the schedule suffix. *)
 
 module Scn = Workload.Scenario
 
@@ -284,65 +280,9 @@ let leg_tests =
           (Lazy.force reference) (prefix ^ suffix));
   ]
 
-(* ---- torn setup journal ------------------------------------------- *)
-
-(* One fingerprint of everything a setup session determines: the
-   integrated schema and the fully-migrated instance. *)
-let session_fingerprint (s : Server.session) =
-  let r = s.Server.migration in
-  Printf.sprintf "%s\n%s\n%d/%d fused %d links %d/%d"
-    (Ddl.Printer.to_string s.Server.result.Integrate.Result.schema)
-    (Instance.Loader.to_string s.Server.result.Integrate.Result.schema
-       s.Server.initial_merged)
-    r.Query.Migrate.entities_in r.Query.Migrate.entities_out
-    r.Query.Migrate.fused r.Query.Migrate.links_in r.Query.Migrate.links_out
-
-let crash_tests =
-  [
-    tc "torn setup journal: every byte budget resumes to the same session"
-      (fun () ->
-        let expected = session_fingerprint (load ()) in
-        (* measure the full setup-journal size via a budget that never
-           trips: write_limit is decremented by every journal byte *)
-        let total =
-          let dir = fresh_dir "measure" in
-          Journal.For_testing.write_limit := Some max_int;
-          let s = load ~journal:dir () in
-          let remaining =
-            match !Journal.For_testing.write_limit with
-            | Some r -> r
-            | None -> Alcotest.fail "write_limit hook cleared"
-          in
-          Journal.For_testing.write_limit := None;
-          check Alcotest.string "journaled setup = plain setup" expected
-            (session_fingerprint s);
-          max_int - remaining
-        in
-        check Alcotest.bool "journal is nonempty" true (total > 64);
-        let rungs = 14 in
-        let budgets =
-          [ 1; 8; total - 1; total ]
-          @ List.init rungs (fun i -> (i + 1) * total / (rungs + 1))
-        in
-        List.iter
-          (fun budget ->
-            let dir = fresh_dir "torn" in
-            Journal.For_testing.write_limit := Some budget;
-            (match Server.load_session (setup ~journal:dir ()) with
-            | Ok _ | Error _ -> ()
-            | exception Journal.For_testing.Crash -> ());
-            Journal.For_testing.write_limit := None;
-            check Alcotest.string
-              (Printf.sprintf "budget %d: resumed session converges" budget)
-              expected
-              (session_fingerprint (load ~journal:dir ())))
-          budgets);
-  ]
-
 let () =
   Alcotest.run "scenario"
     [
       ("structure", structure_tests);
       ("differential", leg_tests);
-      ("torn-journal", crash_tests);
     ]

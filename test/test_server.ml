@@ -360,7 +360,13 @@ let retired_binary_tests =
               ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
                 let response () =
-                  match Json.of_string (input_line ic) with
+                  let line = input_line ic in
+                  (* pure ASCII, so any client's UTF-8 decoder accepts it *)
+                  check Alcotest.bool
+                    (Printf.sprintf "answer is ASCII: %S" line)
+                    true
+                    (String.for_all (fun c -> Char.code c < 0x80) line);
+                  match Json.of_string line with
                   | Ok v -> v
                   | Error e -> Alcotest.fail ("response is not a JSON line: " ^ e)
                 in
@@ -580,10 +586,82 @@ let sit_batch_tests =
             has "(2 rows)"));
   ]
 
+(* ---- journaled restarts rebuild the session from the inputs ------ *)
+
+let paper_script ~rel_name =
+  String.concat "\n"
+    [
+      "equiv sc1.Student.Name sc2.Grad_student.Name";
+      "equiv sc1.Student.GPA sc2.Grad_student.GPA";
+      "equiv sc1.Student.Name sc2.Faculty.Name";
+      "equiv sc1.Department.Name sc2.Department.Name";
+      "equiv sc1.Majors.Since sc2.Major_in.Since";
+      "object sc1.Department 1 sc2.Department";
+      "object sc1.Student 3 sc2.Grad_student";
+      "object sc1.Student 5 sc2.Faculty";
+      "rel sc1.Majors 1 sc2.Major_in";
+      "name sc1.Majors sc2.Major_in " ^ rel_name;
+      "";
+    ]
+
+let restart_tests =
+  [
+    tc "an edited script takes effect on a journaled restart" (fun () ->
+        let dir = Filename.temp_file "sit_restart" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        let file name text =
+          let path = Filename.concat dir name in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc text);
+          path
+        in
+        let journal = Filename.concat dir "journal" in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+        @@ fun () ->
+        let ddl =
+          file "paper.ecr"
+            (Ddl.Printer.to_string Workload.Paper.sc1
+            ^ "\n"
+            ^ Ddl.Printer.to_string Workload.Paper.sc2)
+        in
+        let relationships rel_name =
+          let setup =
+            {
+              Server.schema_files = [ ddl ];
+              script = Some (file "session.sit" (paper_script ~rel_name));
+              data = None;
+              journal = Some journal;
+              name = None;
+            }
+          in
+          match Server.load_session setup with
+          | Error e -> Alcotest.fail e
+          | Ok s ->
+              List.map
+                (fun r -> Name.to_string r.Relationship.name)
+                (Schema.relationships s.Server.result.Integrate.Result.schema)
+        in
+        let first = relationships "E_Stud_Majo" in
+        check Alcotest.bool "first start names E_Stud_Majo" true
+          (List.mem "E_Stud_Majo" first);
+        (* same journal directory, edited name directive *)
+        let second = relationships "E_Majors" in
+        check Alcotest.bool "restart serves the edited name" true
+          (List.mem "E_Majors" second);
+        check Alcotest.bool "the old name is gone" false
+          (List.mem "E_Stud_Majo" second);
+        check Alcotest.(list string) "the journal directory holds no setup copy"
+          [] (Array.to_list (Sys.readdir journal)));
+  ]
+
 let () =
   Alcotest.run "server"
     [
       ("server", server_tests);
+      ("restart", restart_tests);
       ("retired binary magic", retired_binary_tests);
       ("strategy regressions", strategy_tests);
       ("conflict diagnostics", conflict_tests);

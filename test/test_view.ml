@@ -1,8 +1,8 @@
 (* Tests for materialized views (lib/view) and their serving-tier
    integration: the incremental-vs-recompute differential property over
-   random update interleavings, the journal op-stream subscription,
-   wire-protocol fields, stale reads under the manual policy,
-   refresh-under-load, and crash-resume of the view catalog. *)
+   random update interleavings, wire-protocol fields, stale reads under
+   the manual policy, refresh-under-load, and restart of the view
+   catalog from the replication log. *)
 
 open Ecr
 module S = Instance.Store
@@ -83,6 +83,18 @@ let with_client addr f =
   Fun.protect ~finally:(fun () -> Server.Client.close c) (fun () -> f c)
 
 let rows_bytes rows = String.concat "\n" (List.map Query.Eval.row_to_string rows)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "sit_views" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rm_rf () =
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+      (try Sys.readdir dir with Sys_error _ -> [||]);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
 
 (* ---- the differential property ------------------------------------ *)
 
@@ -255,60 +267,37 @@ let catalog_tests =
         | Error _ -> ());
   ]
 
-(* ---- journal op-stream subscription ------------------------------- *)
+(* ---- wholesale store rebuild (migrate) ---------------------------- *)
 
-let subscription_tests =
+let migration_tests =
   [
-    tc "subscribe sees every appended op, in order" (fun () ->
-        let path = Filename.temp_file "sit_sub" ".journal" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-          (fun () ->
-            let _, j = Journal.open_ path in
-            let seen = ref [] in
-            Journal.subscribe j (fun op -> seen := op :: !seen);
-            Journal.append j (Integrate.Op.Add_schema Workload.Paper.sc1);
-            Journal.append j
-              (Integrate.Op.Remove_schema (Schema.name Workload.Paper.sc1));
-            Journal.close j;
-            match List.rev !seen with
-            | [ Integrate.Op.Add_schema _; Integrate.Op.Remove_schema _ ] -> ()
-            | ops ->
-                Alcotest.failf "expected 2 ops in order, got %d"
-                  (List.length ops)));
-    tc "an op-stream event invalidates every materialized extent"
-      (fun () ->
-        let path = Filename.temp_file "sit_sub" ".journal" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-          (fun () ->
-            let session = Lazy.force session in
-            let cat = View.create () in
-            (match
-               View.define cat ~name:"v" ~policy:View.Eager
-                 ~source:"select * from Faculty"
-                 ~query:(Query.Parser.query_of_string "select * from Faculty")
-                 ~post:(fun r -> r)
-                 session.Server.initial_merged
-             with
-            | Ok () -> ()
-            | Error e -> Alcotest.fail e);
-            let _, j = Journal.open_ path in
-            (* the maintenance hook: schema-level mutations mark every
-               view stale pending the rebuild's notify_reset *)
-            Journal.subscribe j (View.notify_op cat);
-            Journal.append j (Integrate.Op.Add_schema Workload.Paper.sc2);
-            Journal.close j;
-            (match View.For_testing.raw_rows cat "v" with
-            | Some (_, fresh) -> check Alcotest.bool "stale" false fresh
-            | None -> Alcotest.fail "view lost");
-            let dropped =
-              View.notify_reset cat session.Server.initial_merged
-            in
-            check Alcotest.(list string) "nothing dropped" [] dropped;
-            match View.For_testing.raw_rows cat "v" with
-            | Some (_, fresh) -> check Alcotest.bool "fresh again" true fresh
-            | None -> Alcotest.fail "view lost"));
+    tc "notify_reset re-materializes every extent" (fun () ->
+        let session = Lazy.force session in
+        let store = session.Server.initial_merged in
+        let cat = View.create () in
+        (match
+           View.define cat ~name:"v" ~policy:View.Lazy
+             ~source:"select * from Faculty"
+             ~query:(Query.Parser.query_of_string "select * from Faculty")
+             ~post:(fun r -> r)
+             store
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        (* a delete on the view's class leaves a lazy extent stale *)
+        let del =
+          Query.Parser.update_of_string
+            "delete from Faculty where Rank = 'Nobody'"
+        in
+        View.notify_update cat del (fst (Query.Update.apply del store));
+        (match View.For_testing.raw_rows cat "v" with
+        | Some (_, fresh) -> check Alcotest.bool "stale" false fresh
+        | None -> Alcotest.fail "view lost");
+        let dropped = View.notify_reset cat store in
+        check Alcotest.(list string) "nothing dropped" [] dropped;
+        match View.For_testing.raw_rows cat "v" with
+        | Some (_, fresh) -> check Alcotest.bool "fresh again" true fresh
+        | None -> Alcotest.fail "view lost");
   ]
 
 (* ---- wire-protocol fields ----------------------------------------- *)
@@ -538,19 +527,7 @@ let server_tests =
                 check Alcotest.string "consistent after load" (rows_of eval)
                   (rows_of mat))));
     tc "the view catalog survives a restart via its journal" (fun () ->
-        let dir =
-          let base = Filename.temp_file "sit_views" "" in
-          Sys.remove base;
-          Unix.mkdir base 0o755;
-          base
-        in
-        let rm_rf () =
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-            (try Sys.readdir dir with Sys_error _ -> [||]);
-          try Unix.rmdir dir with Unix.Unix_error _ -> ()
-        in
-        Fun.protect ~finally:rm_rf (fun () ->
+        with_temp_dir (fun dir ->
             let bytes1 =
               with_server ~session:(fresh_session ~journal_dir:dir ())
                 (fun _t addr ->
@@ -579,13 +556,53 @@ let server_tests =
                     check Alcotest.string "dropped stays dropped"
                       "unknown_view"
                       (error_code_of c ~view:"gone" "query")))));
+    tc "a manual view answers byte-identically across a journaled restart"
+      (fun () ->
+        (* the view is defined after a delete; a restart must replay
+           the delete before the definition, not define the view over
+           the pre-delete store and then mark it stale *)
+        let observe c =
+          let got = response c ~view:"m" "query" in
+          check Alcotest.bool "fresh" true (fresh_of got);
+          check Alcotest.string "Ben is gone"
+            {|[{"Name":"Ann"},{"Name":"Cyd"}]|} (rows_of got);
+          (Json.to_string got, Json.to_string (response c "view_stats"))
+        in
+        let leg ~compact =
+          with_temp_dir (fun dir ->
+              let before =
+                with_server ~session:(fresh_session ~journal_dir:dir ())
+                  (fun _t addr ->
+                    with_client addr (fun c ->
+                        ignore
+                          (response c ~view:"sc1"
+                             ~text:"delete from Student where Name = 'Ben'"
+                             "update");
+                        ignore
+                          (response c ~view:"m" ~base:"sc1" ~policy:"manual"
+                             ~text:"select Name from Student" "define_view");
+                        if compact then ignore (response c "repl_compact");
+                        observe c))
+              in
+              let after =
+                with_server ~session:(fresh_session ~journal_dir:dir ())
+                  (fun _t addr -> with_client addr observe)
+              in
+              let label = if compact then "after repl_compact" else "log only" in
+              check Alcotest.string (label ^ ": query m") (fst before)
+                (fst after);
+              check Alcotest.string (label ^ ": view_stats") (snd before)
+                (snd after))
+        in
+        leg ~compact:false;
+        leg ~compact:true);
   ]
 
 let () =
   Alcotest.run "view"
     [
       ("catalog", catalog_tests);
-      ("op-stream", subscription_tests);
+      ("migration", migration_tests);
       ("wire", wire_tests);
       ("serving", server_tests);
     ]
