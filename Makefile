@@ -78,10 +78,10 @@ bench-quick:
 
 # Compare two metrics reports and fail on span regressions beyond the
 # threshold — the PR-over-PR perf gate (see docs/PERFORMANCE.md).
-# Usage: make bench-diff [OLD=BENCH_pr9.json] [NEW=BENCH_pr10.json]
+# Usage: make bench-diff [OLD=BENCH_pr10.json] [NEW=BENCH_pr14.json]
 #        [THRESHOLD=0.25] [MIN_SECONDS=0.0005]
-OLD ?= BENCH_pr9.json
-NEW ?= BENCH_pr10.json
+OLD ?= BENCH_pr10.json
+NEW ?= BENCH_pr14.json
 THRESHOLD ?= 0.25
 MIN_SECONDS ?= 0.0005
 bench-diff:

@@ -11,7 +11,7 @@
 
    The metrics report (per-phase spans, counters, query-latency
    histograms — see docs/ARCHITECTURE.md and docs/PERFORMANCE.md) is
-   printed to stdout and saved to BENCH_pr10.json; override the path
+   printed to stdout and saved to BENCH_pr14.json; override the path
    with --out FILE.  Compare two reports mechanically with
    `dune exec bench/diff.exe -- OLD.json NEW.json` (make bench-diff).
    The instrumented run is pinned to --jobs 1 so its span tree stays
@@ -152,7 +152,7 @@ let run_timings () =
    as JSON by lib/obs.  This is the repo's perf trajectory artefact:
    each PR that touches a hot path regenerates it and compares. *)
 
-let default_metrics_out = "BENCH_pr10.json"
+let default_metrics_out = "BENCH_pr14.json"
 
 (* One journaled replay of the paper's session inside the metrics
    window, so the journal.* counters and the fsync histogram appear in

@@ -95,7 +95,8 @@ let apply_directive ~strict ws lineno line =
           error "line %d: assertion conflicts with earlier ones (%s vs %s)"
             lineno
             (Qname.to_string c.Integrate.Assertions.left)
-            (Qname.to_string c.Integrate.Assertions.right))
+            (Qname.to_string c.Integrate.Assertions.right)
+      | exception Integrate.Assertions.Unknown_class _ -> ws)
   | [ "rel"; a; code; b ] -> (
       match
         Integrate.Workspace.assert_relationship (parse_qname lineno a)
@@ -103,7 +104,8 @@ let apply_directive ~strict ws lineno line =
       with
       | Ok ws -> ws
       | Error _ when not strict -> ws
-      | Error _ -> error "line %d: relationship assertion conflicts" lineno)
+      | Error _ -> error "line %d: relationship assertion conflicts" lineno
+      | exception Integrate.Assertions.Unknown_class _ -> ws)
   | [ "name"; a; b; forced ] ->
       Integrate.Workspace.set_naming
         (Integrate.Naming.with_override (parse_qname lineno a)

@@ -34,7 +34,11 @@ val to_string : Integrate.Workspace.t -> string
 
 val of_string : string -> Integrate.Workspace.t
 (** Parses a dictionary.  Recorded assertions are replayed through the
-    matrix, so a dictionary edited into inconsistency is rejected.
+    matrix, so a dictionary edited into inconsistency is rejected.  An
+    assertion naming a structure that no schema defines is dropped, as
+    {!Integrate.Workspace.add_schema} drops it after a schema edit:
+    dictionaries and journal snapshots written by earlier releases may
+    still record one.
     @raise Error on syntax errors or conflicting assertions. *)
 
 val save : string -> Integrate.Workspace.t -> unit

@@ -49,9 +49,11 @@ module Attr : sig
   module Map : Stdlib.Map.S with type key = t
 end
 
-(** Unordered pairs of qualified names, used as keys of the assertion and
-    similarity matrices.  The pair [(a, b)] and the pair [(b, a)] are the
-    same key; accessors report whether the stored orientation flips. *)
+(** Unordered pairs of qualified names, used as keys of the naming
+    overrides; their order and orientation are also the ones the
+    assertion matrix reports its cells in.  The pair [(a, b)] and the
+    pair [(b, a)] are the same key; accessors report whether the stored
+    orientation flips. *)
 module Pair : sig
   type qname = t
 

@@ -2,8 +2,6 @@ open Ecr
 
 type source = Asserted | Structural | Derived of Qname.t
 
-type cell = { rel : Rel.t; src : source; dj_integrable : bool }
-
 type conflict = {
   left : Qname.t;
   right : Qname.t;
@@ -13,7 +11,43 @@ type conflict = {
   basis : (Qname.t * Qname.t * Assertion.t) list;
 }
 
-type t = { nodes : Qname.t list; cells : cell Qname.Pair.Map.t }
+exception Unknown_class of Qname.t
+
+module Slots = Hashtbl.Make (struct
+  type t = Qname.t
+
+  let equal = Qname.equal
+
+  (* a qname is two interned ids, so the structural hash agrees with
+     [equal] *)
+  let hash = Hashtbl.hash
+end)
+
+(* The matrix is dense: the distinct nodes hold slots 0..n-1 in
+   [Qname] order, and cell (i, j) is [cells.(i * n + j)], one int packing
+
+   - bits 0-4: the relation oriented i -> j (a {!Rel.t});
+   - bit 5: the pair's integrable flag (the DDA used code 4 on it);
+   - bits 6 and up: the source — 0 nothing known, 1 asserted,
+     2 structural, 3 + k derived via slot k.
+
+   Both orientations of a pair are stored, so a lookup never converts;
+   a cell is known exactly when its source is not 0 (a cell only ever
+   tightens, so a known cell is never {!Rel.all}).
+
+   Everything but [cells] is fixed by the node list and shared by every
+   matrix [add] derives from one [create].  [cells] is copy-on-write:
+   [add] copies it once and closes the copy in place, so a matrix a
+   caller holds never changes. *)
+type t = {
+  nodes : Qname.t list;
+  names : Qname.t array;  (** slot -> node *)
+  slots : int Slots.t;  (** node -> slot; never written after [make] *)
+  order : int array;
+      (** the slot of each entry of [nodes], in registration order: the
+          order [propagate] visits third nodes in *)
+  cells : int array;
+}
 
 exception Contradiction of conflict
 
@@ -25,7 +59,58 @@ let c_facts = Obs.Counter.make "assertions.facts_applied"
 let c_derived = Obs.Counter.make "assertions.derived"
 let c_conflicts = Obs.Counter.make "assertions.conflicts"
 
+let rel_mask = 31
+let flag_bit = 32
+let src_shift = 6
+let src_asserted = 1
+let src_structural = 2
+let src_derived = 3
+let src_via k = src_derived + k
+
+(* [Rel.t] is private: this is the way back from a cell's low bits *)
+let rel_of_bits =
+  Array.init 32 (fun bits ->
+      Rel.of_list
+        (List.filter
+           (fun b -> bits land (Rel.of_basic b :> int) <> 0)
+           [ Rel.Eq; Rel.Lt; Rel.Gt; Rel.Ov; Rel.Dj ]))
+
+let rel_of cell = rel_of_bits.(cell land rel_mask)
+
+let make nodes =
+  let names = Array.of_list (List.sort_uniq Qname.compare nodes) in
+  let n = Array.length names in
+  let slots = Slots.create n in
+  Array.iteri (fun i q -> Slots.add slots q i) names;
+  {
+    nodes;
+    names;
+    slots;
+    order = Array.of_list (List.map (Slots.find slots) nodes);
+    cells = Array.make (n * n) (Rel.all :> int);
+  }
+
 let nodes t = t.nodes
+let slot t q = Slots.find_opt t.slots q
+
+let slot_exn t q =
+  match Slots.find_opt t.slots q with
+  | Some i -> i
+  | None -> raise (Unknown_class q)
+
+let dim t = Array.length t.names
+
+let source_of t cell =
+  match cell lsr src_shift with
+  | 0 -> None
+  | 1 -> Some Asserted
+  | 2 -> Some Structural
+  | s -> Some (Derived t.names.(s - src_derived))
+
+let cell t a b =
+  match (slot t a, slot t b) with
+  | Some i, Some j -> Some t.cells.((i * dim t) + j)
+  | _ -> None
 
 let source_to_string = function
   | Asserted -> "asserted"
@@ -54,65 +139,55 @@ let conflict_to_string c =
         basis);
   Buffer.contents b
 
-(* Cells store the relation oriented from [Pair.fst] to [Pair.snd]. *)
-let find_cell t pair = Qname.Pair.Map.find_opt pair t.cells
-
 let relation t a b =
-  let pair = Qname.Pair.make a b in
-  match find_cell t pair with
-  | None -> Rel.all
-  | Some c -> if Qname.Pair.flipped a b then Rel.converse c.rel else c.rel
+  match cell t a b with Some c -> rel_of c | None -> Rel.all
 
-let source_between t a b =
-  Option.map (fun c -> c.src) (find_cell t (Qname.Pair.make a b))
-
-let dj_integrable t a b =
-  match find_cell t (Qname.Pair.make a b) with
-  | None -> false
-  | Some c -> c.dj_integrable
+let source_between t a b = Option.bind (cell t a b) (source_of t)
 
 let assertion_between t a b =
-  Rel.to_assertion ~integrable:(dj_integrable t a b) (relation t a b)
+  match cell t a b with
+  | Some c -> Rel.to_assertion ~integrable:(c land flag_bit <> 0) (rel_of c)
+  | None -> None
 
-(* Store [rel] as the relation from [a] to [b]. *)
-let set_cell t a b rel src ~dj_integrable:flag =
-  let pair = Qname.Pair.make a b in
-  let oriented = if Qname.Pair.flipped a b then Rel.converse rel else rel in
-  let flag =
-    flag
-    ||
-    match find_cell t pair with Some c -> c.dj_integrable | None -> false
-  in
-  { t with
-    cells = Qname.Pair.Map.add pair { rel = oriented; src; dj_integrable = flag } t.cells
-  }
+(* Store [rel] as the relation from slot [i] to slot [j], in place.  No
+   flag is lost: a flagged cell is a singleton, which only a conflict
+   could tighten.  On the diagonal the second write wins, so a cell
+   (i, i) holds [rel] as given. *)
+let set t i j rel src ~integrable =
+  let n = dim t in
+  let tag = (if integrable then flag_bit else 0) lor (src lsl src_shift) in
+  t.cells.((j * n) + i) <- (Rel.converse (rel_of rel) :> int) lor tag;
+  t.cells.((i * n) + j) <- rel lor tag
+
+(* The slots of a pair in [Qname.Pair] orientation. *)
+let canonical i j = if i <= j then (i, j) else (j, i)
+
+module Visited = Set.Make (Int)
 
 (* Recursively unfold Derived sources down to asserted/structural leaves.
    Cycles cannot occur: a Derived cell's parents were set strictly
    earlier, but we keep a visited set for robustness. *)
-let explain t a b =
-  let rec walk visited a b =
-    let pair = Qname.Pair.make a b in
-    if Qname.Pair.Set.mem pair visited then []
+let explain_slots t i j =
+  let n = dim t in
+  let rec walk visited i j =
+    let lo, hi = canonical i j in
+    let key = (lo * n) + hi in
+    if Visited.mem key visited then []
     else
-      let visited = Qname.Pair.Set.add pair visited in
-      match find_cell t pair with
-      | None -> []
-      | Some c -> (
-          match c.src with
-          | Asserted | Structural -> (
-              match
-                Rel.to_assertion ~integrable:c.dj_integrable
-                  (relation t (Qname.Pair.fst pair) (Qname.Pair.snd pair))
-              with
-              | Some a' -> [ (Qname.Pair.fst pair, Qname.Pair.snd pair, a') ]
-              | None ->
-                  (* non-singleton asserted cell cannot happen via [add],
-                     but report nothing rather than lie *)
-                  [])
-          | Derived via ->
-              walk visited (Qname.Pair.fst pair) via
-              @ walk visited via (Qname.Pair.snd pair))
+      let visited = Visited.add key visited in
+      let c = t.cells.(key) in
+      match c lsr src_shift with
+      | 0 -> []
+      | s when s < src_derived -> (
+          match Rel.to_assertion ~integrable:(c land flag_bit <> 0) (rel_of c) with
+          | Some a -> [ (t.names.(lo), t.names.(hi), a) ]
+          | None ->
+              (* non-singleton asserted cell cannot happen via [add],
+                 but report nothing rather than lie *)
+              [])
+      | s ->
+          let via = s - src_derived in
+          walk visited lo via @ walk visited via hi
   in
   (* explicit comparator: Qname order is the spelled-out-name order,
      which polymorphic compare no longer coincides with now that names
@@ -125,64 +200,93 @@ let explain t a b =
           | 0 -> Assertion.compare k1 k2
           | c -> c)
       | c -> c)
-    (walk Qname.Pair.Set.empty a b)
+    (walk Visited.empty i j)
 
-let conflict_of t a b attempted =
+let explain t a b =
+  match (slot t a, slot t b) with
+  | Some i, Some j -> explain_slots t i j
+  | _ -> []
+
+let conflict_of t i j attempted =
+  let c = t.cells.((i * dim t) + j) in
   {
-    left = a;
-    right = b;
-    current = relation t a b;
-    current_source = source_between t a b;
+    left = t.names.(i);
+    right = t.names.(j);
+    current = rel_of c;
+    current_source = source_of t c;
     attempted;
-    basis = explain t a b;
+    basis = explain_slots t i j;
   }
 
-(* Incremental path consistency: given recently tightened pairs, push
-   their consequences until fixpoint.  Raises [Contradiction] when a
-   cell empties. *)
-let propagate t queue =
+let contradiction t i j =
+  Obs.Counter.incr c_conflicts;
+  raise (Contradiction { (conflict_of t i j None) with current = Rel.empty })
+
+(* Incremental path consistency, in place: starting from the tightened
+   cell [ab] (an index into [cells]), push consequences until fixpoint,
+   visiting the third node k in node order.  Raises [Contradiction] when
+   a cell empties. *)
+let propagate t ab =
   Obs.Span.run "assertions.propagate" @@ fun () ->
-  let t = ref t in
+  let n = dim t and cells = t.cells in
   let pending = Queue.create () in
-  List.iter (fun p -> Queue.add p pending) queue;
+  Queue.add ab pending;
   while not (Queue.is_empty pending) do
-    let a, b = Queue.pop pending in
-    let rel_ab = relation !t a b in
-    List.iter
+    let ab = Queue.pop pending in
+    let a = ab / n and b = ab mod n in
+    let rel_ab = rel_of cells.(ab) in
+    let row_a = a * n and row_b = b * n in
+    Array.iter
       (fun k ->
-        if not (Qname.equal k a) && not (Qname.equal k b) then begin
+        if k <> a && k <> b then begin
           (* tighten (a,k) through b *)
-          let old_ak = relation !t a k in
-          let via_b = Rel.compose rel_ab (relation !t b k) in
-          let new_ak = Rel.inter old_ak via_b in
-          if not (Rel.equal new_ak old_ak) then begin
-            if Rel.is_empty new_ak then begin
-              Obs.Counter.incr c_conflicts;
-              let c = conflict_of !t a k None in
-              raise (Contradiction { c with current = new_ak })
-            end;
+          let old_ak = cells.(row_a + k) land rel_mask in
+          let new_ak =
+            old_ak land (Rel.compose rel_ab (rel_of cells.(row_b + k)) :> int)
+          in
+          if new_ak <> old_ak then begin
+            if new_ak = 0 then contradiction t a k;
             Obs.Counter.incr c_derived;
-            t := set_cell !t a k new_ak (Derived b) ~dj_integrable:false;
-            Queue.add (a, k) pending
+            set t a k new_ak (src_via b) ~integrable:false;
+            Queue.add (row_a + k) pending
           end;
           (* tighten (k,b) through a *)
-          let old_kb = relation !t k b in
-          let via_a = Rel.compose (relation !t k a) rel_ab in
-          let new_kb = Rel.inter old_kb via_a in
-          if not (Rel.equal new_kb old_kb) then begin
-            if Rel.is_empty new_kb then begin
-              Obs.Counter.incr c_conflicts;
-              let c = conflict_of !t k b None in
-              raise (Contradiction { c with current = new_kb })
-            end;
+          let kb = (k * n) + b in
+          let old_kb = cells.(kb) land rel_mask in
+          let new_kb =
+            old_kb land (Rel.compose (rel_of cells.((k * n) + a)) rel_ab :> int)
+          in
+          if new_kb <> old_kb then begin
+            if new_kb = 0 then contradiction t k b;
             Obs.Counter.incr c_derived;
-            t := set_cell !t k b new_kb (Derived a) ~dj_integrable:false;
-            Queue.add (k, b) pending
+            set t k b new_kb (src_via a) ~integrable:false;
+            Queue.add kb pending
           end
         end)
-      !t.nodes
-  done;
-  !t
+      t.order
+  done
+
+(* Records "i ⟨assertion⟩ j" and closes the matrix, on a copy of the
+   cells when [copy] (so a rejection leaves [t] untouched), else on
+   [t]'s own. *)
+let apply_fact t i assertion j ~src ~copy =
+  let ij = (i * dim t) + j in
+  let old_rel = t.cells.(ij) land rel_mask in
+  let new_rel = old_rel land (Rel.of_assertion assertion :> int) in
+  if new_rel = 0 then begin
+    Obs.Counter.incr c_conflicts;
+    Error (conflict_of t i j (Some assertion))
+  end
+  else if new_rel = old_rel then Ok t
+  else begin
+    Obs.Counter.incr c_facts;
+    let t' = if copy then { t with cells = Array.copy t.cells } else t in
+    set t' i j new_rel src
+      ~integrable:(assertion = Assertion.Disjoint_integrable);
+    match propagate t' ij with
+    | () -> Ok t'
+    | exception Contradiction c -> Error c
+  end
 
 let seed_structural schemas =
   List.concat_map
@@ -213,24 +317,6 @@ let seed_structural schemas =
       category_edges @ disjoint_entities)
     schemas
 
-let apply_fact t (a, assertion, b) ~src =
-  let rel = Rel.of_assertion assertion in
-  let old_rel = relation t a b in
-  let new_rel = Rel.inter old_rel rel in
-  if Rel.is_empty new_rel then begin
-    Obs.Counter.incr c_conflicts;
-    Error (conflict_of t a b (Some assertion))
-  end
-  else if Rel.equal new_rel old_rel then Ok t
-  else begin
-    Obs.Counter.incr c_facts;
-    let dj_integrable = assertion = Assertion.Disjoint_integrable in
-    let t' = set_cell t a b new_rel src ~dj_integrable in
-    match propagate t' [ (a, b) ] with
-    | t'' -> Ok t''
-    | exception Contradiction c -> Error c
-  end
-
 let create schemas =
   Obs.Span.run "assertions.seed" @@ fun () ->
   let object_nodes =
@@ -239,59 +325,78 @@ let create schemas =
         List.map (fun oc -> Schema.qname s oc.Object_class.name) (Schema.objects s))
       schemas
   in
-  let t = { nodes = object_nodes; cells = Qname.Pair.Map.empty } in
+  (* The seed closes in place, on the array [make] allocated.  A fact
+     the schema itself contradicts (it would have failed validation) is
+     dropped, and nothing of it stays behind: the facts are containments
+     and disjointness, whose closure shows every contradiction at the
+     contradicting fact's own cell before anything is written.  A
+     category under two entities has already ruled out their
+     disjointness; a cycle of categories has already turned its last
+     edge around.  The oracle tests pin this on random schemas with
+     shared and cyclic parents. *)
   List.fold_left
-    (fun t fact ->
-      match apply_fact t fact ~src:Structural with
-      | Ok t -> t
-      | Error _ ->
-          (* A schema inconsistent with itself would have failed
-             validation; keep going without the offending fact. *)
+    (fun t (a, assertion, b) ->
+      match (slot t a, slot t b) with
+      | Some i, Some j -> (
+          match apply_fact t i assertion j ~src:src_structural ~copy:false with
+          | Ok t -> t
+          | Error _ -> t)
+      | _ ->
+          (* a category naming a parent the schema lacks *)
           t)
-    t (seed_structural schemas)
+    (make object_nodes) (seed_structural schemas)
 
 let create_for_relationships schemas =
-  let rel_nodes =
-    List.concat_map
-      (fun s ->
-        List.map
-          (fun r -> Schema.qname s r.Relationship.name)
-          (Schema.relationships s))
-      schemas
-  in
-  { nodes = rel_nodes; cells = Qname.Pair.Map.empty }
+  make
+    (List.concat_map
+       (fun s ->
+         List.map
+           (fun r -> Schema.qname s r.Relationship.name)
+           (Schema.relationships s))
+       schemas)
 
 let add left assertion right t =
-  match apply_fact t (left, assertion, right) ~src:Asserted with
-  | Ok t' -> Ok t'
-  | Error c -> Error c
+  let i = slot_exn t left and j = slot_exn t right in
+  apply_fact t i assertion j ~src:src_asserted ~copy:true
+
+(* The known cells in [Qname.Pair] order: slot pairs (lo, hi) with
+   lo <= hi, oriented lo -> hi.  [f] sees them last to first, so an [f]
+   that conses builds the list in order. *)
+let fold_known t f init =
+  let n = dim t in
+  let acc = ref init in
+  for lo = n - 1 downto 0 do
+    for hi = n - 1 downto lo do
+      let c = t.cells.((lo * n) + hi) in
+      if c lsr src_shift <> 0 then acc := f t.names.(lo) t.names.(hi) c !acc
+    done
+  done;
+  !acc
 
 let constrained_pairs t =
-  Qname.Pair.Map.bindings t.cells
-  |> List.map (fun (pair, c) ->
-         (Qname.Pair.fst pair, Qname.Pair.snd pair, c.rel, c.src))
+  fold_known t
+    (fun lo hi c acc ->
+      match source_of t c with
+      | Some src -> (lo, hi, rel_of c, src) :: acc
+      | None -> acc)
+    []
+
+let singletons t keep =
+  fold_known t
+    (fun lo hi c acc ->
+      match Rel.to_assertion ~integrable:(c land flag_bit <> 0) (rel_of c) with
+      | Some a when keep c a -> (lo, hi, a) :: acc
+      | _ -> acc)
+    []
 
 let derived_assertions t =
-  Qname.Pair.Map.bindings t.cells
-  |> List.filter_map (fun (pair, c) ->
-         match c.src with
-         | Derived _ ->
-             Option.map
-               (fun a -> (Qname.Pair.fst pair, Qname.Pair.snd pair, a))
-               (Rel.to_assertion ~integrable:c.dj_integrable c.rel)
-         | Asserted | Structural -> None)
+  singletons t (fun c _ -> c lsr src_shift >= src_derived)
 
 let asserted_count t =
-  Qname.Pair.Map.fold
-    (fun _ c acc -> match c.src with Asserted -> acc + 1 | _ -> acc)
-    t.cells 0
+  fold_known t
+    (fun _ _ c n -> if c lsr src_shift = src_asserted then n + 1 else n)
+    0
 
 let derived_count t = List.length (derived_assertions t)
 
-let integration_edges t =
-  Qname.Pair.Map.bindings t.cells
-  |> List.filter_map (fun (pair, c) ->
-         match Rel.to_assertion ~integrable:c.dj_integrable c.rel with
-         | Some a when Assertion.integrable a ->
-             Some (Qname.Pair.fst pair, Qname.Pair.snd pair, a)
-         | _ -> None)
+let integration_edges t = singletons t (fun _ a -> Assertion.integrable a)

@@ -51,11 +51,18 @@ val create_for_relationships : Ecr.Schema.t list -> t
 val nodes : t -> Ecr.Qname.t list
 (** The structures the matrix ranges over, in registration order. *)
 
+exception Unknown_class of Ecr.Qname.t
+(** An assertion named a structure that is not one of the matrix's
+    {!nodes} — a misspelt class, or one of a schema the matrix was not
+    built over. *)
+
 val add :
   Ecr.Qname.t -> Assertion.t -> Ecr.Qname.t -> t -> (t, conflict) result
 (** [add left a right t] records "left ⟨a⟩ right" and re-closes the
     matrix.  On conflict the original matrix is returned unchanged
-    inside the error. *)
+    inside the error.  [t] itself never changes.
+    @raise Unknown_class naming [left] (else [right]) when it is not
+    one of {!nodes}; nothing is recorded. *)
 
 val relation : t -> Ecr.Qname.t -> Ecr.Qname.t -> Rel.t
 (** Current knowledge, oriented first-to-second argument; {!Rel.all}

@@ -24,11 +24,11 @@ let apply op ws =
   | Assert_object (a, c, b) -> (
       match Workspace.assert_object a c b ws with
       | Ok ws -> ws
-      | Error _ -> ws)
+      | Error _ | (exception Assertions.Unknown_class _) -> ws)
   | Assert_relationship (a, c, b) -> (
       match Workspace.assert_relationship a c b ws with
       | Ok ws -> ws
-      | Error _ -> ws)
+      | Error _ | (exception Assertions.Unknown_class _) -> ws)
   | Retract_object (a, b) -> Workspace.retract_object a b ws
   | Retract_relationship (a, b) -> Workspace.retract_relationship a b ws
   | Rename (a, b, forced) ->

@@ -24,11 +24,11 @@ val of_directive : Script.directive -> t
 (** Script directives are the batch subset of the op vocabulary. *)
 
 val apply : t -> Workspace.t -> Workspace.t
-(** Replays one op.  Assertion ops that the matrix rejects are dropped
-    silently — the same policy {!Workspace} itself uses when replaying
-    recorded facts after a schema edit — so replaying a journal never
-    raises.  Use {!Script.apply_one} when the caller wants the
-    conflict. *)
+(** Replays one op.  Assertion ops that the matrix rejects, or that
+    name a structure no collected schema defines, are dropped silently
+    — the same policy {!Workspace} itself uses when replaying recorded
+    facts after a schema edit — so replaying a journal never raises.
+    Use {!Script.apply_one} when the caller wants the conflict. *)
 
 val describe : t -> string
 (** One line, for logs and screens. *)

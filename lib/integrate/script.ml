@@ -70,6 +70,8 @@ let parse_file path =
 type apply_error =
   | Object_conflict of Ecr.Qname.t * Ecr.Qname.t * Assertions.conflict
   | Rel_conflict of Ecr.Qname.t * Ecr.Qname.t * Assertions.conflict
+  | Unknown_object of Ecr.Qname.t
+  | Unknown_relationship of Ecr.Qname.t
 
 let apply_error_to_string = function
   | Object_conflict (a, b, _) ->
@@ -78,6 +80,13 @@ let apply_error_to_string = function
   | Rel_conflict (a, b, _) ->
       Printf.sprintf "conflicting relationship assertion between %s and %s"
         (Ecr.Qname.to_string a) (Ecr.Qname.to_string b)
+  | Unknown_object q ->
+      Printf.sprintf "assertion names an unknown object class %s"
+        (Ecr.Qname.to_string q)
+  | Unknown_relationship q ->
+      Printf.sprintf
+        "relationship assertion names an unknown relationship set %s"
+        (Ecr.Qname.to_string q)
 
 let apply_one d ws =
   match d with
@@ -85,11 +94,13 @@ let apply_one d ws =
   | Object_assertion (a, assertion, b) -> (
       match Workspace.assert_object a assertion b ws with
       | Ok ws -> Ok ws
-      | Error c -> Error (Object_conflict (a, b, c)))
+      | Error c -> Error (Object_conflict (a, b, c))
+      | exception Assertions.Unknown_class q -> Error (Unknown_object q))
   | Rel_assertion (a, assertion, b) -> (
       match Workspace.assert_relationship a assertion b ws with
       | Ok ws -> Ok ws
-      | Error c -> Error (Rel_conflict (a, b, c)))
+      | Error c -> Error (Rel_conflict (a, b, c))
+      | exception Assertions.Unknown_class q -> Error (Unknown_relationship q))
   | Rename (a, b, forced) ->
       Ok
         (Workspace.set_naming

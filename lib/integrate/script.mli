@@ -45,6 +45,10 @@ type apply_error =
   | Rel_conflict of Ecr.Qname.t * Ecr.Qname.t * Assertions.conflict
       (** The offending pair as written in the script, with the matrix
           conflict that rejected it. *)
+  | Unknown_object of Ecr.Qname.t
+  | Unknown_relationship of Ecr.Qname.t
+      (** The side of an assertion that names no object class
+          (relationship set) of a collected schema. *)
 
 val apply_error_to_string : apply_error -> string
 
@@ -54,4 +58,4 @@ val apply_one : directive -> Workspace.t -> (Workspace.t, apply_error) result
 
 val apply : directive list -> Workspace.t -> (Workspace.t, apply_error) result
 (** Replays the directives in order; stops at the first assertion the
-    matrix rejects. *)
+    matrix rejects or that names an unknown structure. *)

@@ -9,7 +9,8 @@ type t = {
       (** kept in lockstep with [equivalence]: patched incrementally by
           [declare_equivalent]/[separate_attribute], rebuilt on the rare
           structural edits (schema add/remove) *)
-  object_facts : fact list;  (** in entry order *)
+  object_facts : fact list;
+      (** in entry order; exactly the facts [obj_matrix] was built from *)
   relationship_facts : fact list;
   obj_matrix : Assertions.t;
       (** in lockstep with [schemas]+[object_facts]: each accepted
@@ -37,26 +38,33 @@ let empty =
 let schemas t = t.schemas
 let find_schema n t = List.find_opt (fun s -> Name.equal (Schema.name s) n) t.schemas
 
-let replay create facts t =
-  List.fold_left
-    (fun m (a, assertion, b) ->
-      match Assertions.add a assertion b m with
-      | Ok m -> m
-      | Error _ ->
-          (* Recorded facts were consistent when entered; a schema edit
-             may have invalidated one.  Drop it silently — the screens
-             surface the remaining facts. *)
-          m)
-    (create t.schemas) facts
+(* Replays [facts] over a fresh matrix, keeping the ones it accepts. *)
+let replay create facts schemas =
+  let m, kept =
+    List.fold_left
+      (fun (m, kept) ((a, assertion, b) as fact) ->
+        match Assertions.add a assertion b m with
+        | Ok m -> (m, fact :: kept)
+        | Error _ | (exception Assertions.Unknown_class _) ->
+            (* Recorded facts were consistent when entered; a schema edit
+               may have invalidated one, or removed a class it names. *)
+            (m, kept))
+      (create schemas, []) facts
+  in
+  (m, List.rev kept)
 
 (* After a structural edit the matrices' structure universe changed:
-   replay the retained facts against it. *)
+   replay the recorded facts against it and forget the ones it refuses,
+   so the recorded facts stay exactly those the matrices hold (and a
+   dictionary written from the workspace replays without a refusal). *)
 let rebuild_matrices t =
-  {
-    t with
-    obj_matrix = replay Assertions.create t.object_facts t;
-    rel_matrix = replay Assertions.create_for_relationships t.relationship_facts t;
-  }
+  let obj_matrix, object_facts =
+    replay Assertions.create t.object_facts t.schemas
+  in
+  let rel_matrix, relationship_facts =
+    replay Assertions.create_for_relationships t.relationship_facts t.schemas
+  in
+  { t with obj_matrix; rel_matrix; object_facts; relationship_facts }
 
 let add_schema s t =
   let n = Schema.name s in
@@ -82,7 +90,6 @@ let add_schema s t =
 
 let remove_schema n t =
   let keeps_schema q = not (Name.equal q.Qname.schema n) in
-  let keep_fact (a, _, b) = keeps_schema a && keeps_schema b in
   let equivalence =
     Equivalence.restrict (fun qa -> keeps_schema qa.Qname.Attr.owner) t.equivalence
   in
@@ -95,8 +102,6 @@ let remove_schema n t =
       (* a structural edit: restriction can split classes arbitrarily, so
          rebuild rather than patch *)
       index = Acs_index.build equivalence;
-      object_facts = List.filter keep_fact t.object_facts;
-      relationship_facts = List.filter keep_fact t.relationship_facts;
     }
 
 let declare_equivalent a b t =
@@ -183,6 +188,7 @@ let integrate ?name t =
 
 let integrate_pair ?name n1 n2 t =
   let s1 = require_schema n1 t and s2 = require_schema n2 t in
+  (* the rebuild drops the facts that name a third schema *)
   let sub = rebuild_matrices { t with schemas = [ s1; s2 ] } in
   Pipeline.integrate
     (Pipeline.input ~naming:t.naming ?name [ s1; s2 ] t.equivalence

@@ -3,9 +3,13 @@
     A workspace accumulates everything a DDA session produces — the
     component schemas (Phase 1), attribute equivalences (Phase 2) and
     assertions (Phase 3) — and can replay it into the pipeline at any
-    point (Phase 4).  Assertion facts are stored as entered, and the
-    closed matrices are rebuilt from them on demand, so editing a schema
-    never leaves stale derived knowledge behind. *)
+    point (Phase 4).  Assertion facts are stored as entered, and a
+    structural edit rebuilds the closed matrices from them, so editing a
+    schema never leaves stale derived knowledge behind.  The rebuild
+    also forgets the facts the edited schemas no longer admit — one
+    naming a structure that is gone, or one the new structure
+    contradicts — so the recorded facts are always exactly those the
+    matrices hold. *)
 
 type t
 
@@ -14,7 +18,8 @@ val empty : t
 (** {1 Phase 1 — schema collection} *)
 
 val add_schema : Ecr.Schema.t -> t -> t
-(** Adds or replaces (by name). *)
+(** Adds or replaces (by name).  Replacing forgets the recorded facts
+    the new version no longer admits. *)
 
 val remove_schema : Ecr.Name.t -> t -> t
 (** Also drops equivalences and assertions that mention the schema. *)
@@ -45,9 +50,13 @@ val relationship_matrix : t -> Assertions.t
 
 val assert_object :
   Ecr.Qname.t -> Assertion.t -> Ecr.Qname.t -> t -> (t, Assertions.conflict) result
+(** Records a fact after the matrix accepts it.
+    @raise Assertions.Unknown_class when a side is not an object class
+    of a collected schema; nothing is recorded. *)
 
 val assert_relationship :
   Ecr.Qname.t -> Assertion.t -> Ecr.Qname.t -> t -> (t, Assertions.conflict) result
+(** Likewise, over relationship sets. *)
 
 val retract_object : Ecr.Qname.t -> Ecr.Qname.t -> t -> t
 (** Removes any recorded fact on the pair (the Screen 9 way out of a
@@ -76,4 +85,6 @@ val integrate : ?name:string -> t -> Result.t
 
 val integrate_pair : ?name:string -> Ecr.Name.t -> Ecr.Name.t -> t -> Result.t
 (** Integrates just two collected schemas (the tool's two-at-a-time
-    flow).  @raise Not_found when either schema is absent. *)
+    flow), over the recorded facts between them; facts naming a third
+    schema are left out.  @raise Not_found when either schema is
+    absent. *)

@@ -238,11 +238,327 @@ let integration_edge_tests =
           (List.length (Assertions.nodes m)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The dense matrix against the map-based reference ([Assertions_oracle]). *)
+
+module type MATRIX = sig
+  type t
+
+  val nodes : t -> Qname.t list
+  val relation : t -> Qname.t -> Qname.t -> Rel.t
+  val assertion_between : t -> Qname.t -> Qname.t -> Assertion.t option
+  val source_between : t -> Qname.t -> Qname.t -> Assertions.source option
+
+  val explain :
+    t -> Qname.t -> Qname.t -> (Qname.t * Qname.t * Assertion.t) list
+
+  val constrained_pairs :
+    t -> (Qname.t * Qname.t * Rel.t * Assertions.source) list
+
+  val derived_assertions : t -> (Qname.t * Qname.t * Assertion.t) list
+  val asserted_count : t -> int
+  val derived_count : t -> int
+  val integration_edges : t -> (Qname.t * Qname.t * Assertion.t) list
+
+  val add :
+    Qname.t -> Assertion.t -> Qname.t -> t -> (t, Assertions.conflict) result
+end
+
+let nowhere = q "zz" "Nowhere"
+
+(* Everything a matrix answers, as text: two matrices agree when their
+   renderings are equal.  [~explain:false] leaves out the per-pair
+   explanations (the costly part on a large closed matrix). *)
+let render (type m) (module M : MATRIX with type t = m) ?(explain = true)
+    (m : m) =
+  let b = Buffer.create 4096 in
+  let fact (l, r, a) =
+    Printf.bprintf b " [%s %s %s]" (Qname.to_string l) (Assertion.to_string a)
+      (Qname.to_string r)
+  in
+  Buffer.add_string b "pairs:";
+  List.iter
+    (fun (l, r, rel, src) ->
+      Printf.bprintf b " (%s %s %s %s)" (Qname.to_string l) (Qname.to_string r)
+        (Rel.to_string rel)
+        (Assertions.source_to_string src))
+    (M.constrained_pairs m);
+  Buffer.add_string b "\nderived:";
+  List.iter fact (M.derived_assertions m);
+  Buffer.add_string b "\nedges:";
+  List.iter fact (M.integration_edges m);
+  Printf.bprintf b "\ncounts: asserted %d derived %d\n" (M.asserted_count m)
+    (M.derived_count m);
+  let probes = M.nodes m @ [ nowhere ] in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          Printf.bprintf b "%s/%s %s %s %s" (Qname.to_string x)
+            (Qname.to_string y)
+            (Rel.to_string (M.relation m x y))
+            (match M.assertion_between m x y with
+            | Some a -> Assertion.to_string a
+            | None -> "-")
+            (match M.source_between m x y with
+            | Some s -> Assertions.source_to_string s
+            | None -> "-");
+          if explain then List.iter fact (M.explain m x y);
+          Buffer.add_char b '\n')
+        probes)
+    probes;
+  Buffer.contents b
+
+let dense = (module Assertions : MATRIX with type t = Assertions.t)
+let oracle = (module Assertions_oracle : MATRIX with type t = Assertions_oracle.t)
+
+let outcome (type m) (module M : MATRIX with type t = m) l a r (m : m) =
+  match M.add l a r m with
+  | Ok m' -> `Ok m'
+  | Error c -> `Conflict (Assertions.conflict_to_string c)
+  | exception Assertions.Unknown_class x -> `Unknown (Qname.to_string x)
+
+let agree what d o =
+  if not (String.equal d o) then
+    failwith (Printf.sprintf "%s differ:\ndense:\n%s\noracle:\n%s" what d o)
+
+(* Feeds [facts] to both matrices in lockstep.  Every outcome must
+   agree (the same conflict text, the same unknown class); with
+   [~each], so must the whole rendering after every step.  Returns the
+   final pair and every (dense, oracle) version seen, so a caller can
+   check that no later [add] changed an earlier matrix. *)
+let lockstep ?(each = true) ?(explain = true) dense_m oracle_m facts =
+  List.fold_left
+    (fun ((d, o), versions) (l, a, r) ->
+      let step =
+        Printf.sprintf "%s %s %s" (Qname.to_string l) (Assertion.to_string a)
+          (Qname.to_string r)
+      in
+      match (outcome dense l a r d, outcome oracle l a r o) with
+      | `Ok d', `Ok o' ->
+          if each then
+            agree ("after " ^ step) (render dense ~explain d')
+              (render oracle ~explain o');
+          ((d', o'), (d', o') :: versions)
+      | `Conflict cd, `Conflict co ->
+          agree ("conflict of " ^ step) cd co;
+          ((d, o), versions)
+      | `Unknown xd, `Unknown xo ->
+          agree ("refusal of " ^ step) xd xo;
+          ((d, o), versions)
+      | _ -> failwith ("outcomes of " ^ step ^ " differ"))
+    ((dense_m, oracle_m), [ (dense_m, oracle_m) ])
+    facts
+
+let codes =
+  Assertion.
+    [
+      Equal;
+      Contained_in;
+      Contains;
+      Disjoint_integrable;
+      May_be;
+      Disjoint_nonintegrable;
+    ]
+
+(* A schema [s<idx>] of entities [E<j>] and categories [C<j>] whose
+   parents are any of its objects: categories under two entities (which
+   the seed's disjointness contradicts), cycles and self-parents all
+   occur, and the seed, which closes in place, must drop them just as
+   the copying oracle does. *)
+let schema_gen idx =
+  QCheck.Gen.(
+    let* entities = int_range 1 4 in
+    let* categories = int_range 0 3 in
+    let* parents =
+      flatten_l
+        (List.init categories (fun _ ->
+             list_size (int_range 1 2) (int_bound (entities + categories - 1))))
+    in
+    let name j =
+      Name.v
+        (if j < entities then Printf.sprintf "E%d" j
+         else Printf.sprintf "C%d" (j - entities))
+    in
+    return
+      (Schema.make
+         (Name.v (Printf.sprintf "s%d" idx))
+         ~objects:
+           (List.init entities (fun j -> Object_class.entity (name j))
+           @ List.mapi
+               (fun c ps ->
+                 Object_class.category
+                   ~parents:(List.sort_uniq Name.compare (List.map name ps))
+                   (name (entities + c)))
+               parents)
+         ~relationships:[]))
+
+let session_gen =
+  QCheck.Gen.(
+    let* k = int_range 1 4 in
+    let* schemas = flatten_l (List.init k schema_gen) in
+    let nodes =
+      Array.of_list
+        (List.concat_map
+           (fun s ->
+             List.map
+               (fun oc -> Schema.qname s oc.Object_class.name)
+               (Schema.objects s))
+           schemas)
+    in
+    (* one draw in twenty names a class outside the matrix *)
+    let node =
+      frequency
+        [
+          (19, map (fun i -> nodes.(i)) (int_bound (Array.length nodes - 1)));
+          (1, return nowhere);
+        ]
+    in
+    let* facts = list_size (int_range 0 24) (triple node (oneofl codes) node) in
+    return (schemas, facts))
+
+let session =
+  QCheck.make
+    ~print:(fun (schemas, facts) ->
+      String.concat "\n" (List.map Ddl.Printer.to_string schemas)
+      ^ "\n"
+      ^ String.concat "\n"
+          (List.map
+             (fun (l, a, r) ->
+               Printf.sprintf "object %s %d %s" (Qname.to_string l)
+                 (Assertion.code a) (Qname.to_string r))
+             facts))
+    session_gen
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 14 |])
+      (QCheck.Test.make ~count:300
+         ~name:"random sessions match the map-based oracle" session
+         (fun (schemas, facts) ->
+           let _, versions =
+             lockstep
+               (Assertions.create schemas)
+               (Assertions_oracle.create schemas)
+               facts
+           in
+           (* persistence: no add changed a matrix handed out earlier *)
+           List.iter
+             (fun (d, o) ->
+               agree "earlier matrices" (render dense d) (render oracle o))
+             versions;
+           true));
+    tc "a category whose parents the seed makes disjoint" (fun () ->
+        (* C under both entities contradicts their disjointness: the
+           seed drops the disjointness, with nothing derived from it *)
+        let s =
+          Schema.make (Name.v "u")
+            ~objects:
+              [
+                Object_class.entity (Name.v "A");
+                Object_class.entity (Name.v "B");
+                Object_class.category ~parents:[ Name.v "A" ] (Name.v "D");
+                Object_class.category
+                  ~parents:[ Name.v "A"; Name.v "B" ]
+                  (Name.v "C");
+              ]
+            ~relationships:[]
+        in
+        check Alcotest.string "same seed"
+          (render oracle (Assertions_oracle.create [ s ]))
+          (render dense (Assertions.create [ s ])));
+    tc "the scenario federation matches the oracle" (fun () ->
+        (* the 8-schema federation the benchmark serves *)
+        let scn =
+          Workload.Scenario.generate
+            {
+              Workload.Scenario.default_params with
+              seed = 42;
+              schemas = 8;
+              concepts = 16;
+              population = 200;
+              views = 6;
+            }
+        in
+        let schemas = scn.Workload.Scenario.schemas in
+        let directives = scn.Workload.Scenario.directives in
+        let objects =
+          List.filter_map
+            (function Script.Object_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+            directives
+        and relationships =
+          List.filter_map
+            (function Script.Rel_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+            directives
+        in
+        check Alcotest.bool "a federation-sized matrix" true
+          (List.length (Assertions.nodes (Assertions.create schemas)) >= 80);
+        (* the seeds, then the script's facts with conflicts and
+           refusals compared at every step, then the closed result *)
+        let (d, o), _ =
+          lockstep ~each:false
+            (Assertions.create schemas)
+            (Assertions_oracle.create schemas)
+            objects
+        in
+        check Alcotest.string "object matrix" (render oracle o) (render dense d);
+        let (d, o), _ =
+          lockstep ~each:false
+            (Assertions.create_for_relationships schemas)
+            (Assertions_oracle.create_for_relationships schemas)
+            relationships
+        in
+        check Alcotest.string "relationship matrix" (render oracle o)
+          (render dense d);
+        (* contradicting facts: the negation of every asserted cell *)
+        let negations =
+          List.map
+            (fun (l, a, r) ->
+              match a with
+              | Assertion.Disjoint_nonintegrable | Assertion.Disjoint_integrable
+                ->
+                  (l, Assertion.Equal, r)
+              | _ -> (l, Assertion.Disjoint_nonintegrable, r))
+            objects
+        in
+        ignore
+          (lockstep ~each:false ~explain:false
+             (Assertions.create schemas)
+             (Assertions_oracle.create schemas)
+             (objects @ negations)));
+  ]
+
+let refusal_tests =
+  [
+    tc "an assertion about a class outside the matrix is refused" (fun () ->
+        let m = Assertions.create [ s_people; s_other ] in
+        Alcotest.check_raises "left" (Assertions.Unknown_class (q "p" "Persn"))
+          (fun () ->
+            ignore
+              (Assertions.add (q "p" "Persn") Assertion.Equal (q "o" "Worker") m));
+        Alcotest.check_raises "right" (Assertions.Unknown_class (q "x" "Worker"))
+          (fun () ->
+            ignore
+              (Assertions.add (q "o" "Worker") Assertion.Equal (q "x" "Worker") m));
+        check Alcotest.int "nothing recorded" 0 (Assertions.asserted_count m));
+    tc "a class outside the matrix reads as unknown" (fun () ->
+        let m = Assertions.create [ s_people ] in
+        check Alcotest.bool "relation all" true
+          (Rel.equal Rel.all (Assertions.relation m (q "p" "Person") nowhere));
+        check assertion_opt "no assertion" None
+          (Assertions.assertion_between m nowhere (q "p" "Person"));
+        check Alcotest.int "no explanation" 0
+          (List.length (Assertions.explain m nowhere nowhere)));
+  ]
+
 let () =
   Alcotest.run "assertions"
     [
       ("seeding", seeding_tests);
       ("derivation", derivation_tests);
       ("conflicts", conflict_tests);
+      ("refusals", refusal_tests);
       ("integration-edges", integration_edge_tests);
+      ("oracle", oracle_tests);
     ]

@@ -115,6 +115,55 @@ let tests =
         let merged = Dictionary.merge base extra in
         check Alcotest.int "one fact kept" 1
           (List.length (Workspace.object_facts merged)));
+    tc "a schema edit that strands or contradicts a fact still round-trips"
+      (fun () ->
+        let sc2 = Workload.Paper.sc2 in
+        let edits =
+          [
+            ( "Faculty deleted",
+              Schema.remove_structure (Name.v "Faculty")
+                (Schema.remove_structure (Name.v "Works") sc2),
+              2,
+              1 );
+            (* Faculty <= Grad_student <= sc1.Student contradicts the
+               asserted "Student may be Faculty" *)
+            ( "Faculty made a category of Grad_student",
+              Schema.replace_object
+                (Object_class.category
+                   ~attrs:[ Attribute.v "Rank" "char" ]
+                   ~parents:[ Name.v "Grad_student" ] (Name.v "Faculty"))
+                sc2,
+              2,
+              1 );
+            ( "Major_in deleted",
+              Schema.remove_structure (Name.v "Major_in") sc2,
+              3,
+              0 );
+          ]
+        in
+        List.iter
+          (fun (what, edited, n_objects, n_relationships) ->
+            let ws = Workspace.add_schema edited (paper_workspace ()) in
+            check Alcotest.int (what ^ ": object facts kept") n_objects
+              (List.length (Workspace.object_facts ws));
+            check Alcotest.int (what ^ ": relationship facts kept")
+              n_relationships
+              (List.length (Workspace.relationship_facts ws));
+            let text = Dictionary.to_string ws in
+            check Alcotest.string (what ^ ": reloads unchanged") text
+              (Dictionary.to_string (Dictionary.of_string text)))
+          edits);
+    tc "an assertion naming a structure no schema defines is dropped on load"
+      (fun () ->
+        let ws =
+          Dictionary.of_string
+            "schema a { entity X; }\nschema b { entity Y; }\n%session\nobject \
+             a.X 1 b.Y\nobject a.Gone 1 b.Y\nrel a.R 1 b.S\n"
+        in
+        check Alcotest.int "object facts" 1
+          (List.length (Workspace.object_facts ws));
+        check Alcotest.int "relationship facts" 0
+          (List.length (Workspace.relationship_facts ws)));
   ]
 
 let mapping_tests =

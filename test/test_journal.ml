@@ -435,6 +435,39 @@ let snapshot_tests =
             let r = Journal.recover path in
             check Alcotest.int "no records" 0 r.Journal.records;
             check Alcotest.string "empty" expect_dict.(0) (dict r.Journal.workspace)));
+    tc "a snapshot taken after a schema edit strands a fact reopens whole"
+      (fun () ->
+        with_path (fun path ->
+            (* the session asserts "sc1.Student may be sc2.Faculty" *)
+            let edit =
+              Op.Add_schema
+                Ecr.(
+                  Schema.remove_structure (Name.v "Faculty")
+                    (Schema.remove_structure (Name.v "Works") Workload.Paper.sc2))
+            in
+            let ops = session @ [ edit ] in
+            let final = List.fold_left (fun ws op -> Op.apply op ws) Ws.empty ops in
+            let _, j = Journal.open_ ~fsync:Never ~checkpoint_every:max_int path in
+            List.iter (fun op -> Journal.append j op) ops;
+            Journal.checkpoint j final;
+            Journal.close j;
+            let r, j = Journal.open_ ~fsync:Never path in
+            Journal.close j;
+            check Alcotest.int "checkpoint: nothing truncated" 0
+              r.Journal.truncated_bytes;
+            check Alcotest.int "checkpoint: records" (List.length ops + 1)
+              r.Journal.records;
+            let _, j = Journal.open_ ~fsync:Never path in
+            Journal.compact j final;
+            Journal.close j;
+            let r, j = Journal.open_ ~fsync:Never path in
+            Journal.close j;
+            check Alcotest.int "compacted: nothing truncated" 0
+              r.Journal.truncated_bytes;
+            check Alcotest.int "compacted: seq kept" (List.length ops)
+              r.Journal.seq;
+            check Alcotest.string "compacted: state kept" (dict final)
+              (dict r.Journal.workspace)));
   ]
 
 (* ------------------------------------------------------------------ *)

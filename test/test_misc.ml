@@ -59,6 +59,67 @@ let workspace_tests =
             ignore
               (Integrate.Workspace.integrate_pair (Name.v "nope") (Name.v "sc1")
                  Integrate.Workspace.empty)));
+    tc "integrate_pair works on every pair of a scenario federation"
+      (fun () ->
+        (* the 8-schema federation the benchmark serves: its script
+           holds facts between every two schemas, which a pairwise
+           integration must leave out rather than trip over *)
+        let scn =
+          Workload.Scenario.generate
+            {
+              Workload.Scenario.default_params with
+              seed = 42;
+              schemas = 8;
+              concepts = 16;
+              population = 200;
+              views = 6;
+            }
+        in
+        let ws =
+          match
+            Integrate.Script.apply scn.Workload.Scenario.directives
+              (List.fold_left
+                 (fun ws s -> Integrate.Workspace.add_schema s ws)
+                 Integrate.Workspace.empty scn.Workload.Scenario.schemas)
+          with
+          | Ok ws -> ws
+          | Error e -> Alcotest.fail (Integrate.Script.apply_error_to_string e)
+        in
+        let names = List.map Schema.name scn.Workload.Scenario.schemas in
+        let pairs =
+          List.concat_map
+            (fun n1 ->
+              List.filter_map
+                (fun n2 -> if Name.compare n1 n2 < 0 then Some (n1, n2) else None)
+                names)
+            names
+        in
+        check Alcotest.int "28 pairs" 28 (List.length pairs);
+        List.iter
+          (fun (n1, n2) ->
+            let label =
+              Printf.sprintf "%s+%s" (Name.to_string n1) (Name.to_string n2)
+            in
+            let r =
+              try Integrate.Workspace.integrate_pair n1 n2 ws
+              with e -> Alcotest.failf "%s: %s" label (Printexc.to_string e)
+            in
+            let from_pair q =
+              Name.equal q.Qname.schema n1 || Name.equal q.Qname.schema n2
+            in
+            let origin_ok = function
+              | Integrate.Result.Original q -> from_pair q
+              | Integrate.Result.Equivalent qs -> List.for_all from_pair qs
+              | Integrate.Result.Derived _ -> true
+            in
+            check Alcotest.bool (label ^ " draws on the pair only") true
+              (Name.Map.for_all
+                 (fun _ o -> origin_ok o)
+                 r.Integrate.Result.object_origin
+              && Name.Map.for_all
+                   (fun _ o -> origin_ok o)
+                   r.Integrate.Result.relationship_origin))
+          pairs);
   ]
 
 let dot_tests =

@@ -53,6 +53,13 @@ let converse_tests =
             let r = Rel.of_list subset in
             check rel "involution" r (Rel.converse (Rel.converse r)))
           all_subsets);
+    tc "the converse table maps members one by one (all 32 sets)" (fun () ->
+        List.iter
+          (fun subset ->
+            let r = Rel.of_list subset in
+            check rel (Rel.to_string r) (Assertions_oracle.converse r)
+              (Rel.converse r))
+          all_subsets);
   ]
 
 let composition_tests =
@@ -110,6 +117,20 @@ let composition_tests =
                 check Alcotest.bool "right monotone" true
                   (Rel.subset (Rel.compose other small) (Rel.compose other Rel.all)))
               basics)
+          all_subsets);
+    tc "the compose table is the compose_basic fold (all 32x32 sets)"
+      (fun () ->
+        List.iter
+          (fun s1 ->
+            let r1 = Rel.of_list s1 in
+            List.iter
+              (fun s2 ->
+                let r2 = Rel.of_list s2 in
+                check rel
+                  (Rel.to_string r1 ^ "." ^ Rel.to_string r2)
+                  (Assertions_oracle.compose r1 r2)
+                  (Rel.compose r1 r2))
+              all_subsets)
           all_subsets);
   ]
 

@@ -130,6 +130,86 @@ let apply_tests =
             check Alcotest.bool "message mentions the pair" true
               (String.length (Script.apply_error_to_string e) > 0)
         | Error _ -> Alcotest.fail "wrong conflict kind");
+    tc "an assertion about a misspelt class is refused by name" (fun () ->
+        let ws =
+          List.fold_left
+            (fun ws s -> Workspace.add_schema s ws)
+            Workspace.empty
+            [ Workload.Paper.sc1; Workload.Paper.sc2 ]
+        in
+        let studnet = Ecr.Qname.v "sc1" "Studnet"
+        and grad = Ecr.Qname.v "sc2" "Grad_student" in
+        let directives =
+          List.map
+            (fun (a, c, b) -> Script.Object_assertion (a, c, b))
+            Workload.Paper.object_assertions
+          @ [ Script.Object_assertion (studnet, Assertion.Contains, grad) ]
+        in
+        (match Script.apply directives ws with
+        | Error (Script.Unknown_object q as e) ->
+            check Alcotest.string "names the class" "sc1.Studnet"
+              (Ecr.Qname.to_string q);
+            check Alcotest.string "message"
+              "assertion names an unknown object class sc1.Studnet"
+              (Script.apply_error_to_string e)
+        | Ok _ -> Alcotest.fail "expected a refusal"
+        | Error e -> Alcotest.fail (Script.apply_error_to_string e));
+        (* the other side, and relationship sets *)
+        (match
+           Script.apply_one
+             (Script.Object_assertion (grad, Assertion.Equal, studnet))
+             ws
+         with
+        | Error (Script.Unknown_object q) ->
+            check Alcotest.string "right side" "sc1.Studnet"
+              (Ecr.Qname.to_string q)
+        | _ -> Alcotest.fail "expected a refusal");
+        let majors = Ecr.Qname.v "sc1" "Majors"
+        and minors = Ecr.Qname.v "sc2" "Minor_in" in
+        match
+          Script.apply_one
+            (Script.Rel_assertion (majors, Assertion.Equal, minors))
+            ws
+        with
+        | Error (Script.Unknown_relationship q as e) ->
+            check Alcotest.string "relationship set" "sc2.Minor_in"
+              (Ecr.Qname.to_string q);
+            check Alcotest.string "relationship message"
+              "relationship assertion names an unknown relationship set \
+               sc2.Minor_in"
+              (Script.apply_error_to_string e)
+        | _ -> Alcotest.fail "expected a refusal");
+    tc "sit_batch refuses the misspelt class with a message" (fun () ->
+        let script = Filename.temp_file "studnet" ".sit" in
+        let out = Filename.temp_file "studnet" ".out" in
+        Fun.protect
+          ~finally:(fun () -> List.iter Sys.remove [ script; out ])
+          (fun () ->
+            (* the binary is a sibling of the test executable, the data
+               files are in the source tree three levels up *)
+            let here = Filename.dirname Sys.executable_name in
+            let data f =
+              Filename.concat here (Filename.concat "../../../examples/data" f)
+            in
+            let ic = open_in_bin (data "paper_session.sit") in
+            let text = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let oc = open_out_bin script in
+            output_string oc (text ^ "object sc1.Studnet 3 sc2.Grad_student\n");
+            close_out oc;
+            let code =
+              Sys.command
+                (Printf.sprintf "%s %s %s -s %s > %s 2>&1"
+                   (Filename.concat here "../bin/sit_batch.exe")
+                   (data "sc1.ecr") (data "sc2.ecr") (Filename.quote script)
+                   (Filename.quote out))
+            in
+            let ic = open_in_bin out in
+            let msg = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            check Alcotest.int "exit status" 2 code;
+            check Alcotest.string "stderr"
+              "assertion names an unknown object class sc1.Studnet\n" msg));
   ]
 
 let () =
