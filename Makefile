@@ -48,10 +48,10 @@ serve-test: build
 
 # Federation-scale differential harness (docs/SCENARIOS.md): three
 # pinned seeds — 11 (8 schemas, 241 ops), 23 (5 schemas, 196 ops) and
-# 42 (6 schemas, single round) — each replayed through four legs
-# (offline SIT_JOBS=1 and SIT_JOBS=nproc, a served daemon, and a
-# checkpoint-resumed daemon), all required to produce byte-identical
-# transcripts with full ground-truth recovery.
+# 42 (6 schemas, single round) — each replayed through three legs
+# (offline in-process, a served daemon, and a checkpoint-resumed
+# daemon), all required to produce byte-identical transcripts with
+# full ground-truth recovery.
 # Budget: about 4 seconds per seed.  Also part of `make check`.
 scenario-test: build
 	sh scripts/scenario_test.sh
@@ -78,10 +78,10 @@ bench-quick:
 
 # Compare two metrics reports and fail on span regressions beyond the
 # threshold — the PR-over-PR perf gate (see docs/PERFORMANCE.md).
-# Usage: make bench-diff [OLD=BENCH_pr10.json] [NEW=BENCH_pr14.json]
+# Usage: make bench-diff [OLD=BENCH_pr14.json] [NEW=BENCH_pr15.json]
 #        [THRESHOLD=0.25] [MIN_SECONDS=0.0005]
-OLD ?= BENCH_pr10.json
-NEW ?= BENCH_pr14.json
+OLD ?= BENCH_pr14.json
+NEW ?= BENCH_pr15.json
 THRESHOLD ?= 0.25
 MIN_SECONDS ?= 0.0005
 bench-diff:

@@ -1002,7 +1002,6 @@ let e21_setup =
      (session, Array.of_list (view_frames @ global_frames)))
 
 type e21_point = {
-  sv_jobs : int;
   sv_cache : int;
   sv_sent : int;
   sv_ok : int;
@@ -1014,52 +1013,47 @@ type e21_point = {
 let e21_sweep ?(requests = 2000) ?(conns = 4) () =
   let session, pool = Lazy.force e21_setup in
   let frames = Array.init requests (fun i -> pool.(i mod Array.length pool)) in
-  List.concat_map
-    (fun jobs ->
-      List.map
-        (fun cache ->
-          let cfg =
-            {
-              Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
-              jobs;
-              queue = 256;
-              deadline_ms = None;
-              cache;
-              debug = false;
-              repl = Server.default_repl;
-            }
-          in
-          match Server.start session cfg with
-          | Error msg -> failwith ("E21: server failed to start: " ^ msg)
-          | Ok t ->
-              Fun.protect
-                ~finally:(fun () -> Server.stop t)
-                (fun () ->
-                  let addr =
-                    match Server.port t with
-                    | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
-                    | None -> failwith "E21: no bound port"
-                  in
-                  let st = Server.Client.drive ~addr ~conns ~frames () in
-                  if st.Server.Client.mismatches > 0 then
-                    failwith "E21: divergent responses under load";
-                  if st.Server.Client.ok < st.Server.Client.sent then
-                    failwith "E21: error responses on a clean workload";
-                  let s = Server.stats t in
-                  let wall = Float.max st.Server.Client.wall_s 1e-9 in
-                  {
-                    sv_jobs = jobs;
-                    sv_cache = cache;
-                    sv_sent = st.Server.Client.sent;
-                    sv_ok = st.Server.Client.ok;
-                    sv_hits = s.Server.cache_hits;
-                    sv_req_s = float_of_int st.Server.Client.sent /. wall;
-                    sv_mean_ms =
-                      wall *. float_of_int conns
-                      /. float_of_int st.Server.Client.sent *. 1000.;
-                  }))
-        [ 0; 256 ])
-    [ 1; 2; 4 ]
+  List.map
+    (fun cache ->
+      let cfg =
+        {
+          Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
+          queue = 256;
+          deadline_ms = None;
+          cache;
+          debug = false;
+          repl = Server.default_repl;
+        }
+      in
+      match Server.start session cfg with
+      | Error msg -> failwith ("E21: server failed to start: " ^ msg)
+      | Ok t ->
+          Fun.protect
+            ~finally:(fun () -> Server.stop t)
+            (fun () ->
+              let addr =
+                match Server.port t with
+                | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
+                | None -> failwith "E21: no bound port"
+              in
+              let st = Server.Client.drive ~addr ~conns ~frames () in
+              if st.Server.Client.mismatches > 0 then
+                failwith "E21: divergent responses under load";
+              if st.Server.Client.ok < st.Server.Client.sent then
+                failwith "E21: error responses on a clean workload";
+              let s = Server.stats t in
+              let wall = Float.max st.Server.Client.wall_s 1e-9 in
+              {
+                sv_cache = cache;
+                sv_sent = st.Server.Client.sent;
+                sv_ok = st.Server.Client.ok;
+                sv_hits = s.Server.cache_hits;
+                sv_req_s = float_of_int st.Server.Client.sent /. wall;
+                sv_mean_ms =
+                  wall *. float_of_int conns
+                  /. float_of_int st.Server.Client.sent *. 1000.;
+              }))
+    [ 0; 256 ]
 
 let e21 () =
   section "E21" "serving throughput: lib/server over a generated federation";
@@ -1068,11 +1062,11 @@ let e21 () =
      (in-process daemon, 4 client connections, 2000 select-all frames per\n\
     \ configuration; cache 'off' disables the rewrite-plan LRU; every\n\
     \ configuration is checked for divergent or failing responses)\n";
-  Printf.printf "\n%-6s %-8s %-8s %-8s %-10s %-10s\n" "jobs" "cache" "ok"
-    "hits" "req/s" "mean ms";
+  Printf.printf "\n%-8s %-8s %-8s %-10s %-10s\n" "cache" "ok" "hits" "req/s"
+    "mean ms";
   List.iter
     (fun p ->
-      Printf.printf "%-6d %-8s %-8d %-8d %-10.0f %-10.3f\n" p.sv_jobs
+      Printf.printf "%-8s %-8d %-8d %-10.0f %-10.3f\n"
         (if p.sv_cache = 0 then "off" else string_of_int p.sv_cache)
         p.sv_ok p.sv_hits p.sv_req_s p.sv_mean_ms)
     (e21_sweep ());
@@ -1418,7 +1412,6 @@ let e24_scenarios () =
       let cfg =
         {
           Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
-          jobs = 2;
           queue = 256;
           deadline_ms = None;
           cache = 256;
@@ -1509,7 +1502,6 @@ let e25_session ?journal_dir () =
 let e25_cfg repl =
   {
     Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
-    jobs = 2;
     queue = 256;
     deadline_ms = None;
     cache = 64;

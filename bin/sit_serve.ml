@@ -6,7 +6,7 @@
    docs/SERVING.md:
 
      sit_serve sc1.ddl sc2.ddl --script session.sit --data inst.dat \
-       --listen 127.0.0.1:7401 --jobs 4
+       --listen 127.0.0.1:7401
 
    Drive mode (--drive ADDR) is the matching load client: it replays
    query specs over several concurrent connections and checks that
@@ -182,7 +182,7 @@ let parse_view_def spec =
       if view = "" then hard_fail "--view: empty view name in %s" spec;
       { Server.view; base; policy; query = source }
 
-let serve files script data name journal listen jobs queue deadline_ms cache
+let serve files script data name journal listen queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every schedule phases_spec
     transcript_out =
   (match files with
@@ -212,7 +212,6 @@ let serve files script data name journal listen jobs queue deadline_ms cache
       let cfg =
         {
           (Server.default_config listen) with
-          jobs;
           queue;
           deadline_ms;
           cache;
@@ -265,7 +264,7 @@ let serve files script data name journal listen jobs queue deadline_ms cache
                  exit 1);
               Printf.eprintf "metrics report written to %s\n" path)))
 
-let run files script data name journal listen jobs queue deadline_ms cache
+let run files script data name journal listen queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every drive_addr endpoints
     timeout_ms conns requests queries global_queries mat_views schedule
     phases_spec transcript_out =
@@ -278,9 +277,9 @@ let run files script data name journal listen jobs queue deadline_ms cache
       drive (parse_addr addr) endpoints timeout_ms conns requests queries
         global_queries mat_views
   | None, _ ->
-      serve files script data name journal (parse_addr listen) jobs queue
-        deadline_ms cache metrics view_defs follow ack_replicas compact_every
-        schedule phases_spec transcript_out
+      serve files script data name journal (parse_addr listen) queue deadline_ms
+        cache metrics view_defs follow ack_replicas compact_every schedule
+        phases_spec transcript_out
 
 open Cmdliner
 
@@ -326,15 +325,6 @@ let listen =
         ~doc:
           "Listen address: $(b,unix:PATH), $(b,HOST:PORT) or $(b,:PORT) \
            (TCP port 0 asks the kernel for a free port).")
-
-let jobs =
-  Arg.(
-    value
-    & opt int (Par.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Execute requests on a domain pool of $(docv) workers (default: \
-           \\$SIT_JOBS, or 1).")
 
 let queue =
   Arg.(
@@ -513,8 +503,8 @@ let transcript_out =
     & info [ "transcript" ] ~docv:"OUT"
         ~doc:
           "Write the normalized schedule transcript to $(docv) (default \
-           stdout).  Transcripts are byte-comparable across offline/served, \
-           SIT_JOBS and crash-resume legs.")
+           stdout).  Transcripts are byte-comparable across offline, served \
+           and crash-resume legs.")
 
 let cmd =
   Cmd.v
@@ -524,7 +514,7 @@ let cmd =
           load-test client)")
     Term.(
       const run $ files $ script $ data $ integrated_name $ journal_dir
-      $ listen $ jobs $ queue $ deadline_ms $ cache $ metrics $ view_defs
+      $ listen $ queue $ deadline_ms $ cache $ metrics $ view_defs
       $ follow $ ack_replicas $ compact_every $ drive_addr $ endpoints
       $ timeout_ms_arg
       $ conns $ requests $ queries $ global_queries $ mat_views

@@ -17,7 +17,10 @@ let of_directive = function
 
 let apply op ws =
   match op with
-  | Add_schema s -> Workspace.add_schema s ws
+  | Add_schema s -> (
+      match Ecr.Schema.validate s with
+      | [] -> Workspace.add_schema s ws
+      | _ :: _ -> ws)
   | Remove_schema n -> Workspace.remove_schema n ws
   | Declare_equivalent (a, b) -> Workspace.declare_equivalent a b ws
   | Separate_attribute a -> Workspace.separate_attribute a ws

@@ -28,7 +28,11 @@ val apply : t -> Workspace.t -> Workspace.t
     name a structure no collected schema defines, are dropped silently
     — the same policy {!Workspace} itself uses when replaying recorded
     facts after a schema edit — so replaying a journal never raises.
-    Use {!Script.apply_one} when the caller wants the conflict. *)
+    Use {!Script.apply_one} when the caller wants the conflict.  An
+    [Add_schema] whose schema fails {!Ecr.Schema.validate} is dropped
+    the same way, so every workspace {!apply} reaches can be saved and
+    loaded back; journals recorded by earlier releases, which accepted
+    such an edit, still replay. *)
 
 val describe : t -> string
 (** One line, for logs and screens. *)

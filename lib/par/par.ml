@@ -127,74 +127,6 @@ let map_array pool f arr =
       results
   end
 
-(* ---- single-task submission (the request-serving path) ----------- *)
-
-type 'a state = Pending | Done of ('a, exn * Printexc.raw_backtrace) result
-
-type 'a promise = {
-  p_mutex : Mutex.t;
-  p_cond : Condition.t;  (** signalled exactly once, on fulfilment *)
-  mutable p_state : 'a state;
-}
-
-let fulfil p r =
-  Mutex.lock p.p_mutex;
-  p.p_state <- Done r;
-  Condition.broadcast p.p_cond;
-  Mutex.unlock p.p_mutex
-
-let async pool f =
-  let p =
-    { p_mutex = Mutex.create (); p_cond = Condition.create (); p_state = Pending }
-  in
-  let task () =
-    let r =
-      try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    fulfil p r
-  in
-  if pool.jobs <= 1 then task ()
-    (* no worker domains: run on the submitter, exactly like the
-       [map] bypass — [await] then returns without blocking *)
-  else begin
-    Obs.Counter.incr c_tasks;
-    Mutex.lock pool.mutex;
-    Queue.add task pool.queue;
-    Condition.signal pool.work;
-    Mutex.unlock pool.mutex
-  end;
-  p
-
-let await pool p =
-  (* Help drain the pool while the promise is pending, so a submitting
-     thread counts towards the pool's parallelism degree exactly like a
-     [map] submitter; park on the promise only when the queue is empty.
-     Helping also guarantees progress when every worker is busy (or the
-     pool was shut down with tasks still queued): the oldest queued
-     task — possibly this promise's own — runs on this thread. *)
-  let rec loop () =
-    match p.p_state with
-    | Done r -> r
-    | Pending -> (
-        let task =
-          Mutex.protect pool.mutex (fun () -> Queue.take_opt pool.queue)
-        in
-        match task with
-        | Some task ->
-            task ();
-            loop ()
-        | None ->
-            Mutex.lock p.p_mutex;
-            (match p.p_state with
-            | Pending -> Condition.wait p.p_cond p.p_mutex
-            | Done _ -> ());
-            Mutex.unlock p.p_mutex;
-            loop ())
-  in
-  match loop () with
-  | Ok v -> v
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
 let map pool f xs =
   match xs with
   | [] -> []

@@ -63,26 +63,6 @@ val iter : pool -> ('a -> unit) -> 'a list -> unit
 (** [iter pool f xs] runs every [f x] to completion, in any order.
     Exceptions: as {!map}. *)
 
-type 'a promise
-(** The result of one asynchronously submitted task. *)
-
-val async : pool -> (unit -> 'a) -> 'a promise
-(** [async pool f] submits the single task [f] to the pool and returns
-    immediately; some worker domain eventually runs it.  On a [~jobs:1]
-    pool the task runs synchronously on the caller before [async]
-    returns (the same bypass as {!map}).  This is the request-serving
-    path: unlike {!map}, tasks from many submitting threads interleave
-    in one FIFO.  [f] must be pure up to commutative effects, as for
-    {!map}. *)
-
-val await : pool -> 'a promise -> 'a
-(** Blocks until the promise settles and returns the task's result, or
-    re-raises its exception (with its backtrace).  While the promise is
-    pending the awaiting thread {e helps drain} the pool's queue — so
-    the submitter counts towards the parallelism degree, and progress
-    is guaranteed even when every worker is busy.  Can be called at
-    most meaningfully once per promise, from any thread. *)
-
 val default_jobs : unit -> int
 (** The parallelism requested by the environment: [SIT_JOBS] when set
     to a positive integer, else 1.  Entry points that take a [?jobs]

@@ -18,7 +18,7 @@ val run : Ast.t -> Instance.Store.t -> row list
     Join-free answers are in ascending entity-id order, joined answers
     in relationship-instance order — deterministic, which is what makes
     incremental maintenance of materialized extents ([lib/view]) able
-    to promise byte-identity with from-scratch evaluation.
+    to guarantee byte-identity with from-scratch evaluation.
     @raise Error on ill-typed queries. *)
 
 val matches : (Ecr.Name.t -> Instance.Value.t) -> Ast.pred -> bool

@@ -1,7 +1,7 @@
-(* The daemon core.  One thread per connection; data operations are
-   executed on a shared Par pool behind a bounded in-flight counter.
-   See server.mli for the full model and docs/SERVING.md for the wire
-   protocol. *)
+(* The daemon core.  One thread per connection runs its requests to
+   completion behind a bounded in-flight counter; mutations take one
+   write lock.  See server.mli for the full model and docs/SERVING.md
+   for the wire protocol. *)
 
 module Wire = Wire
 module Lru = Lru
@@ -158,7 +158,6 @@ let default_repl =
 
 type config = {
   listen : Wire.addr;
-  jobs : int;
   queue : int;
   deadline_ms : int option;
   cache : int;
@@ -169,7 +168,6 @@ type config = {
 let default_config listen =
   {
     listen;
-    jobs = Par.default_jobs ();
     queue = 64;
     deadline_ms = None;
     cache = 128;
@@ -198,7 +196,6 @@ type t = {
   session : session;
   listen_fd : Unix.file_descr;
   bound_port : int option;
-  pool : Par.pool;
   mutable merged : Instance.Store.t;  (** under [state_mu] *)
   state_mu : Mutex.t;
   cache : (string, plan) Lru.t;  (** under [cache_mu] *)
@@ -348,11 +345,10 @@ let create_bound session cfg =
   | listen_fd, bound_port ->
       Ok
         {
-          cfg = { cfg with jobs = max 1 cfg.jobs; queue = max 1 cfg.queue };
+          cfg = { cfg with queue = max 1 cfg.queue };
           session;
           listen_fd;
           bound_port;
-          pool = Par.create ~jobs:(max 1 cfg.jobs);
           merged = session.initial_merged;
           state_mu = Mutex.create ();
           cache = Lru.create ~capacity:(max 0 cfg.cache);
@@ -403,6 +399,13 @@ let create_bound session cfg =
 
 exception Deadline
 
+exception Op_error of Wire.error_code * string
+(* Internal to request execution: a typed failure raised where a
+   payload would otherwise be built; [execute] maps it to an error
+   response. *)
+
+let op_fail code fmt = Printf.ksprintf (fun s -> raise (Op_error (code, s))) fmt
+
 let check_deadline ~t_start ~deadline =
   match deadline with
   | Some ms when (Unix.gettimeofday () -. t_start) *. 1000. > float ms ->
@@ -420,7 +423,7 @@ let require_view t req =
   | Some name -> (
       match find_view t name with
       | Some s -> Some s
-      | None -> setup_fail "unknown view %s" name (* remapped below *))
+      | None -> op_fail Wire.Unknown_view "unknown view %s" name)
 
 let require_text op req =
   match req.Wire.text with
@@ -502,12 +505,23 @@ let global_plan t q =
 
 (* ---- the view catalog --------------------------------------------- *)
 
-exception Op_error of Wire.error_code * string
-(* Internal to request execution: a typed failure raised where a
-   payload would otherwise be built; [execute] maps it to an error
-   response. *)
-
-let op_fail code fmt = Printf.ksprintf (fun s -> raise (Op_error (code, s))) fmt
+(* A view definition's plan: [source] parsed, then rewritten through
+   the component view [base] when there is one.  [define_view] and a
+   snapshot install both build a view's plan here. *)
+let definition_plan t ~base source =
+  match Query.Parser.query_of_string source with
+  | exception Query.Parser.Error msg -> Error (Wire.Parse_error, msg)
+  | q -> (
+      match base with
+      | None -> Ok (q, fun rows -> rows)
+      | Some b -> (
+          match find_view t b with
+          | None -> Error (Wire.Unknown_view, Printf.sprintf "unknown view %s" b)
+          | Some view -> (
+              match view_plan t view q with
+              | plan -> Ok plan
+              | exception Query.Rewrite.Unmapped msg ->
+                  Error (Wire.Unmapped, msg))))
 
 (* Parse, rewrite (through [base] if given) and register one view
    definition.  The catalog keeps no log of its own: the replication
@@ -519,32 +533,16 @@ let define_view_core t ~name ~base ~policy ~source =
       ( Wire.Bad_request,
         Printf.sprintf "view name %s collides with a component schema" name )
   else
-    match Query.Parser.query_of_string source with
-    | exception Query.Parser.Error msg -> Error (Wire.Parse_error, msg)
-    | q -> (
-        let plan =
-          match base with
-          | None -> Ok (q, fun rows -> rows)
-          | Some b -> (
-              match find_view t b with
-              | None ->
-                  Error (Wire.Unknown_view, Printf.sprintf "unknown view %s" b)
-              | Some view -> (
-                  match view_plan t view q with
-                  | plan -> Ok plan
-                  | exception Query.Rewrite.Unmapped msg ->
-                      Error (Wire.Unmapped, msg)))
-        in
-        match plan with
-        | Error _ as e -> e
-        | Ok (q', post) ->
-            Mutex.protect t.state_mu (fun () ->
-                match
-                  View.define t.views ~name ?base ~policy ~source ~query:q'
-                    ~post t.merged
-                with
-                | Error msg -> Error (Wire.Bad_request, msg)
-                | Ok () -> Ok ()))
+    match definition_plan t ~base source with
+    | Error _ as e -> e
+    | Ok (q', post) ->
+        Mutex.protect t.state_mu (fun () ->
+            match
+              View.define t.views ~name ?base ~policy ~source ~query:q' ~post
+                t.merged
+            with
+            | Error msg -> Error (Wire.Bad_request, msg)
+            | Ok () -> Ok ())
 
 let view_info_json (i : View.info) =
   Json.Obj
@@ -585,8 +583,8 @@ let named_stores t =
     (fun (s, st) -> (Ecr.Schema.name s, st))
     t.session.component_stores
 
-(* The payload of one data operation; runs on a pool domain.  Raises
-   only the typed query-layer exceptions (mapped to error responses by
+(* The payload of one data operation.  Raises only the typed
+   query-layer exceptions (mapped to error responses by
    [execute]) — anything else is a bug answered as [internal]. *)
 let run_op_inner t (req : Wire.request) =
   match req.Wire.op with
@@ -963,25 +961,11 @@ let install_snapshot t seq payload =
                             |> Result.map List.rev
                         | _ -> fail "snapshot %d: view %s has no rows" seq name
                       in
-                      (* rebuild the plan exactly as define_view would *)
                       let* query, post =
-                        match Query.Parser.query_of_string source with
-                        | exception Query.Parser.Error msg ->
-                            fail "snapshot %d: view %s: %s" seq name msg
-                        | q -> (
-                            match base with
-                            | None -> Ok (q, fun rows -> rows)
-                            | Some b -> (
-                                match find_view t b with
-                                | None ->
-                                    fail "snapshot %d: view %s: unknown base %s"
-                                      seq name b
-                                | Some view -> (
-                                    match view_plan t view q with
-                                    | plan -> Ok plan
-                                    | exception Query.Rewrite.Unmapped msg ->
-                                        fail "snapshot %d: view %s: %s" seq
-                                          name msg)))
+                        definition_plan t ~base source
+                        |> Result.map_error (fun (_, msg) ->
+                               Printf.sprintf "snapshot %d: view %s: %s" seq
+                                 name msg)
                       in
                       Ok ((name, base, policy, source, fresh, rows, query, post)
                           :: acc)
@@ -1147,7 +1131,8 @@ let respond_err ?data t id code msg =
    deadline" is reachable deterministically from a test. *)
 let test_delay_after_op_ms = Atomic.make 0
 
-(* Runs on a pool domain; must never let an exception escape.
+(* Runs on the connection's thread, after any wait for [repl_mu]; must
+   never let an exception escape.
 
    The post-execution deadline check applies to read ops only.  A
    mutating op that [run_op] completed HAS changed state, and the [ok]
@@ -1176,7 +1161,6 @@ let execute t (req : Wire.request) ~t_start ~deadline =
   | Query.Rewrite.Unmapped msg -> respond_err t id Wire.Unmapped msg
   | Query.Eval.Error msg -> respond_err t id Wire.Eval_error msg
   | Query.Update.Error msg -> respond_err t id Wire.Update_error msg
-  | Setup msg -> respond_err t id Wire.Unknown_view msg
   | Invalid_argument msg -> respond_err t id Wire.Bad_request msg
   | e -> respond_err t id Wire.Internal (Printexc.to_string e)
 
@@ -1185,7 +1169,6 @@ let health_payload t =
   [
     ("status", Json.String (if Atomic.get t.stopping then "draining" else "ok"));
     ("uptime_s", Json.Float (Unix.gettimeofday () -. t.t0));
-    ("jobs", Json.Int (Par.jobs t.pool));
     ("inflight", Json.Int (Atomic.get t.inflight));
     ("queue_limit", Json.Int t.cfg.queue);
     ("requests", Json.Int s.requests);
@@ -1484,13 +1467,6 @@ let handle_request t decoded =
                     | Some _ as d -> d
                     | None -> t.cfg.deadline_ms
                   in
-                  let run () =
-                    let p =
-                      Par.async t.pool (fun () ->
-                          execute t req ~t_start ~deadline)
-                    in
-                    Par.await t.pool p
-                  in
                   let resp =
                     match t.repl_log with
                     | Some log when Wire.mutating req.Wire.op -> (
@@ -1498,7 +1474,7 @@ let handle_request t decoded =
                            order is exactly the application order *)
                         let resp, seq =
                           Mutex.protect t.repl_mu (fun () ->
-                              let resp = run () in
+                              let resp = execute t req ~t_start ~deadline in
                               match Json.member "ok" resp with
                               | Some (Json.Bool true) ->
                                   let s =
@@ -1532,7 +1508,7 @@ let handle_request t decoded =
                                    s t.cfg.repl.ack_replicas
                                    t.cfg.repl.ack_timeout_ms)
                         | _ -> resp)
-                    | _ -> run ()
+                    | _ -> execute t req ~t_start ~deadline
                   in
                   observe_op req.Wire.op
                     ((Unix.gettimeofday () -. t_start) *. 1000.);
@@ -1636,12 +1612,11 @@ let drain t =
            t.follower_thread <- None;
            th)
      in
-     match tail with Some th -> Thread.join th | None -> ());
-    Par.shutdown t.pool
+     match tail with Some th -> Thread.join th | None -> ())
   end
 
 (* The four restart steps (see "restart" above); a node that cannot
-   reproduce its history releases its socket and pool and refuses. *)
+   reproduce its history releases its socket and refuses. *)
 let create ?(views = []) session cfg =
   match create_bound session cfg with
   | Error _ as e -> e

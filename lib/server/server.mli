@@ -9,18 +9,21 @@
     JSON protocol ({!Wire}, reference in [docs/SERVING.md]) on a Unix
     or TCP socket.
 
-    Concurrency model: one lightweight thread per connection reads
-    frames and writes responses in order; each data operation is
-    submitted to a shared [lib/par] domain pool ({!Par.async}) behind a
-    {e bounded} in-flight counter — when the bound is hit the request
-    is answered [overloaded] immediately instead of buffering without
-    limit.  [health] and [metrics] bypass the bound so the daemon stays
-    observable under load.  Per-request deadlines are checked when the
-    request reaches a domain and, for read ops, again after evaluation;
-    either miss answers [deadline_exceeded].  Mutating ops skip the
-    second check: once applied, a mutation is acknowledged (and, on a
-    leader, replicated) — the deadline can only reject it before it
-    runs, never misreport it after.
+    Concurrency model: one thread per connection, bounded admission,
+    one write lock.  Each connection's thread reads a frame, runs the
+    operation itself and writes the response, in order.  Data
+    operations pass a {e bounded} in-flight counter first — when the
+    bound is hit the request is answered [overloaded] immediately
+    instead of buffering without limit; [health] and [metrics] bypass
+    it so the daemon stays observable under load.  On a leader every
+    mutation runs under one write lock, so the replication log's order
+    is the application order.  Per-request deadlines are checked when
+    the operation starts executing (after any wait for the write lock)
+    and, for read ops, again after evaluation; either miss answers
+    [deadline_exceeded].  Mutating ops skip the second check: once
+    applied, a mutation is acknowledged (and, on a leader, replicated)
+    — the deadline can only reject it before it runs, never misreport
+    it after.
 
     Rewrite plans (view and global unfoldings) are cached in an LRU
     keyed by (view class, query shape) — the canonical printing of the
@@ -30,9 +33,9 @@
     Every protocol failure is a typed error {e response}; no exception
     of the query layer ([Query.Parser.Error], [Query.Rewrite.Unmapped],
     [Query.Eval.Error], [Query.Update.Error]) ever kills the daemon or
-    a worker domain.  Shutdown ({!stop}, or SIGTERM in [bin/sit_serve])
-    stops accepting, answers every in-flight request, wakes idle
-    connections, joins every thread and shuts the pool down. *)
+    a connection thread.  Shutdown ({!stop}, or SIGTERM in
+    [bin/sit_serve]) stops accepting, answers every in-flight request,
+    wakes idle connections and joins every thread. *)
 
 module Wire = Wire
 module Lru = Lru
@@ -125,7 +128,6 @@ val default_repl : repl_config
 
 type config = {
   listen : Wire.addr;
-  jobs : int;  (** domain-pool size for request execution *)
   queue : int;  (** max in-flight data requests before [overloaded] *)
   deadline_ms : int option;  (** default per-request deadline *)
   cache : int;  (** rewrite-plan LRU capacity; [0] disables *)
@@ -137,8 +139,7 @@ type config = {
 }
 
 val default_config : Wire.addr -> config
-(** jobs [Par.default_jobs ()], queue 64, no deadline, cache 128,
-    replication {!default_repl}. *)
+(** Queue 64, no deadline, cache 128, replication {!default_repl}. *)
 
 type stats = {
   requests : int;
@@ -217,8 +218,8 @@ val stats : t -> stats
 
 val exec : t -> string -> string
 (** One JSON request line to one canonical JSON response line, through
-    exactly the dispatch a connection uses (queue admission, worker
-    pool, deadlines) but with no socket — the offline leg of the
+    exactly the dispatch a connection uses (queue admission, the write
+    lock, deadlines) but with no socket — the offline leg of the
     scenario differential harness ([Workload.Scenario]), which must be
     byte-identical to what a wire client observes. *)
 

@@ -255,13 +255,19 @@ let schema_collection ~record io ws =
                       | None -> Schema.empty name
                     in
                     let edited = collect_structures io base in
-                    let errors = Schema.validate edited in
-                    List.iter
-                      (fun e -> message io "warning: %s" (Schema.error_to_string e))
-                      errors;
-                    let ws = Integrate.Workspace.add_schema edited ws in
-                    record (Integrate.Op.Add_schema edited) ws;
-                    loop ws))
+                    match Schema.validate edited with
+                    | [] ->
+                        let ws = Integrate.Workspace.add_schema edited ws in
+                        record (Integrate.Op.Add_schema edited) ws;
+                        loop ws
+                    | errors ->
+                        (* an invalid schema could not be saved and
+                           loaded back, so the edit is refused whole *)
+                        List.iter
+                          (fun e -> message io "error: %s" (Schema.error_to_string e))
+                          errors;
+                        message io "Schema %s not changed." raw;
+                        loop ws))
         | "d" -> (
             match prompt_nonempty io "Schema name to delete:" with
             | Some raw -> (

@@ -42,7 +42,7 @@
     A catalog is not internally synchronized.  The serving tier calls
     every function below under the same lock that guards the store the
     views are defined over (the daemon's session lock), which is also
-    what makes "fresh" a meaningful promise. *)
+    what makes "fresh" a meaningful guarantee. *)
 
 type policy = Eager | Lazy | Manual
 

@@ -61,7 +61,7 @@ start_node() {
   # race its creation
   : >"$LOGF"
   "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
-    --data "$OUT/instances.ecd" --listen 127.0.0.1:0 --jobs 2 \
+    --data "$OUT/instances.ecd" --listen 127.0.0.1:0 \
     "$@" >"$LOGF" 2>&1 &
   LAST_PID=$!
   PIDS="$PIDS $LAST_PID"

@@ -4,10 +4,9 @@
 # through every execution leg the stack offers and require the
 # transcripts to be byte-identical:
 #
-#   1. offline in-process execution, SIT_JOBS=1  (the reference)
-#   2. offline execution with a machine-sized pool (SIT_JOBS=nproc)
-#   3. a real daemon over the wire
-#   4. a daemon stopped at the checkpoint phase and a fresh daemon
+#   1. offline in-process execution  (the reference)
+#   2. a real daemon over the wire
+#   3. a daemon stopped at the checkpoint phase and a fresh daemon
 #      resumed from its journal (prefix + suffix = uninterrupted run)
 #
 # sit_scenario itself exits non-zero when the scenario's integration
@@ -19,7 +18,6 @@ set -eu
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 SERVE="$ROOT/_build/default/bin/sit_serve.exe"
 SCN="$ROOT/_build/default/bin/sit_scenario.exe"
-NPROC=$(nproc 2>/dev/null || echo 2)
 WORK="${TMPDIR:-/tmp}/sit_scenario_test_$$"
 
 [ -x "$SERVE" ] || { echo "scenario-test: build first (dune build)"; exit 1; }
@@ -39,7 +37,7 @@ fail() { echo "scenario-test: $*"; exit 1; }
 start_daemon() {
   "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
     --data "$OUT/instances.ecd" --journal "$1" --listen "unix:$2" \
-    --jobs "$NPROC" >>"$WORK/daemon.log" 2>&1 &
+    >>"$WORK/daemon.log" 2>&1 &
   PID=$!
   i=0
   while [ ! -S "$2" ]; do
@@ -68,21 +66,13 @@ run_seed() {
   NPH=$(grep -c '^!phase' "$SCHED")
   [ -n "$CK" ] || fail "seed $SEED: schedule has no checkpoint phase"
 
-  # leg 1: offline, sequential — the reference transcript
-  SIT_JOBS=1 "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
+  # leg 1: offline — the reference transcript
+  "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
     --data "$OUT/instances.ecd" --listen 127.0.0.1:0 \
     --schedule "$SCHED" --transcript "$OUT/ref.txt" \
-    || fail "seed $SEED: offline SIT_JOBS=1 leg failed"
+    || fail "seed $SEED: offline leg failed"
 
-  # leg 2: offline, machine-sized pool
-  SIT_JOBS=$NPROC "$SERVE" "$OUT/schemas.ecr" -s "$OUT/session.sit" \
-    --data "$OUT/instances.ecd" --listen 127.0.0.1:0 \
-    --schedule "$SCHED" --transcript "$OUT/jobs.txt" \
-    || fail "seed $SEED: offline SIT_JOBS=$NPROC leg failed"
-  cmp -s "$OUT/ref.txt" "$OUT/jobs.txt" \
-    || fail "seed $SEED: SIT_JOBS=$NPROC leg diverged from the reference"
-
-  # leg 3: a fresh daemon over the wire
+  # leg 2: a fresh daemon over the wire
   SOCK="$WORK/s$SEED.served.sock"
   start_daemon "$WORK/j$SEED.served" "$SOCK"
   "$SERVE" --drive "unix:$SOCK" --conns 4 \
@@ -92,7 +82,7 @@ run_seed() {
   cmp -s "$OUT/ref.txt" "$OUT/served.txt" \
     || fail "seed $SEED: served leg diverged from the reference"
 
-  # leg 4: stop at the checkpoint phase, resume from the journal
+  # leg 3: stop at the checkpoint phase, resume from the journal
   SOCK="$WORK/s$SEED.resume.sock"
   JDIR="$WORK/j$SEED.resume"
   start_daemon "$JDIR" "$SOCK"

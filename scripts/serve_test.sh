@@ -21,7 +21,7 @@ JWORK="${TMPDIR:-/tmp}/sit_serve_test_journal_$$"
 "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" \
   --script "$DATA/paper_session.sit" --data "$DATA/paper_instances.ecd" \
   --view "honors@eager:sc1=select Name from Student where GPA >= 3.0" \
-  --listen "unix:$SOCK" --jobs 4 >"$LOG" 2>&1 &
+  --listen "unix:$SOCK" >"$LOG" 2>&1 &
 PID=$!
 TCPPID=""
 JPID=""
@@ -58,7 +58,7 @@ done
 : >"$TCPLOG"
 "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" \
   --script "$DATA/paper_session.sit" --data "$DATA/paper_instances.ecd" \
-  --listen ":0" --jobs 2 >"$TCPLOG" 2>&1 &
+  --listen ":0" >"$TCPLOG" 2>&1 &
 TCPPID=$!
 PORT=""
 i=0

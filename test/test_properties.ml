@@ -388,6 +388,55 @@ let misc_props =
 (* ------------------------------------------------------------------ *)
 (* Persistence round-trips on generated workloads.                     *)
 
+(* Random DDA sessions over the paper's sc1 and sc2, as Op.t sequences:
+   whole schemas, schema edits that delete up to two structures (a
+   deleted class that a relationship or category still names makes the
+   edit invalid), object and relationship facts between the two
+   schemas (some naming a deleted structure), and schema removals. *)
+let session_ops =
+  let sc1, sc2 = (Workload.Paper.sc1, Workload.Paper.sc2) in
+  let schemas = [ sc1; sc2 ] in
+  let structure_name = function
+    | Schema.Obj oc -> oc.Object_class.name
+    | Schema.Rel r -> r.Relationship.name
+  in
+  let objects s =
+    List.map (fun oc -> Schema.qname s oc.Object_class.name) (Schema.objects s)
+  in
+  let relationships s =
+    List.map (fun r -> Schema.qname s r.Relationship.name) (Schema.relationships s)
+  in
+  let open QCheck.Gen in
+  let assertion = map (fun c -> Option.get (Assertion.of_code c)) (int_bound 5) in
+  let fact make pool1 pool2 =
+    map3
+      (fun (a, b) c swap -> if swap then make b c a else make a c b)
+      (pair (oneofl pool1) (oneofl pool2))
+      assertion bool
+  in
+  let edit =
+    oneofl schemas >>= fun s ->
+    list_size (int_bound 2) (oneofl (List.map structure_name (Schema.structures s)))
+    >|= fun dropped ->
+    Op.Add_schema (List.fold_left (fun s n -> Schema.remove_structure n s) s dropped)
+  in
+  let op =
+    frequency
+      [
+        (2, map (fun s -> Op.Add_schema s) (oneofl schemas));
+        (3, edit);
+        (4, fact (fun a c b -> Op.Assert_object (a, c, b)) (objects sc1) (objects sc2));
+        ( 2,
+          fact
+            (fun a c b -> Op.Assert_relationship (a, c, b))
+            (relationships sc1) (relationships sc2) );
+        (1, map (fun s -> Op.Remove_schema (Schema.name s)) (oneofl schemas));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map Op.describe ops))
+    (list_size (int_range 1 12) op)
+
 let persistence_props =
   [
     qtest ~count:30 "dictionary round-trips generated sessions" params
@@ -499,6 +548,22 @@ let persistence_props =
                 && Assertions.derived_count m' = Assertions.derived_count m
             | Error _ -> false)
           (Assertions.derived_assertions m));
+    qtest "every workspace Op.apply reaches round-trips through the dictionary"
+      session_ops (fun ops ->
+        let round_trips ws =
+          let text = Dictionary.to_string ws in
+          match Dictionary.of_string text with
+          | ws' -> String.equal text (Dictionary.to_string ws')
+          | exception Dictionary.Error msg -> QCheck.Test.fail_report msg
+        in
+        let _, ok =
+          List.fold_left
+            (fun (ws, ok) op ->
+              let ws = Op.apply op ws in
+              (ws, ok && round_trips ws))
+            (Workspace.empty, true) ops
+        in
+        ok);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -57,7 +57,6 @@ let start_server ?journal_dir ?(repl = Server.default_repl) () =
   let cfg =
     {
       Server.listen = local;
-      jobs = 2;
       queue = 64;
       deadline_ms = None;
       cache = 16;
@@ -1308,7 +1307,6 @@ let cluster_tests =
             let cfg =
               {
                 Server.listen = local;
-                jobs = 2;
                 queue = 64;
                 deadline_ms = None;
                 cache = 16;
@@ -1407,6 +1405,62 @@ let cluster_tests =
                           (Server.Client.is_ok
                              (parse
                                 (Server.Client.roundtrip c (insert_frame 2)))))))));
+    tc "a write whose deadline passes while it waits for the write lock is \
+        refused and never logged"
+      (fun () ->
+        let leader, laddr = start_server () in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.For_testing.set_delay_after_op_ms 0;
+            stop_all [ leader ])
+          (fun () ->
+            (* write A holds the write lock for ~300 ms after it applies *)
+            Server.For_testing.set_delay_after_op_ms 300;
+            let a_ok = ref false in
+            let a =
+              Thread.create
+                (fun () ->
+                  with_client laddr (fun c ->
+                      a_ok :=
+                        Server.Client.is_ok
+                          (Server.Client.request c ~view:"sc1"
+                             ~text:
+                               "insert into Student { Name = 'First', GPA = \
+                                3.1 }"
+                             "update")))
+                ()
+            in
+            with_client laddr (fun c ->
+                eventually "write A admitted" (fun () ->
+                    int_field "inflight" (Server.Client.request c "health")
+                    = 1);
+                Thread.delay 0.02;
+                (* write B queues behind A on the write lock and starts
+                   executing long after its 100 ms budget *)
+                let resp =
+                  Server.Client.request c ~view:"sc1"
+                    ~text:"insert into Student { Name = 'Waited', GPA = 3.3 }"
+                    ~deadline_ms:100 "update"
+                in
+                check
+                  Alcotest.(option string)
+                  "B misses its deadline" (Some "deadline_exceeded")
+                  (Server.Client.error_code resp);
+                Thread.join a;
+                check Alcotest.bool "A acknowledged" true !a_ok;
+                Server.For_testing.set_delay_after_op_ms 0;
+                check Alcotest.int "only A reached the replication log" 1
+                  (int_field "repl_seq" (Server.Client.request c "health"));
+                let names =
+                  Server.Client.request c ~view:"sc1"
+                    ~text:"select Name from Student" "query"
+                  |> Json.member "rows" |> Option.map Json.to_string
+                  |> Option.value ~default:""
+                in
+                check Alcotest.bool "A's row present" true
+                  (contains names "First");
+                check Alcotest.bool "B's row absent" false
+                  (contains names "Waited"))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -4,11 +4,9 @@
    leg the stack offers.  All legs must produce byte-identical
    transcripts:
 
-   - offline in-process execution (Server.exec), SIT_JOBS-style pool
-     size 1 — the reference, with ground-truth invariants checked at
-     every barrier phase (views fresh, materialized extents equal to
-     from-scratch recomputation);
-   - offline execution with a wider pool;
+   - offline in-process execution (Server.exec) — the reference, with
+     ground-truth invariants checked at every barrier phase (views
+     fresh, materialized extents equal to from-scratch recomputation);
    - a real daemon over the wire;
    - a daemon killed at the checkpoint phase and restarted from its
      journal, replaying the schedule suffix. *)
@@ -81,11 +79,10 @@ let load ?journal () =
 
 let local = Server.Wire.Tcp ("127.0.0.1", 0)
 
-let config ~jobs =
-  { (Server.default_config local) with Server.jobs; queue = 256 }
+let config = { (Server.default_config local) with Server.queue = 256 }
 
-let with_offline ~jobs f =
-  match Server.create (load ()) (config ~jobs) with
+let with_offline f =
+  match Server.create (load ()) config with
   | Error e -> Alcotest.fail e
   | Ok t -> Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t)
 
@@ -119,11 +116,11 @@ let check_barrier t label =
                 (rows_bytes rows))
         names)
 
-(* The reference transcript: offline, pool of one, barrier invariants
-   checked as the schedule passes each barrier phase. *)
+(* The reference transcript: offline, barrier invariants checked as
+   the schedule passes each barrier phase. *)
 let reference =
   lazy
-    (with_offline ~jobs:1 (fun t ->
+    (with_offline (fun t ->
          let phases, _ = Lazy.force phases_and_checkpoint in
          let barriers = (Lazy.force scn).Scn.barriers in
          let parts =
@@ -138,7 +135,7 @@ let reference =
          String.concat "" parts))
 
 let with_served f =
-  match Server.start (load ()) (config ~jobs:2) with
+  match Server.start (load ()) config with
   | Error e -> Alcotest.fail e
   | Ok t ->
       let addr =
@@ -244,11 +241,6 @@ let leg_tests =
         check Alcotest.int "every frame answered"
           (Scn.ops_total s + List.length s.Scn.schedule)
           lines);
-    tc "offline wide pool matches the jobs=1 reference" (fun () ->
-        with_offline ~jobs:4 (fun t ->
-            let phases, _ = Lazy.force phases_and_checkpoint in
-            check Alcotest.string "transcript" (Lazy.force reference)
-              (Scn.transcript ~play:(offline_play t) phases)));
     tc "served JSON leg matches the offline reference" (fun () ->
         with_served (fun addr ->
             let phases, _ = Lazy.force phases_and_checkpoint in
@@ -260,7 +252,7 @@ let leg_tests =
         let journal = fresh_dir "resume" in
         let split lo hi = List.filteri (fun i _ -> lo <= i && i < hi) phases in
         let run_leg range =
-          match Server.start (load ~journal ()) (config ~jobs:2) with
+          match Server.start (load ~journal ()) config with
           | Error e -> Alcotest.fail e
           | Ok t ->
               let addr =

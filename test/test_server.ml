@@ -58,12 +58,10 @@ let session =
 let local = Server.Wire.Tcp ("127.0.0.1", 0)
 
 (* Starts a server, runs [f] against its address, always stops it. *)
-let with_server ?(jobs = 2) ?(queue = 64) ?deadline_ms ?(cache = 128)
-    ?(debug = false) f =
+let with_server ?(queue = 64) ?deadline_ms ?(cache = 128) ?(debug = false) f =
   let cfg =
     {
       Server.listen = local;
-      jobs;
       queue;
       deadline_ms;
       cache;
@@ -160,7 +158,7 @@ let server_tests =
                   global_frames)));
     tc "concurrent load: 4 connections, 1k requests, zero divergence"
       (fun () ->
-        with_server ~jobs:4 (fun t addr ->
+        with_server (fun t addr ->
             let pool = Array.of_list (frames ()) in
             let load = Array.init 1200 (fun i -> pool.(i mod Array.length pool)) in
             let stats = Server.Client.drive ~addr ~conns:4 ~frames:load () in
@@ -217,7 +215,7 @@ let server_tests =
                   (Server.Client.roundtrip c
                      (Server.Wire.request_to_line ~view ~text "query")))));
     tc "bounded queue answers overloaded, not buffered" (fun () ->
-        with_server ~jobs:1 ~queue:1 ~debug:true (fun t addr ->
+        with_server ~queue:1 ~debug:true (fun t addr ->
             with_client addr (fun slow ->
                 with_client addr (fun fast ->
                     (* occupy the only queue slot without waiting *)
@@ -268,7 +266,7 @@ let server_tests =
                 check Alcotest.bool "counted" true
                   ((Server.stats t).Server.deadline_exceeded >= 1))));
     tc "updates serialize and migrate resets them" (fun () ->
-        with_server ~jobs:4 (fun _t addr ->
+        with_server (fun _t addr ->
             with_client addr (fun c ->
                 let count () =
                   match
@@ -294,7 +292,6 @@ let server_tests =
         let cfg =
           {
             Server.listen = local;
-            jobs = 2;
             queue = 8;
             deadline_ms = None;
             cache = 16;

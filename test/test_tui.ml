@@ -314,6 +314,25 @@ let session_tests =
           (has "Object Class Screen" out);
         (* sc3's Instructor is not part of the pair integration *)
         check Alcotest.bool "instructor absent" false (has "Instructor" out));
+    tc "an invalid schema edit is refused and not recorded" (fun () ->
+        let ws =
+          Integrate.Workspace.(
+            add_schema Workload.Paper.sc2 (add_schema Workload.Paper.sc1 empty))
+        in
+        (* delete Faculty while the relationship Works still names it *)
+        let io, buf =
+          Tui.Session.scripted
+            [ "1"; "u"; "sc2"; "d"; "Faculty"; "e"; "e"; "e" ]
+        in
+        let recorded = ref 0 in
+        let ws' =
+          Tui.Session.run ~workspace:ws ~record:(fun _ _ -> incr recorded) io
+        in
+        check Alcotest.int "nothing recorded" 0 !recorded;
+        check Alcotest.string "workspace unchanged" (Dictionary.to_string ws)
+          (Dictionary.to_string ws');
+        check Alcotest.bool "the error is shown" true
+          (has "unknown class Faculty" (Buffer.contents buf)));
   ]
 
 let () =

@@ -55,12 +55,11 @@ let fresh_session ?journal_dir () =
 let session = lazy (fresh_session ())
 let local = Server.Wire.Tcp ("127.0.0.1", 0)
 
-let with_server ?(session = Lazy.force session) ?(jobs = 2) ?(queue = 64)
+let with_server ?(session = Lazy.force session) ?(queue = 64)
     ?deadline_ms ?(cache = 128) ?(debug = false) f =
   let cfg =
     {
       Server.listen = local;
-      jobs;
       queue;
       deadline_ms;
       cache;
@@ -473,13 +472,13 @@ let server_tests =
                 | Some (Json.Int n) -> check Alcotest.int "stale count" 1 n
                 | _ -> Alcotest.fail "no views section in health")));
     tc "reads refresh correctly while the pool is under load" (fun () ->
-        with_server ~session:(fresh_session ()) ~jobs:2 ~debug:true
+        with_server ~session:(fresh_session ()) ~debug:true
           (fun _t addr ->
             with_client addr (fun c ->
                 ignore
                   (response c ~view:"lz" ~base:"sc1" ~policy:"lazy"
                      ~text:"select Name, GPA from Student" "define_view");
-                (* keep one pool domain busy the whole time *)
+                (* keep one connection busy in a data op the whole time *)
                 let sleeper =
                   Thread.create
                     (fun () ->
