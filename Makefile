@@ -8,15 +8,12 @@ all: build
 build:
 	dune build
 
-# The suite runs twice: once sequentially and once with a worker pool
-# sized to the machine (SIT_JOBS is read by Par.default_jobs — see
-# lib/par/par.mli).  The differential tests assert both schedules
-# produce identical results, so a pass here covers the determinism
-# contract, not just "the code runs".
-NPROC ?= $(shell nproc 2>/dev/null || echo 2)
+# The differential test in test/test_par.ml runs sit_batch-style
+# sessions at 1, 2, 4 and 8 domains (Par.For_testing.with_domains) and
+# asserts identical results, so one pass covers the determinism
+# contract on any host.
 test:
-	SIT_JOBS=1 dune runtest --force
-	SIT_JOBS=$(NPROC) dune runtest --force
+	dune runtest --force
 
 doc:
 	dune build @doc
@@ -34,10 +31,9 @@ fmt-check:
 
 # The journal fault-injection harness (docs/ROBUSTNESS.md): truncation
 # at every record boundary, torn writes at arbitrary byte budgets and
-# single-bit flips, under both schedules.  Also part of `make check`.
+# single-bit flips.  Also part of `make check`.
 crash-test: build
-	SIT_JOBS=1 dune exec test/test_journal.exe
-	SIT_JOBS=$(NPROC) dune exec test/test_journal.exe
+	dune exec test/test_journal.exe
 
 # End-to-end daemon check (docs/SERVING.md): start sit_serve on the
 # paper session over a unix socket, replay 1000 requests over 4
@@ -76,16 +72,19 @@ metrics:
 bench-quick:
 	dune exec bench/main.exe -- e21 e23 e24
 
-# Compare two metrics reports and fail on span regressions beyond the
-# threshold — the PR-over-PR perf gate (see docs/PERFORMANCE.md).
-# Usage: make bench-diff [OLD=BENCH_pr14.json] [NEW=BENCH_pr15.json]
+# Compare metrics reports of two commits and fail on span regressions
+# beyond the threshold — the PR-over-PR perf gate (see
+# docs/PERFORMANCE.md).  OLD and NEW may each list several reports of
+# one commit, space-separated; per-path medians are compared, and a
+# change within twice the old side's spread reads unresolved.
+# Usage: make bench-diff [OLD="BENCH_pr15.json"] [NEW="BENCH_pr16.json"]
 #        [THRESHOLD=0.25] [MIN_SECONDS=0.0005]
-OLD ?= BENCH_pr14.json
-NEW ?= BENCH_pr15.json
+OLD ?= BENCH_pr15.json
+NEW ?= BENCH_pr16.json
 THRESHOLD ?= 0.25
 MIN_SECONDS ?= 0.0005
 bench-diff:
-	dune exec bench/diff.exe -- $(OLD) $(NEW) \
+	dune exec bench/diff.exe -- $(OLD) -- $(NEW) \
 	  --threshold $(THRESHOLD) --min-seconds $(MIN_SECONDS)
 
 # Docs drift gate (see scripts/docs_check.sh): every docs/*.md guide

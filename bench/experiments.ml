@@ -798,68 +798,107 @@ let e18 () =
     \ per equivalence state and each entry is a map lookup; top-25 adds\n\
     \ heap selection instead of sorting the full matrix)"
 
+(* lib/par's one fan-out, sit_batch's sessions: k independent sessions
+   over one federation (its schemas, then the script, then one
+   integration, printed as sit_batch prints it) run at the sequential
+   reference (Par.For_testing.with_domains 1) and through Par.map at
+   the default width (one domain per core), in alternating pairs, both
+   orders equally often, and must print the same either way.  A row
+   reads "win" (or "loss") when one side is faster in at least 9 pairs
+   in 10 by more than the reference's IQR.  One sample repeats the call
+   until the reference takes about 200 ms, so that a burst of load on a
+   shared host does not decide a pair on its own.  The paper rows are
+   sessions of well under a millisecond, the scenario rows of several
+   milliseconds or more. *)
 let e19 () =
-  section "E19"
-    "deterministic parallel execution: jobs sweep over the full protocol";
-  Printf.printf "\n(host exposes %d core(s); speedups are bounded by that)\n"
-    (Stdlib.Domain.recommended_domain_count ());
-  (* the workload instances themselves are generated through the pool —
-     the same fan-out sit_batch uses for independent script jobs *)
-  let paramss =
-    List.map
-      (fun (schemas, concepts) ->
-        {
-          Workload.Generator.default_params with
-          seed = 9100 + (schemas * 100) + concepts;
-          schemas;
-          concepts;
-          population = Int.max 150 (concepts * 10);
-        })
-      [ (2, 20); (3, 12); (4, 8) ]
-  in
-  let workloads =
-    Par.with_pool ~jobs:(Par.default_jobs ()) @@ fun pool ->
-    Par.map pool Workload.Generator.generate paramss
-  in
-  Printf.printf "\n%-9s %-9s %-6s %-11s %-9s %-10s\n" "schemas" "concepts"
-    "jobs" "wall (s)" "speedup" "identical";
-  List.iter
-    (fun w ->
-      let p = w.Workload.Generator.params in
-      let schemas = p.Workload.Generator.schemas
-      and concepts = p.Workload.Generator.concepts in
-      let fingerprint (r : Result.t) = Ddl.Printer.to_string r.Result.schema in
-      let base, t1 =
-        time_once (fun () ->
-            Protocol.run ~jobs:1 w.Workload.Generator.schemas
-              w.Workload.Generator.oracle)
-      in
-      Printf.printf "%-9d %-9d %-6d %-11.4f %-9s %-10s\n" schemas concepts 1 t1
-        "1.0x" "-";
-      List.iter
-        (fun jobs ->
-          let run, t =
-            time_once (fun () ->
-                Protocol.run ~jobs w.Workload.Generator.schemas
-                  w.Workload.Generator.oracle)
-          in
-          let identical =
-            fingerprint (fst run) = fingerprint (fst base)
-            && snd run = snd base
-          in
-          assert identical;
-          Printf.printf "%-9s %-9s %-6d %-11.4f %8.1fx %-10s\n" "" "" jobs t
-            (if t > 0.0 then t1 /. t else 0.0)
-            "yes")
-        [ 2; 4; 8 ])
-    workloads;
+  section "E19" "sit_batch sessions: sequential reference vs default fan-out";
+  let pairs = 10 in
+  let cores = Stdlib.Domain.recommended_domain_count () in
   Printf.printf
-    "\n\
-     (every jobs value produces a byte-identical integrated schema and the\n\
-    \ same protocol stats - the ordered-reduction contract of lib/par; a\n\
-    \ pool of n runs n-1 worker domains plus the submitter, so speedups\n\
-    \ track the machine's core count: this host exposes %d)\n"
-    (Stdlib.Domain.recommended_domain_count ())
+    "\n(host exposes %d core(s); %d alternating pairs per row; ms per call,\n\
+    \ median [q1 .. q3]; wins = pairs the default ran faster)\n"
+    cores pairs;
+  Printf.printf "\n%-11s %-8s %-9s %-5s %-26s %-26s %8s %6s  %s\n" "federation"
+    "schemas" "sessions" "reps" "reference" "default" "speedup" "wins" "verdict";
+  let quartiles xs = Bench_e2e.Stats.quartiles (Array.of_list xs) in
+  let session schemas directives =
+    let ws = List.fold_left (fun ws s -> Workspace.add_schema s ws) Workspace.empty schemas in
+    match Script.apply directives ws with
+    | Error e -> failwith (Script.apply_error_to_string e)
+    | Ok ws ->
+        let r = Workspace.integrate ws in
+        String.concat "\n"
+          ((Ddl.Printer.to_string r.Result.schema :: Result.summary r :: r.Result.warnings)
+          @ [ Format.asprintf "%a" Mapping.pp r.Result.mapping ])
+  in
+  let measure label schemas directives k =
+    let scripts = List.init k (fun _ -> directives) in
+    let run () = Par.map (session schemas) scripts in
+    let reference () = Par.For_testing.with_domains 1 run in
+    let expect = reference () in
+    assert (run () = expect);
+    let reps =
+      let _, t = time_once reference in
+      Int.max 1 (int_of_float (Float.ceil (0.2 /. t)))
+    in
+    let timed f =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        assert (f () = expect)
+      done;
+      1000.0 *. (Unix.gettimeofday () -. t0) /. float_of_int reps
+    in
+    let samples =
+      List.init pairs (fun i ->
+          if i mod 2 = 0 then
+            let r = timed reference in
+            (r, timed run)
+          else
+            let d = timed run in
+            (timed reference, d))
+    in
+    let r1, rm, r3 = quartiles (List.map fst samples)
+    and d1, dm, d3 = quartiles (List.map snd samples) in
+    let wins = List.length (List.filter (fun (r, d) -> d < r) samples) in
+    let losses = List.length (List.filter (fun (r, d) -> d > r) samples) in
+    let verdict =
+      if 10 * wins >= 9 * pairs && rm -. dm > r3 -. r1 then "win"
+      else if 10 * losses >= 9 * pairs && dm -. rm > r3 -. r1 then "loss"
+      else "within spread"
+    in
+    let cell m q1 q3 = Printf.sprintf "%.2f [%.2f .. %.2f]" m q1 q3 in
+    Printf.printf "%-11s %-8d %-9d %-5d %-26s %-26s %7.2fx %3d/%-2d  %s\n%!" label
+      (List.length schemas) k reps (cell rm r1 r3) (cell dm d1 d3) (rm /. dm) wins pairs
+      verdict
+  in
+  let paper =
+    List.map (fun (a, b) -> Script.Equiv (a, b)) Workload.Paper.equivalences
+    @ List.map (fun (a, r, b) -> Script.Object_assertion (a, r, b))
+        Workload.Paper.object_assertions
+    @ List.map (fun (a, r, b) -> Script.Rel_assertion (a, r, b))
+        Workload.Paper.relationship_assertions
+  in
+  let scenario seed schemas concepts =
+    let sc =
+      Workload.Scenario.generate
+        { Workload.Scenario.default_params with seed; schemas; concepts; population = 200 }
+    in
+    (sc.Workload.Scenario.schemas, sc.Workload.Scenario.directives)
+  in
+  List.iter
+    (fun (label, (schemas, directives)) ->
+      List.iter (measure label schemas directives) [ 2; 4; 16 ])
+    [
+      ("paper", ([ Workload.Paper.sc1; Workload.Paper.sc2 ], paper));
+      ("seed 11", scenario 11 4 12);
+      ("seed 42", scenario 42 8 16);
+    ];
+  print_endline
+    "\n(both columns are asserted to print the same sessions - the\n\
+    \ ordered-reduction contract of lib/par; paper is sc1+sc2 with the\n\
+    \ paper's session, seed 11 is what sit_scenario --seed 11 renders,\n\
+    \ seed 42 is the benchmark's 8-schema federation; a 1-core host never\n\
+    \ spawns a domain)"
 
 (* Wraps a DDA oracle so every affirmative answer is journaled as the
    session op it implies — the write-ahead pattern bin/sit uses, driven
@@ -905,7 +944,7 @@ let e20_overhead ?(reps = 5) () =
       }
   in
   let run oracle () =
-    ignore (Protocol.run ~jobs:1 w.Workload.Generator.schemas oracle)
+    ignore (Protocol.run w.Workload.Generator.schemas oracle)
   in
   (* warm code paths and allocator state before any timed run, or the
      first measurement pays the cold-start and skews the comparison *)
@@ -933,7 +972,7 @@ let e20 () =
   Printf.printf
     "\n\
      (host exposes %d core(s); every affirmative DDA answer appends one\n\
-    \ journal record during the jobs=1 protocol run; bare and journaled\n\
+    \ journal record during the protocol run; bare and journaled\n\
     \ runs interleave x5, best of each)\n"
     (Stdlib.Domain.recommended_domain_count ());
   let measure = e20_overhead () in
@@ -975,10 +1014,10 @@ let e21_setup =
          }
      in
      let result, _ =
-       Protocol.run ~jobs:1 w.Workload.Generator.schemas
+       Protocol.run w.Workload.Generator.schemas
          w.Workload.Generator.oracle
      in
-     let stores = Workload.Generator.populate ~jobs:1 w in
+     let stores = Workload.Generator.populate w in
      let session = Server.make_session ~result ~stores () in
      let select_all oc =
        Printf.sprintf "select * from %s" (Name.to_string oc.Object_class.name)

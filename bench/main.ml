@@ -11,12 +11,9 @@
 
    The metrics report (per-phase spans, counters, query-latency
    histograms — see docs/ARCHITECTURE.md and docs/PERFORMANCE.md) is
-   printed to stdout and saved to BENCH_pr15.json; override the path
+   printed to stdout and saved to BENCH_pr16.json; override the path
    with --out FILE.  Compare two reports mechanically with
-   `dune exec bench/diff.exe -- OLD.json NEW.json` (make bench-diff).
-   The instrumented run is pinned to --jobs 1 so its span tree stays
-   comparable across reports regardless of SIT_JOBS (worker-domain
-   spans land at the root; see lib/obs/span.mli). *)
+   `dune exec bench/diff.exe -- OLD.json NEW.json` (make bench-diff). *)
 
 open Bechamel
 open Toolkit
@@ -152,7 +149,7 @@ let run_timings () =
    as JSON by lib/obs.  This is the repo's perf trajectory artefact:
    each PR that touches a hot path regenerates it and compares. *)
 
-let default_metrics_out = "BENCH_pr15.json"
+let default_metrics_out = "BENCH_pr16.json"
 
 (* One journaled replay of the paper's session inside the metrics
    window, so the journal.* counters and the fsync histogram appear in
@@ -216,10 +213,10 @@ let run_metrics ?(out = default_metrics_out) () =
   in
   let w = Workload.Generator.generate params in
   let result, _stats =
-    Integrate.Protocol.run ~jobs:1 w.Workload.Generator.schemas
+    Integrate.Protocol.run w.Workload.Generator.schemas
       w.Workload.Generator.oracle
   in
-  let stores = Workload.Generator.populate ~jobs:1 w in
+  let stores = Workload.Generator.populate w in
   (* per-view queries, both evaluated locally and rewritten *)
   List.iter
     (fun (s, store) ->
@@ -393,8 +390,6 @@ let run_metrics ?(out = default_metrics_out) () =
     [
       ("tool", Obs.Json.String "sit");
       ("report", Obs.Json.String "bench-metrics");
-      (* pinned: see the header comment *)
-      ("jobs", Obs.Json.Int 1);
       ("cores", Obs.Json.Int (Stdlib.Domain.recommended_domain_count ()));
       ("journal_overhead", Obs.Json.Obj journal_overhead);
       ("serving", serving);

@@ -4,9 +4,9 @@
    Integrate.Script for the directive format) and emits the integrated
    schema (DDL), the generated mappings and a summary.  With several
    --script options the sessions are independent integration jobs over
-   the same component schemas; --jobs N runs them on a domain pool, and
-   each job's output is buffered and printed in script order, so the
-   interleaving never depends on the schedule. *)
+   the same component schemas, run across the machine's cores
+   (Par.map); each job's output is buffered and printed in script
+   order, so the interleaving never depends on the schedule. *)
 
 exception Session_error of string
 
@@ -248,7 +248,7 @@ let hard_fail fmt =
       exit 2)
     fmt
 
-let run files scripts jobs out_ddl out_dot name analyse save_dict save_result
+let run files scripts out_ddl out_dot name analyse save_dict save_result
     data updates queries global_queries metrics journal_dir resume =
   if List.length scripts > 1 then begin
     let reject what = function
@@ -309,8 +309,7 @@ let run files scripts jobs out_ddl out_dot name analyse save_dict save_result
   in
   let outputs =
     try
-      Par.with_pool ~jobs @@ fun pool ->
-      Par.map pool
+      Par.map
         (fun directives ->
           run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
             ~save_dict ~save_result ~data ~updates ~queries ~global_queries
@@ -355,17 +354,8 @@ let scripts =
         ~doc:
           "Session script (equiv/object/rel/name directives).  Repeatable: \
            each script is an independent integration job over the same \
-           schemas, and outputs are printed in script order.")
-
-let jobs =
-  Arg.(
-    value
-    & opt int (Par.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run up to $(docv) script jobs in parallel on a domain pool \
-           (default: \\$SIT_JOBS, or 1).  Output order is independent of \
-           $(docv).")
+           schemas; the jobs run across the machine's cores and their \
+           outputs are printed in script order.")
 
 let out_ddl =
   Arg.(
@@ -456,7 +446,7 @@ let cmd =
     (Cmd.info "sit_batch" ~version:"1.0.0"
        ~doc:"batch schema integration from DDL files and session scripts")
     Term.(
-      const run $ files $ scripts $ jobs $ out_ddl $ out_dot $ integrated_name
+      const run $ files $ scripts $ out_ddl $ out_dot $ integrated_name
       $ analyse $ save_dict $ save_result $ data $ updates $ queries
       $ global_queries $ metrics $ journal_dir $ resume)
 

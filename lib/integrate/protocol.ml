@@ -161,15 +161,15 @@ let collect_over_pairs options (dda : Dda.t) ask ranked matrix =
    under a DDA effort budget — only the best [n] pairs by heap
    selection, skipping the full sort.  A caller-supplied index (built
    once per equivalence state) is reused across every schema pair. *)
-let ranked_objects ?pool options index s1 s2 =
+let ranked_objects options index s1 s2 =
   match options.max_object_pairs with
-  | None -> Similarity.ranked_object_pairs_with ?pool index s1 s2
-  | Some n -> Similarity.top_object_pairs ?pool ~k:n index s1 s2
+  | None -> Similarity.ranked_object_pairs_with index s1 s2
+  | Some n -> Similarity.top_object_pairs ~k:n index s1 s2
 
-let ranked_relationships ?pool options index s1 s2 =
+let ranked_relationships options index s1 s2 =
   match options.max_object_pairs with
-  | None -> Similarity.ranked_relationship_pairs_with ?pool index s1 s2
-  | Some n -> Similarity.top_relationship_pairs ?pool ~k:n index s1 s2
+  | None -> Similarity.ranked_relationship_pairs_with index s1 s2
+  | Some n -> Similarity.top_relationship_pairs ~k:n index s1 s2
 
 let collect_object_assertions ?index options s1 s2 (dda : Dda.t) eq matrix =
   let index =
@@ -204,25 +204,16 @@ let record_stats s =
   Obs.Counter.add c_accepted s.assertions_accepted;
   Obs.Counter.add c_rejected s.assertions_rejected
 
-let c_chunks = Obs.Counter.make "protocol.parallel_chunks"
+(* Structure of [run]: each phase first computes what is pure in the
+   fixed inputs — Phase 2 candidates, Phase 3 rankings against the
+   shared index — for every schema pair, then folds the DDA's answers
+   into the equivalence or assertion matrix in pair order, where
+   transitive composition makes earlier answers determine later
+   questions. *)
+let per_pair pairs f = List.map (fun (s1, s2) -> ((s1, s2), f s1 s2)) pairs
 
-(* Parallel structure of [run]: everything that is pure in the fixed
-   inputs — Phase 2 candidate generation, Phase 3 ranking against the
-   shared index — fans out over schema pairs through the pool, in input
-   order.  Everything that talks to the DDA, or folds the assertion
-   matrix (where transitive composition makes earlier answers determine
-   later questions), stays on the submitting domain in the sequential
-   order.  That split is why [~jobs:n] is observationally identical to
-   [~jobs:1]: the oracle sees the same questions in the same order, and
-   the matrix composes the same answers in the same order. *)
-let fan_out pool pairs f =
-  if Par.jobs pool > 1 then Obs.Counter.add c_chunks (List.length pairs);
-  List.combine pairs (Par.map pool (fun (s1, s2) -> f s1 s2) pairs)
-
-let run ?(options = defaults) ?(jobs = Par.default_jobs ()) ?naming ?name
-    schemas dda =
+let run ?(options = defaults) ?naming ?name schemas dda =
   Obs.Span.run "protocol.run" @@ fun () ->
-  Par.with_pool ~jobs @@ fun pool ->
   let pairs = schema_pairs schemas in
   let eq =
     Obs.Span.run "protocol.equivalences" @@ fun () ->
@@ -233,7 +224,7 @@ let run ?(options = defaults) ?(jobs = Par.default_jobs ()) ?naming ?name
       (fun eq ((s1, s2), candidates) ->
         collect_equivalences_with candidates s1 s2 dda eq)
       eq
-      (fan_out pool pairs (equivalence_candidates options))
+      (per_pair pairs (equivalence_candidates options))
   in
   (* Phase 2 fixed the partition: index it once (read-only from here
      on), rank every schema pair of both subphases against the same
@@ -248,14 +239,14 @@ let run ?(options = defaults) ?(jobs = Par.default_jobs ()) ?naming ?name
     List.fold_left
       (collect dda.Dda.object_assertion)
       (Assertions.create schemas, zero_stats)
-      (fan_out pool pairs (ranked_objects ~pool options index))
+      (per_pair pairs (ranked_objects options index))
   in
   let rels, rstats =
     Obs.Span.run "protocol.relationship_assertions" @@ fun () ->
     List.fold_left
       (collect dda.Dda.relationship_assertion)
       (Assertions.create_for_relationships schemas, zero_stats)
-      (fan_out pool pairs (ranked_relationships ~pool options index))
+      (per_pair pairs (ranked_relationships options index))
   in
   let result =
     Pipeline.integrate (Pipeline.input ?naming ?name schemas eq objects rels)

@@ -99,7 +99,6 @@ val collect_relationship_assertions :
 
 val run :
   ?options:options ->
-  ?jobs:int ->
   ?naming:Naming.t ->
   ?name:string ->
   Ecr.Schema.t list ->
@@ -109,12 +108,5 @@ val run :
     for every unordered schema pair, then a single integration is
     performed.
 
-    [?jobs] (default {!Par.default_jobs}, i.e. [SIT_JOBS] or 1) fans
-    the pure per-schema-pair work — Phase 2 candidate generation and
-    Phase 3 ranking against the shared {!Acs_index} — out over a
-    {!Par} pool; ["protocol.parallel_chunks"] counts the dispatched
-    pair chunks.  DDA interaction and assertion-matrix composition stay
-    on the calling domain in the sequential order, so the result,
-    stats, question sequence and pipeline counters are identical for
-    every [jobs] value (pinned by the differential tests).  [~jobs:1]
-    spawns no domains. *)
+    Runs on the calling domain; docs/PERFORMANCE.md ("Parallel
+    execution") says why the per-pair work does not fan out. *)

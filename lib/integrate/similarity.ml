@@ -13,7 +13,6 @@ type ranked = {
    and count rankings served from a caller-supplied (cached) index. *)
 let c_pairs = Obs.Counter.make "similarity.pairs_compared"
 let c_cache_hits = Obs.Counter.make "similarity.cache_hits"
-let c_chunks = Obs.Counter.make "similarity.parallel_chunks"
 
 let ocs_entry = Equivalence.shared_count
 
@@ -54,11 +53,8 @@ let rank pairs =
 
 (* One unsorted row list per cross-schema pairing; each entry is a
    single index lookup, so the whole matrix costs O(|O₁|·|O₂|) lookups
-   after the one-pass index build.  A [?pool] scores one row (one left
-   structure against all of [structures2]) per task; [Par.map] keeps
-   rows in input order, so the concatenation — and the stable sort
-   downstream — is bit-identical to the sequential scan. *)
-let rows ?pool index structures1 structures2 ~qname1 ~qname2 ~attrs =
+   after the one-pass index build. *)
+let rows index structures1 structures2 ~qname1 ~qname2 ~attrs =
   let row x1 =
     let left = qname1 x1 in
     let n1 = List.length (attrs x1) in
@@ -71,35 +67,31 @@ let rows ?pool index structures1 structures2 ~qname1 ~qname2 ~attrs =
         { left; right; shared; smaller; ratio = ratio_of_counts ~shared ~smaller })
       structures2
   in
-  match pool with
-  | Some pool when Par.jobs pool > 1 ->
-      Obs.Counter.add c_chunks (List.length structures1);
-      List.concat (Par.map pool row structures1)
-  | _ -> List.concat_map row structures1
+  List.concat_map row structures1
 
-let object_rows ?pool index s1 s2 =
-  rows ?pool index (Schema.objects s1) (Schema.objects s2)
+let object_rows index s1 s2 =
+  rows index (Schema.objects s1) (Schema.objects s2)
     ~qname1:(fun oc -> Schema.qname s1 oc.Object_class.name)
     ~qname2:(fun oc -> Schema.qname s2 oc.Object_class.name)
     ~attrs:(fun oc -> oc.Object_class.attributes)
 
-let relationship_rows ?pool index s1 s2 =
-  rows ?pool index
+let relationship_rows index s1 s2 =
+  rows index
     (Schema.relationships s1)
     (Schema.relationships s2)
     ~qname1:(fun r -> Schema.qname s1 r.Relationship.name)
     ~qname2:(fun r -> Schema.qname s2 r.Relationship.name)
     ~attrs:(fun r -> r.Relationship.attributes)
 
-let ranked_object_pairs_with ?pool index s1 s2 =
+let ranked_object_pairs_with index s1 s2 =
   Obs.Span.run "similarity.rank_objects" @@ fun () ->
   Obs.Counter.incr c_cache_hits;
-  rank (object_rows ?pool index s1 s2)
+  rank (object_rows index s1 s2)
 
-let ranked_relationship_pairs_with ?pool index s1 s2 =
+let ranked_relationship_pairs_with index s1 s2 =
   Obs.Span.run "similarity.rank_relationships" @@ fun () ->
   Obs.Counter.incr c_cache_hits;
-  rank (relationship_rows ?pool index s1 s2)
+  rank (relationship_rows index s1 s2)
 
 let ranked_object_pairs s1 s2 eq =
   let index = Acs_index.build eq in
@@ -113,12 +105,12 @@ let ranked_relationship_pairs s1 s2 eq =
 
 let top n pairs = List.filteri (fun i _ -> i < n) pairs
 
-let top_object_pairs ?pool ~k index s1 s2 =
+let top_object_pairs ~k index s1 s2 =
   Obs.Span.run "similarity.rank_objects" @@ fun () ->
   Obs.Counter.incr c_cache_hits;
-  Topk.select ~compare:compare_ranked k (object_rows ?pool index s1 s2)
+  Topk.select ~compare:compare_ranked k (object_rows index s1 s2)
 
-let top_relationship_pairs ?pool ~k index s1 s2 =
+let top_relationship_pairs ~k index s1 s2 =
   Obs.Span.run "similarity.rank_relationships" @@ fun () ->
   Obs.Counter.incr c_cache_hits;
-  Topk.select ~compare:compare_ranked k (relationship_rows ?pool index s1 s2)
+  Topk.select ~compare:compare_ranked k (relationship_rows index s1 s2)

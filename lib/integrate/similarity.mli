@@ -68,17 +68,14 @@ val ranked_relationship_pairs :
     sets. *)
 
 val ranked_object_pairs_with :
-  ?pool:Par.pool -> Acs_index.t -> Ecr.Schema.t -> Ecr.Schema.t -> ranked list
+  Acs_index.t -> Ecr.Schema.t -> Ecr.Schema.t -> ranked list
 (** [ranked_object_pairs_with index s1 s2] is
     {!ranked_object_pairs}[ s1 s2 eq] for the equivalence [index] was
     built from, without rebuilding the index.  Counts
-    ["similarity.cache_hits"].  A [?pool] with more than one job scores
-    the matrix one row per pool task (counted by
-    ["similarity.parallel_chunks"]); since {!Par.map} is an ordered
-    reduction, the ranking is identical to the sequential scan. *)
+    ["similarity.cache_hits"]. *)
 
 val ranked_relationship_pairs_with :
-  ?pool:Par.pool -> Acs_index.t -> Ecr.Schema.t -> Ecr.Schema.t -> ranked list
+  Acs_index.t -> Ecr.Schema.t -> Ecr.Schema.t -> ranked list
 (** As {!ranked_object_pairs_with}, over relationship sets. *)
 
 val top : int -> ranked list -> ranked list
@@ -86,7 +83,6 @@ val top : int -> ranked list -> ranked list
     the DDA.  The whole list when [n] exceeds its length. *)
 
 val top_object_pairs :
-  ?pool:Par.pool ->
   k:int ->
   Acs_index.t ->
   Ecr.Schema.t ->
@@ -96,12 +92,9 @@ val top_object_pairs :
     [top k (ranked_object_pairs_with index s1 s2)] — including the order
     among ties — computed by heap selection in O(pairs · log k) instead
     of sorting the whole matrix.  The path for a DDA who only consumes
-    the best [k] pairs ({!Protocol}'s [max_object_pairs]).  [?pool]: as
-    {!ranked_object_pairs_with} (only the row scoring is parallel; the
-    heap selection stays on the submitting domain). *)
+    the best [k] pairs ({!Protocol}'s [max_object_pairs]). *)
 
 val top_relationship_pairs :
-  ?pool:Par.pool ->
   k:int ->
   Acs_index.t ->
   Ecr.Schema.t ->

@@ -22,11 +22,11 @@
 
     The layer is domain-safe: counters are atomic, histograms serialise
     observations under a per-histogram lock, and {!Span}'s ambient stack
-    is domain-local (spans entered on a [lib/par] worker start a fresh
-    ancestry and land at the root level of the tree).  The lifecycle
-    calls — {!enable}, {!disable}, {!reset}, report generation — are
-    still single-domain: call them only when no pool work is in
-    flight. *)
+    is domain-local (spans entered on a domain spawned by [lib/par]
+    start a fresh ancestry and land at the root level of the tree).
+    The lifecycle calls — {!enable}, {!disable}, {!reset}, report
+    generation — are still single-domain: call them only when no
+    [Par.map] is in flight. *)
 
 val enable : unit -> unit
 (** Turns collection on (idempotent). *)

@@ -12,13 +12,14 @@
     {!Obs.enable}/{!Obs.disable} or call {!reset} while a span is
     running; the tree would be left dangling.
 
-    The ambient ancestry is domain-local: a span entered on a [lib/par]
-    worker domain starts a fresh ancestry, so it accumulates under a
-    root-level node named after it rather than under the span the
-    submitting domain happens to be running.  Tree updates are
-    serialised, so concurrent spans of the same name never lose counts;
-    only the sequential path's tree {e shape} is stable, which is why
-    the bench-diff gate compares sequential ([--jobs 1]) reports. *)
+    The ambient ancestry is domain-local: a span entered on a domain
+    spawned by [lib/par]'s map starts a fresh ancestry, so it
+    accumulates under a root-level node named after it rather than
+    under the span the calling domain happens to be running.  Tree
+    updates are serialised, so concurrent spans of the same name never
+    lose counts; only a one-domain run's tree {e shape} is stable,
+    which is why the bench-diff gate compares reports of a metrics run
+    that fans nothing out. *)
 
 val run : string -> (unit -> 'a) -> 'a
 (** Times [f] and accounts it to child [name] of the current span (a

@@ -645,17 +645,12 @@ let value_for ~attr_id ~tag dom =
       | vs -> Instance.Value.Str (List.nth vs (tag mod List.length vs)))
   | Domain.Named _ -> Instance.Value.Str (Printf.sprintf "n%d_%d" attr_id tag)
 
-let c_chunks = Obs.Counter.make "workload.parallel_chunks"
-
 (* Per-schema population only reads the truth tables built by
-   [generate] (never writes them), so the schemas fan out safely; each
-   task builds its own store.  [Par.map] keeps the stores in schema
-   order. *)
-let populate ?(jobs = Par.default_jobs ()) ?schemas t =
+   [generate] (never writes them); each schema gets its own store, in
+   schema order. *)
+let populate ?schemas t =
   let schemas = Option.value ~default:t.schemas schemas in
-  Par.with_pool ~jobs @@ fun pool ->
-  if Par.jobs pool > 1 then Obs.Counter.add c_chunks (List.length schemas);
-  Par.map pool
+  List.map
     (fun s ->
       let store = ref (Instance.Store.create s) in
       let tag_oid = Hashtbl.create 256 in

@@ -75,16 +75,11 @@ val noisy_oracle : t -> error_rate:float -> seed:int -> Integrate.Dda.t
     matrix as contradictions. *)
 
 val populate :
-  ?jobs:int -> ?schemas:Ecr.Schema.t list -> t -> (Ecr.Schema.t * Instance.Store.t) list
+  ?schemas:Ecr.Schema.t list -> t -> (Ecr.Schema.t * Instance.Store.t) list
 (** Instance stores for every generated schema, one entity per extent
     tag, one link per relationship pair; values agree across views.
     [?schemas] substitutes an alternative schema list (e.g. the
     translation-round-tripped renderings {!Scenario} builds): truth
     lookups are by qualified name, so classes preserved by a rendering
     keep their extents while structures a rendering introduces (reified
-    relationship records, foreign-key arcs) simply populate empty.
-    [?jobs] (default {!Par.default_jobs}) populates schemas in parallel
-    — each store is built by one pool task from the read-only truth
-    tables, and the result list stays in schema order, so every [jobs]
-    value yields identical stores (["workload.parallel_chunks"] counts
-    the dispatched schemas). *)
+    relationship records, foreign-key arcs) simply populate empty. *)

@@ -486,7 +486,7 @@ let generate (p : params) =
       :: List.map directive_line directives)
     ^ "\n"
   in
-  let stores = Generator.populate ~jobs:1 ~schemas gen in
+  let stores = Generator.populate ~schemas gen in
   let probes = probes_of schemas in
   let views = make_views p probes in
   let schedule, checkpoint, barriers = make_schedule p gen result views probes in

@@ -27,7 +27,7 @@
     ({!write_files}) consumable by [sit_serve], and the same schedule
     replays through any [play] function ({!transcript}), which is what
     makes the differential harness possible: offline in-process
-    execution, a served daemon, different [SIT_JOBS] values and a
+    execution, a served daemon, hosts with different core counts and a
     crash-resumed daemon must all produce byte-identical
     transcripts (see [docs/SCENARIOS.md] and [test/test_scenario.ml]).
 

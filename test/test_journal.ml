@@ -17,8 +17,7 @@
      by a resume that completes the session and must converge on the
      exact same final state.
 
-   The Makefile's crash-test target runs this binary under both
-   SIT_JOBS=1 and the full core count. *)
+   The Makefile's crash-test target runs this binary once. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 let check = Alcotest.check

@@ -537,50 +537,81 @@ let conflict_tests =
 
 (* ---- regression: sit_batch finishes the script on bad directives -- *)
 
+(* Paths anchor on the test executable (_build/default/test/...): the
+   binary is a sibling, the data files are in the source tree three
+   levels up — independent of the cwd dune or a direct run picked. *)
+let here = Filename.dirname Sys.executable_name
+let example f = Filename.concat here (Filename.concat "../../../examples/data" f)
+
+(* Runs sit_batch on the paper's two schemas followed by [args];
+   returns the exit status and everything it printed. *)
+let sit_batch args =
+  let out = Filename.temp_file "sit_batch" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let rc =
+        Sys.command
+          (Filename.quote_command
+             (Filename.concat here "../bin/sit_batch.exe")
+             ~stdout:out ~stderr:out
+             (example "sc1.ecr" :: example "sc2.ecr" :: args))
+      in
+      (rc, In_channel.with_open_bin out In_channel.input_all))
+
 let sit_batch_tests =
   [
     tc "bad directives are reported, script finishes, exit is non-zero"
       (fun () ->
-        let out = Filename.temp_file "sit_batch" ".out" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-          (fun () ->
-            (* anchor on the test executable (_build/default/test/...):
-               the binary is a sibling, the data files are in the
-               source tree three levels up — independent of the cwd
-               dune or a direct run picked *)
-            let here = Filename.dirname Sys.executable_name in
-            let data f =
-              Filename.concat here
-                (Filename.concat "../../../examples/data" f)
-            in
-            let cmd =
-              Printf.sprintf
-                "%s %s %s -s %s --data %s -q 'sc1: select Bogus from' -u \
-                 'sc9: insert into X values ()' -q 'sc1: select Name from \
-                 Student' > %s 2>&1"
-                (Filename.concat here "../bin/sit_batch.exe")
-                (data "sc1.ecr") (data "sc2.ecr") (data "paper_session.sit")
-                (data "paper_instances.ecd") out
-            in
-            let rc = Sys.command cmd in
-            check Alcotest.bool "non-zero exit" true (rc <> 0);
-            let ic = open_in out in
-            let text =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            let has needle =
-              check Alcotest.bool needle true (Util.contains ~needle text)
-            in
-            (* both bad directives diagnosed ... *)
-            has "error: --query sc1: select Bogus from";
-            has "error: --update sc9";
-            has "unknown view sc9";
-            (* ... and the later good directive still ran *)
-            has "view query   : [sc1] select Name from Student";
-            has "(2 rows)"));
+        let rc, text =
+          sit_batch
+            [
+              "-s"; example "paper_session.sit";
+              "--data"; example "paper_instances.ecd";
+              "-q"; "sc1: select Bogus from";
+              "-u"; "sc9: insert into X values ()";
+              "-q"; "sc1: select Name from Student";
+            ]
+        in
+        check Alcotest.bool "non-zero exit" true (rc <> 0);
+        let has needle =
+          check Alcotest.bool needle true (Util.contains ~needle text)
+        in
+        (* both bad directives diagnosed ... *)
+        has "error: --query sc1: select Bogus from";
+        has "error: --update sc9";
+        has "unknown view sc9";
+        (* ... and the later good directive still ran *)
+        has "view query   : [sc1] select Name from Student";
+        has "(2 rows)");
+    tc "many scripts print in script order, each as its own run" (fun () ->
+        (* 16 copies of the paper session, copy i naming the merged
+           relationship Majors_i so that the order shows *)
+        let session = In_channel.with_open_bin (example "paper_session.sit") In_channel.input_all in
+        let scripts =
+          List.init 16 (fun i ->
+              let path = Filename.temp_file (Printf.sprintf "sit_batch_%02d_" i) ".sit" in
+              Out_channel.with_open_bin path (fun oc ->
+                  Printf.fprintf oc "%sname sc1.Majors sc2.Major_in Majors_%02d\n" session i);
+              path)
+        in
+        Fun.protect ~finally:(fun () -> List.iter Sys.remove scripts) @@ fun () ->
+        let run scripts =
+          let rc, out =
+            sit_batch
+              (List.concat_map (fun s -> [ "-s"; s ]) scripts
+              @ [
+                  "--data"; example "paper_instances.ecd";
+                  "-q"; "sc1: select Name from Student";
+                ])
+          in
+          check Alcotest.int "exit status" 0 rc;
+          out
+        in
+        let singles = List.map (fun s -> run [ s ]) scripts in
+        check Alcotest.string "blocks"
+          (String.concat "\n========\n\n" singles)
+          (run scripts));
   ]
 
 (* ---- journaled restarts rebuild the session from the inputs ------ *)
