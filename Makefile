@@ -65,22 +65,22 @@ chaos-test: build
 metrics:
 	dune exec bench/main.exe -- metrics
 
-# The experiments a data-plane or serving change most wants while
-# iterating: E21 (serving throughput), E23 (flat similarity kernels)
-# and E24 (scenario engine).  Much faster than the full
-# `dune exec bench/main.exe`.
+# The experiments a data-plane change most wants while iterating: E23
+# (flat similarity kernels) and E24 (scenario engine).  Much faster
+# than the full `dune exec bench/main.exe`.  Serving and replication
+# are measured from outside the daemon by sitbench (bench/e2e).
 bench-quick:
-	dune exec bench/main.exe -- e21 e23 e24
+	dune exec bench/main.exe -- e23 e24
 
 # Compare metrics reports of two commits and fail on span regressions
 # beyond the threshold — the PR-over-PR perf gate (see
 # docs/PERFORMANCE.md).  OLD and NEW may each list several reports of
 # one commit, space-separated; per-path medians are compared, and a
 # change within twice the old side's spread reads unresolved.
-# Usage: make bench-diff [OLD="BENCH_pr15.json"] [NEW="BENCH_pr16.json"]
+# Usage: make bench-diff [OLD="BENCH_pr16.json"] [NEW="BENCH_pr17.json"]
 #        [THRESHOLD=0.25] [MIN_SECONDS=0.0005]
-OLD ?= BENCH_pr15.json
-NEW ?= BENCH_pr16.json
+OLD ?= BENCH_pr16.json
+NEW ?= BENCH_pr17.json
 THRESHOLD ?= 0.25
 MIN_SECONDS ?= 0.0005
 bench-diff:

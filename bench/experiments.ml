@@ -996,125 +996,6 @@ let e20 () =
     \ durability-vs-throughput trade documented in docs/ROBUSTNESS.md)"
 
 (* ------------------------------------------------------------------ *)
-(* E21: serving throughput and latency (lib/server, docs/SERVING.md).  *)
-
-(* A generated federation served in-process: per-view and global
-   select-all frames over every object class, replayed across client
-   connections.  The sweep is shared with the metrics run, which
-   exports it as meta.serving in the BENCH json. *)
-let e21_setup =
-  lazy
-    (let w =
-       Workload.Generator.generate
-         {
-           Workload.Generator.default_params with
-           seed = 2100;
-           concepts = 14;
-           population = 300;
-         }
-     in
-     let result, _ =
-       Protocol.run w.Workload.Generator.schemas
-         w.Workload.Generator.oracle
-     in
-     let stores = Workload.Generator.populate w in
-     let session = Server.make_session ~result ~stores () in
-     let select_all oc =
-       Printf.sprintf "select * from %s" (Name.to_string oc.Object_class.name)
-     in
-     let view_frames =
-       List.concat_map
-         (fun (s, _) ->
-           List.map
-             (fun oc ->
-               Server.Wire.request_to_line
-                 ~view:(Name.to_string (Schema.name s))
-                 ~text:(select_all oc) "query")
-             (Schema.objects s))
-         stores
-     in
-     let global_frames =
-       List.map
-         (fun oc -> Server.Wire.request_to_line ~text:(select_all oc) "query")
-         (Schema.objects result.Result.schema)
-     in
-     (session, Array.of_list (view_frames @ global_frames)))
-
-type e21_point = {
-  sv_cache : int;
-  sv_sent : int;
-  sv_ok : int;
-  sv_hits : int;
-  sv_req_s : float;
-  sv_mean_ms : float;
-}
-
-let e21_sweep ?(requests = 2000) ?(conns = 4) () =
-  let session, pool = Lazy.force e21_setup in
-  let frames = Array.init requests (fun i -> pool.(i mod Array.length pool)) in
-  List.map
-    (fun cache ->
-      let cfg =
-        {
-          Server.listen = Server.Wire.Tcp ("127.0.0.1", 0);
-          queue = 256;
-          deadline_ms = None;
-          cache;
-          debug = false;
-          repl = Server.default_repl;
-        }
-      in
-      match Server.start session cfg with
-      | Error msg -> failwith ("E21: server failed to start: " ^ msg)
-      | Ok t ->
-          Fun.protect
-            ~finally:(fun () -> Server.stop t)
-            (fun () ->
-              let addr =
-                match Server.port t with
-                | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
-                | None -> failwith "E21: no bound port"
-              in
-              let st = Server.Client.drive ~addr ~conns ~frames () in
-              if st.Server.Client.mismatches > 0 then
-                failwith "E21: divergent responses under load";
-              if st.Server.Client.ok < st.Server.Client.sent then
-                failwith "E21: error responses on a clean workload";
-              let s = Server.stats t in
-              let wall = Float.max st.Server.Client.wall_s 1e-9 in
-              {
-                sv_cache = cache;
-                sv_sent = st.Server.Client.sent;
-                sv_ok = st.Server.Client.ok;
-                sv_hits = s.Server.cache_hits;
-                sv_req_s = float_of_int st.Server.Client.sent /. wall;
-                sv_mean_ms =
-                  wall *. float_of_int conns
-                  /. float_of_int st.Server.Client.sent *. 1000.;
-              }))
-    [ 0; 256 ]
-
-let e21 () =
-  section "E21" "serving throughput: lib/server over a generated federation";
-  Printf.printf
-    "\n\
-     (in-process daemon, 4 client connections, 2000 select-all frames per\n\
-    \ configuration; cache 'off' disables the rewrite-plan LRU; every\n\
-    \ configuration is checked for divergent or failing responses)\n";
-  Printf.printf "\n%-8s %-8s %-8s %-10s %-10s\n" "cache" "ok" "hits" "req/s"
-    "mean ms";
-  List.iter
-    (fun p ->
-      Printf.printf "%-8s %-8d %-8d %-10.0f %-10.3f\n"
-        (if p.sv_cache = 0 then "off" else string_of_int p.sv_cache)
-        p.sv_ok p.sv_hits p.sv_req_s p.sv_mean_ms)
-    (e21_sweep ());
-  print_endline
-    "\n\
-     (cache-on rows must show hits > 0 on this repeated workload; the\n\
-    \ same sweep lands in the BENCH json as meta.serving)"
-
-(* ------------------------------------------------------------------ *)
 (* E22: materialized views vs recompute (lib/view, docs/VIEWS.md).     *)
 
 (* The paper session's Student extent, grown to [population] entities,
@@ -1516,11 +1397,10 @@ let e24 () =
     \ Both sizes land in the BENCH json as meta.scenarios)"
 
 (* ------------------------------------------------------------------ *)
-(* E25: replication (lib/replicate, docs/ROBUSTNESS.md) — what the     *)
-(* journal stream costs the write path at each durability level, and   *)
-(* what a fresh client pays to fail over past a dead endpoint.         *)
+(* E25: replication (lib/replicate, docs/ROBUSTNESS.md) — what a fresh *)
+(* client pays to fail over past a dead endpoint.                      *)
 
-let e25_session ?journal_dir () =
+let e25_session () =
   let module St = Instance.Store in
   let module V = Instance.Value in
   let student name gpa =
@@ -1530,7 +1410,7 @@ let e25_session ?journal_dir () =
   let store, _ = St.insert (Name.v "Student") (student "Ann" 3.9) store in
   let store, _ = St.insert (Name.v "Student") (student "Ben" 2.5) store in
   let result = Workload.Paper.integrate_sc1_sc2 () in
-  Server.make_session ?journal_dir ~result
+  Server.make_session ~result
     ~stores:
       [
         (Workload.Paper.sc1, store);
@@ -1552,119 +1432,6 @@ let e25_addr t =
   match Server.port t with
   | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
   | None -> failwith "E25: no bound port"
-
-let e25_int_field name resp =
-  match Obs.Json.member name resp with
-  | Some (Obs.Json.Int n) -> n
-  | _ -> failwith (Printf.sprintf "E25: no %S field in response" name)
-
-let e25_eventually what f =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if f () then ()
-    else if Unix.gettimeofday () -. t0 > 10. then
-      failwith ("E25: timed out waiting for " ^ what)
-    else begin
-      Unix.sleepf 0.005;
-      go ()
-    end
-  in
-  go ()
-
-type e25_repl_point = {
-  rl_label : string;
-  rl_followers : int;
-  rl_ack : int;
-  rl_writes : int;
-  rl_req_s : float;
-  rl_mean_ms : float;
-  rl_catchup_ms : float;
-      (** follower lag drained after the last write was acknowledged *)
-}
-
-(* A pure write workload (every frame a distinct insert, so the
-   byte-identity check stays meaningful) against the paper federation
-   serving as a leader: alone, with two asynchronous followers tailing
-   the stream, and with [ack_replicas = 2] holding every response for
-   both acks.  Followers must attach before timing starts and must
-   drain to [staleness_seq = 0] after — a run that converges on stale
-   followers would be measuring lost writes, not replication. *)
-let e25_replication ?(writes = 240) ?(conns = 2) () =
-  let frames =
-    Array.init writes (fun i ->
-        Server.Wire.request_to_line ~view:"sc1"
-          ~text:
-            (Printf.sprintf "insert into Student { Name = 'W%d', GPA = 3.0 }" i)
-          "update")
-  in
-  List.map
-    (fun (label, followers, ack) ->
-      match
-        Server.start (e25_session ())
-          (e25_cfg { Server.default_repl with ack_replicas = ack })
-      with
-      | Error msg -> failwith ("E25: leader failed to start: " ^ msg)
-      | Ok leader ->
-          let laddr = e25_addr leader in
-          let fts =
-            List.init followers (fun _ ->
-                match
-                  Server.start (e25_session ())
-                    (e25_cfg
-                       { Server.default_repl with role = Server.Follower laddr })
-                with
-                | Error msg -> failwith ("E25: follower failed to start: " ^ msg)
-                | Ok t -> t)
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              List.iter Server.stop fts;
-              Server.stop leader)
-            (fun () ->
-              if followers > 0 then begin
-                let c = Server.Client.connect laddr in
-                Fun.protect
-                  ~finally:(fun () -> Server.Client.close c)
-                  (fun () ->
-                    e25_eventually "followers to attach" (fun () ->
-                        match
-                          Obs.Json.member "followers"
-                            (Server.Client.request c "repl_status")
-                        with
-                        | Some (Obs.Json.List l) -> List.length l >= followers
-                        | _ -> false))
-              end;
-              let st = Server.Client.drive ~addr:laddr ~conns ~frames () in
-              if st.Server.Client.mismatches > 0 then
-                failwith "E25: divergent responses under load";
-              if st.Server.Client.ok < st.Server.Client.sent then
-                failwith ("E25: error responses on the write workload: " ^ label);
-              let t0 = Unix.gettimeofday () in
-              List.iter
-                (fun f ->
-                  let fc = Server.Client.connect (e25_addr f) in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close fc)
-                    (fun () ->
-                      e25_eventually "follower catch-up" (fun () ->
-                          e25_int_field "staleness_seq"
-                            (Server.Client.request fc "health")
-                          = 0)))
-                fts;
-              let catchup_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-              let wall = Float.max st.Server.Client.wall_s 1e-9 in
-              {
-                rl_label = label;
-                rl_followers = followers;
-                rl_ack = ack;
-                rl_writes = st.Server.Client.sent;
-                rl_req_s = float_of_int st.Server.Client.sent /. wall;
-                rl_mean_ms =
-                  wall *. float_of_int conns
-                  /. float_of_int st.Server.Client.sent *. 1000.;
-                rl_catchup_ms = catchup_ms;
-              }))
-    [ ("single", 0, 0); ("async-x2", 2, 0); ("semisync-x2", 2, 2) ]
 
 type e25_failover_point = {
   fo_label : string;
@@ -1753,23 +1520,11 @@ let e25_failover ?(reps = 40) () =
           ])
 
 let e25 () =
-  section "E25" "replication: journal streaming overhead, failover latency";
+  section "E25" "replication: client failover latency";
   print_endline
     "\n\
-     (top: the paper federation serving as a leader under a pure write\n\
-    \ workload — alone, with two async followers tailing the stream, and\n\
-    \ with ack-replicas 2 holding each response for both acks; catch-up\n\
-    \ is the follower lag drained after the last acknowledged write.\n\
-    \ bottom: per-roundtrip wall time of a fresh client, straight to a\n\
-    \ live node vs walking past a refused endpoint under backoff)";
-  Printf.printf "\n%-13s %-10s %-5s %-7s %-9s %-9s %-11s\n" "config"
-    "followers" "ack" "writes" "req/s" "mean ms" "catchup ms";
-  List.iter
-    (fun p ->
-      Printf.printf "%-13s %-10d %-5d %-7d %-9.0f %-9.3f %-11.1f\n" p.rl_label
-        p.rl_followers p.rl_ack p.rl_writes p.rl_req_s p.rl_mean_ms
-        p.rl_catchup_ms)
-    (e25_replication ());
+     (per-roundtrip wall time of a fresh client, straight to a live node\n\
+    \ vs walking past a refused endpoint under backoff)";
   Printf.printf "\n%-30s %-6s %-9s %-9s %-9s\n" "path" "reps" "p50 ms"
     "p95 ms" "max ms";
   List.iter
@@ -1779,182 +1534,12 @@ let e25 () =
     (e25_failover ());
   print_endline
     "\n\
-     (async followers cost the leader almost nothing — the stream is\n\
-    \ served off the request path; semi-sync pays the ack round per\n\
-    \ write.  Both sweeps land in the BENCH json as meta.replication)"
-
-(* ------------------------------------------------------------------ *)
-(* E26: replication-log compaction — what a snapshot costs the leader, *)
-(* and what it buys a journalled restart and a fresh follower.         *)
-
-let e26_tmp_dir () =
-  let base = Filename.temp_file "sit_e26" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o755;
-  base
-
-let e26_rm_rf dir =
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-type e26_compaction_point = {
-  cp_label : string;
-  cp_writes : int;
-  cp_base_seq : int;  (** truncated-away prefix after the run *)
-  cp_compact_ms : float;
-      (** the [repl_compact] roundtrip: serialize state, persist the
-          snapshot, truncate memory and disk (0 when never compacted) *)
-  cp_restart_ms : float;  (** leader restart from the same journal *)
-  cp_catchup_ms : float;  (** fresh follower start to [staleness_seq = 0] *)
-  cp_installs : int;  (** snapshot transfers that catch-up took *)
-}
-
-(* The same journalled write storm twice: once on an append-only log
-   (restart replays every frame, a fresh follower replays from seq 1)
-   and once compacted right after the storm (restart is snapshot +
-   suffix, the follower starts below the truncated base and must take
-   the snapshot-transfer leg).  The deltas are exactly what compaction
-   claims to buy — restart and bootstrap bounded by live state + the
-   compaction window instead of total write count. *)
-let e26_compaction ?(writes = 240) () =
-  let frames =
-    Array.init writes (fun i ->
-        Server.Wire.request_to_line ~view:"sc1"
-          ~text:
-            (Printf.sprintf "insert into Student { Name = 'C%d', GPA = 3.0 }" i)
-          "update")
-  in
-  List.map
-    (fun (label, compact) ->
-      let dir = e26_tmp_dir () in
-      Fun.protect
-        ~finally:(fun () -> e26_rm_rf dir)
-        (fun () ->
-          (* phase 1: the journalled write storm *)
-          let leader =
-            match
-              Server.start
-                (e25_session ~journal_dir:dir ())
-                (e25_cfg Server.default_repl)
-            with
-            | Error msg -> failwith ("E26: leader failed to start: " ^ msg)
-            | Ok t -> t
-          in
-          let compact_ms =
-            Fun.protect
-              ~finally:(fun () -> Server.stop leader)
-              (fun () ->
-                let laddr = e25_addr leader in
-                let st = Server.Client.drive ~addr:laddr ~conns:2 ~frames () in
-                if st.Server.Client.ok < st.Server.Client.sent then
-                  failwith ("E26: error responses on the write storm: " ^ label);
-                if not compact then 0.
-                else
-                  let c = Server.Client.connect laddr in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close c)
-                    (fun () ->
-                      let t0 = Unix.gettimeofday () in
-                      let resp = Server.Client.request c "repl_compact" in
-                      let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-                      if not (Server.Client.is_ok resp) then
-                        failwith "E26: repl_compact failed";
-                      ms))
-          in
-          (* phase 2: restart from the journal — full replay vs
-             snapshot + suffix *)
-          let t0 = Unix.gettimeofday () in
-          let leader2 =
-            match
-              Server.start
-                (e25_session ~journal_dir:dir ())
-                (e25_cfg Server.default_repl)
-            with
-            | Error msg -> failwith ("E26: leader failed to restart: " ^ msg)
-            | Ok t -> t
-          in
-          let restart_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-          Fun.protect
-            ~finally:(fun () -> Server.stop leader2)
-            (fun () ->
-              let laddr = e25_addr leader2 in
-              let base_seq =
-                let c = Server.Client.connect laddr in
-                Fun.protect
-                  ~finally:(fun () -> Server.Client.close c)
-                  (fun () ->
-                    e25_int_field "base_seq" (Server.Client.request c "health"))
-              in
-              (* phase 3: a fresh follower bootstraps — replay from
-                 seq 1 vs snapshot transfer + tail *)
-              let t0 = Unix.gettimeofday () in
-              let f =
-                match
-                  Server.start (e25_session ())
-                    (e25_cfg
-                       { Server.default_repl with role = Server.Follower laddr })
-                with
-                | Error msg -> failwith ("E26: follower failed to start: " ^ msg)
-                | Ok t -> t
-              in
-              Fun.protect
-                ~finally:(fun () -> Server.stop f)
-                (fun () ->
-                  let fc = Server.Client.connect (e25_addr f) in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close fc)
-                    (fun () ->
-                      e25_eventually "follower catch-up" (fun () ->
-                          let h = Server.Client.request fc "health" in
-                          e25_int_field "applied_seq" h > 0
-                          && e25_int_field "staleness_seq" h = 0);
-                      let catchup_ms =
-                        (Unix.gettimeofday () -. t0) *. 1000.
-                      in
-                      let installs =
-                        e25_int_field "snapshot_installs"
-                          (Server.Client.request fc "health")
-                      in
-                      {
-                        cp_label = label;
-                        cp_writes = writes;
-                        cp_base_seq = base_seq;
-                        cp_compact_ms = compact_ms;
-                        cp_restart_ms = restart_ms;
-                        cp_catchup_ms = catchup_ms;
-                        cp_installs = installs;
-                      })))))
-    [ ("append-only", false); ("compacted", true) ]
-
-let e26 () =
-  section "E26" "replication-log compaction: snapshot cost, restart, catch-up";
-  print_endline
-    "\n\
-     (the same journalled write storm twice: append-only, then compacted\n\
-    \ right after the storm.  restart = leader recovery from the journal\n\
-    \ — full replay vs snapshot + suffix; catch-up = a fresh follower to\n\
-    \ staleness 0 — replay from seq 1 vs a snapshot transfer)";
-  Printf.printf "\n%-13s %-7s %-9s %-11s %-11s %-11s %-9s\n" "config" "writes"
-    "base_seq" "compact ms" "restart ms" "catchup ms" "installs";
-  List.iter
-    (fun p ->
-      Printf.printf "%-13s %-7d %-9d %-11.1f %-11.1f %-11.1f %-9d\n" p.cp_label
-        p.cp_writes p.cp_base_seq p.cp_compact_ms p.cp_restart_ms
-        p.cp_catchup_ms p.cp_installs)
-    (e26_compaction ());
-  print_endline
-    "\n\
-     (compaction bounds leader disk and restart by live state + the\n\
-    \ compaction window; a follower behind the truncated base bootstraps\n\
-    \ from the snapshot instead of the full history.  Lands in the BENCH\n\
-    \ json as meta.compaction)"
+     (lands in the BENCH json as meta.replication.failover)"
 
 let all =
   [
     e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17;
-    e18; e19; e20; e21; e22; e23; e24; e25; e26;
+    e18; e19; e20; e22; e23; e24; e25;
   ]
 
 let by_id =
@@ -1962,7 +1547,6 @@ let by_id =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
-    ("e22", e22); ("e23", e23); ("e24", e24); ("e25", e25);
-    ("e26", e26);
+    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e22", e22);
+    ("e23", e23); ("e24", e24); ("e25", e25);
   ]

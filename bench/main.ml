@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every figure and screen of the
-   paper (experiments E1-E26, printed as sections), times the
+   paper (experiments E1-E20 and E22-E25, printed as sections), times the
    computational kernels with Bechamel, and dumps the lib/obs metrics
    report of an instrumented pipeline run.
 
@@ -11,7 +11,7 @@
 
    The metrics report (per-phase spans, counters, query-latency
    histograms — see docs/ARCHITECTURE.md and docs/PERFORMANCE.md) is
-   printed to stdout and saved to BENCH_pr16.json; override the path
+   printed to stdout and saved to BENCH_pr17.json; override the path
    with --out FILE.  Compare two reports mechanically with
    `dune exec bench/diff.exe -- OLD.json NEW.json` (make bench-diff). *)
 
@@ -149,7 +149,7 @@ let run_timings () =
    as JSON by lib/obs.  This is the repo's perf trajectory artefact:
    each PR that touches a hot path regenerates it and compares. *)
 
-let default_metrics_out = "BENCH_pr16.json"
+let default_metrics_out = "BENCH_pr17.json"
 
 (* One journaled replay of the paper's session inside the metrics
    window, so the journal.* counters and the fsync histogram appear in
@@ -257,23 +257,6 @@ let run_metrics ?(out = default_metrics_out) () =
       ("overhead_frac", Obs.Json.Float ((buffered -. base) /. base));
     ]
   in
-  let serving =
-    (* the E21 serving sweep (throughput/latency per cache setting),
-       run outside the collection window like the overhead probe *)
-    Obs.Json.List
-      (List.map
-         (fun p ->
-           Obs.Json.Obj
-             [
-               ("cache", Obs.Json.Int p.Experiments.sv_cache);
-               ("sent", Obs.Json.Int p.Experiments.sv_sent);
-               ("ok", Obs.Json.Int p.Experiments.sv_ok);
-               ("cache_hits", Obs.Json.Int p.Experiments.sv_hits);
-               ("req_per_s", Obs.Json.Float p.Experiments.sv_req_s);
-               ("mean_ms", Obs.Json.Float p.Experiments.sv_mean_ms);
-             ])
-         (Experiments.e21_sweep ~requests:1000 ()))
-  in
   let views =
     (* the E22 materialized-view sweep (recompute vs lazy view per
        update share), also outside the collection window *)
@@ -333,26 +316,10 @@ let run_metrics ?(out = default_metrics_out) () =
          (Experiments.e24_scenarios ()))
   in
   let replication =
-    (* the E25 replication sweeps (journal-streaming write overhead per
-       durability level, client failover latency percentiles), also
-       outside the collection window *)
+    (* the E25 client failover latency percentiles, also outside the
+       collection window *)
     Obs.Json.Obj
       [
-        ( "overhead",
-          Obs.Json.List
-            (List.map
-               (fun p ->
-                 Obs.Json.Obj
-                   [
-                     ("config", Obs.Json.String p.Experiments.rl_label);
-                     ("followers", Obs.Json.Int p.Experiments.rl_followers);
-                     ("ack_replicas", Obs.Json.Int p.Experiments.rl_ack);
-                     ("writes", Obs.Json.Int p.Experiments.rl_writes);
-                     ("req_per_s", Obs.Json.Float p.Experiments.rl_req_s);
-                     ("mean_ms", Obs.Json.Float p.Experiments.rl_mean_ms);
-                     ("catchup_ms", Obs.Json.Float p.Experiments.rl_catchup_ms);
-                   ])
-               (Experiments.e25_replication ~writes:160 ())) );
         ( "failover",
           Obs.Json.List
             (List.map
@@ -368,36 +335,16 @@ let run_metrics ?(out = default_metrics_out) () =
                (Experiments.e25_failover ())) );
       ]
   in
-  let compaction =
-    (* the E26 compaction sweep (snapshot cost, restart from snapshot +
-       suffix, snapshot-transfer catch-up), also outside the window *)
-    Obs.Json.List
-      (List.map
-         (fun p ->
-           Obs.Json.Obj
-             [
-               ("config", Obs.Json.String p.Experiments.cp_label);
-               ("writes", Obs.Json.Int p.Experiments.cp_writes);
-               ("base_seq", Obs.Json.Int p.Experiments.cp_base_seq);
-               ("compact_ms", Obs.Json.Float p.Experiments.cp_compact_ms);
-               ("restart_ms", Obs.Json.Float p.Experiments.cp_restart_ms);
-               ("catchup_ms", Obs.Json.Float p.Experiments.cp_catchup_ms);
-               ("snapshot_installs", Obs.Json.Int p.Experiments.cp_installs);
-             ])
-         (Experiments.e26_compaction ~writes:160 ()))
-  in
   let meta =
     [
       ("tool", Obs.Json.String "sit");
       ("report", Obs.Json.String "bench-metrics");
       ("cores", Obs.Json.Int (Stdlib.Domain.recommended_domain_count ()));
       ("journal_overhead", Obs.Json.Obj journal_overhead);
-      ("serving", serving);
       ("views", views);
       ("dataplane", dataplane);
       ("scenarios", scenarios);
       ("replication", replication);
-      ("compaction", compaction);
       ( "workload",
         Obs.Json.Obj
           [
@@ -442,7 +389,7 @@ let () =
               run_metrics ?out ()
           | None when id = "metrics" -> run_metrics ?out ()
           | None ->
-              Printf.eprintf "unknown experiment %s (e1..e26, timings, metrics)\n"
+              Printf.eprintf "unknown experiment %s (e1..e20, e22..e25, timings, metrics)\n"
                 id;
               exit 2)
         ids

@@ -23,9 +23,57 @@ let make_progress () =
     stop = Atomic.make false;
   }
 
+(* Stable across restarts, so a rejoining follower cannot double-count
+   toward a quorum; never an address, which NAT can share. *)
+let node_id dir =
+  let fresh () =
+    let host = try Unix.gethostname () with Unix.Unix_error _ -> "" in
+    Printf.sprintf "n-%08x"
+      (Hashtbl.hash (host, Unix.getpid (), Unix.gettimeofday (), Unix.times ())
+      land 0xffffffff)
+  in
+  match Option.map (fun d -> Filename.concat d "node_id") dir with
+  | None -> fresh ()
+  | Some path -> (
+      match In_channel.with_open_text path In_channel.input_line with
+      | Some id when String.trim id <> "" -> String.trim id
+      | _ | (exception Sys_error _) ->
+          let id = fresh () in
+          (try
+             Out_channel.with_open_text path (fun oc ->
+                 output_string oc (id ^ "\n"))
+           with Sys_error _ -> ());
+          id)
+
 let staleness p = max 0 (Atomic.get p.leader_seq - Atomic.get p.applied)
 let last_error p = Atomic.get p.last_error
 let request_stop p = Atomic.set p.stop true
+
+let status p ~leader ~node ~detail =
+  let i a = Json.Int (Atomic.get a) in
+  if detail then
+    [
+      ("role", Json.String "follower");
+      ("leader", Json.String leader);
+      ("applied_seq", i p.applied);
+      ("leader_seq", i p.leader_seq);
+      ("staleness_seq", Json.Int (staleness p));
+      ("connected", Json.Bool (Atomic.get p.connected));
+      ("apply_errors", i p.apply_errors);
+      ("snapshot_installs", i p.snapshots);
+      ("last_error", Json.String (last_error p));
+      ("node", Json.String node);
+    ]
+  else
+    [
+      ("role", Json.String "follower");
+      ("applied_seq", i p.applied);
+      ("staleness_seq", Json.Int (staleness p));
+      ("repl_connected", Json.Bool (Atomic.get p.connected));
+      ("repl_apply_errors", i p.apply_errors);
+      ("snapshot_installs", i p.snapshots);
+      ("repl_last_error", Json.String (last_error p));
+    ]
 
 (* Frames are built and parsed with Obs.Json directly: this module sits
    below lib/server, so it speaks the protocol by its documented shape

@@ -38,6 +38,10 @@ type progress = {
 
 val make_progress : unit -> progress
 
+val node_id : string option -> string
+(** The identity sent in `repl_handshake`: kept in [DIR/node_id] for a
+    data directory, so it survives restarts; per process without one. *)
+
 val staleness : progress -> int
 (** [max 0 (leader_seq - applied)] — the `staleness_seq` of `health`. *)
 
@@ -46,6 +50,15 @@ val last_error : progress -> string
 
 val request_stop : progress -> unit
 (** Makes {!run} return within roughly one pull round-trip. *)
+
+val status :
+  progress ->
+  leader:string ->
+  node:string ->
+  detail:bool ->
+  (string * Obs.Json.t) list
+(** The follower's [health] fields; with [detail], its [repl_status]
+    fields (docs/SERVING.md). *)
 
 val run :
   node:string ->

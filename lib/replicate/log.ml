@@ -19,6 +19,7 @@ type t = {
   mutable len : int;  (* live frames; highest seq is base + len *)
   mutable file : Frames.t option;
   mutable closed : bool;
+  mutable interrupted : bool;  (* waits return at once; set by [close] too *)
   truncated : int;
   liveness_s : float;
   acks : (string, int * float) Hashtbl.t;
@@ -52,6 +53,7 @@ let create ?persist ?(liveness_s = 30.) () =
     len;
     file;
     closed = false;
+    interrupted = false;
     truncated;
     liveness_s = Float.max 0.001 liveness_s;
     acks = Hashtbl.create 8;
@@ -111,7 +113,7 @@ let wait t ~from ~timeout_s =
   poll_until ~timeout_s (fun () ->
       Mutex.protect t.mu (fun () ->
           if t.base + t.len >= from then Some true
-          else if t.closed then Some false
+          else if t.interrupted then Some false
           else None))
 
 (* ---- acks ----------------------------------------------------------
@@ -146,12 +148,13 @@ let acks t =
       Hashtbl.fold (fun n (s, _) acc -> (n, s) :: acc) t.acks []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
-let acked_by t s =
-  Mutex.protect t.mu (fun () ->
-      prune_locked t;
-      Hashtbl.fold
-        (fun _ (applied, _) n -> if applied >= s then n + 1 else n)
-        t.acks 0)
+let acked_by_locked t s =
+  prune_locked t;
+  Hashtbl.fold
+    (fun _ (applied, _) n -> if applied >= s then n + 1 else n)
+    t.acks 0
+
+let acked_by t s = Mutex.protect t.mu (fun () -> acked_by_locked t s)
 
 let lowest_live_ack t =
   Mutex.protect t.mu (fun () ->
@@ -164,19 +167,12 @@ let lowest_live_ack t =
         t.acks None)
 
 let wait_acked t ~seq ~replicas ~timeout_s =
-  if replicas <= 0 then true
-  else
-    poll_until ~timeout_s (fun () ->
-        Mutex.protect t.mu (fun () ->
-            prune_locked t;
-            let n =
-              Hashtbl.fold
-                (fun _ (applied, _) n -> if applied >= seq then n + 1 else n)
-                t.acks 0
-            in
-            if n >= replicas then Some true
-            else if t.closed then Some false
-            else None))
+  replicas <= 0
+  || poll_until ~timeout_s (fun () ->
+         Mutex.protect t.mu (fun () ->
+             if acked_by_locked t seq >= replicas then Some true
+             else if t.interrupted then Some false
+             else None))
 
 (* ---- compaction ---------------------------------------------------- *)
 
@@ -202,8 +198,11 @@ let truncate t upto =
         dropped
       end)
 
+let interrupt t = Mutex.protect t.mu (fun () -> t.interrupted <- true)
+
 let close t =
   Mutex.protect t.mu (fun () ->
+      t.interrupted <- true;
       if not t.closed then begin
         t.closed <- true;
         match t.file with

@@ -66,7 +66,7 @@ val from : t -> int -> max:int -> (int * string) list
 
 val wait : t -> from:int -> timeout_s:float -> bool
 (** Blocks until [seq t >= from] (true), or the timeout elapses or the
-    log is closed (false) — the long-poll behind `repl_pull`'s
+    log is interrupted (false) — the long-poll behind `repl_pull`'s
     [wait_ms].  Polling granularity is a few milliseconds. *)
 
 val truncate : t -> int -> int
@@ -94,9 +94,13 @@ val lowest_live_ack : t -> int option
 
 val wait_acked : t -> seq:int -> replicas:int -> timeout_s:float -> bool
 (** Blocks until [replicas] live nodes have acked [seq] (true) or the
-    timeout elapses or the log is closed (false).  Immediately true
+    timeout elapses or the log is interrupted (false).  Immediately true
     when [replicas <= 0]. *)
 
+val interrupt : t -> unit
+(** Makes every current and later {!wait} and {!wait_acked} return
+    [false] at once; {!append} still works.  Idempotent. *)
+
 val close : t -> unit
-(** Closes the backing file (if any) and wakes every waiter.
+(** {!interrupt}, then closes the backing file (if any).
     Idempotent. *)

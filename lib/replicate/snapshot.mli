@@ -24,7 +24,8 @@ val save : dir:string -> seq:int -> string -> int list
     first.  The oldest returned seq is the caller's truncation bound:
     frames above it are still needed if the newer snapshot turns out
     unreadable.
-    @raise Sys_error when the directory is not writable. *)
+    @raise Unix.Unix_error when the directory is missing or not
+    writable. *)
 
 val load : dir:string -> (int * string) option
 (** The newest retained snapshot that reads back complete (header,

@@ -72,6 +72,7 @@ let roundtrip_raw c line =
 let roundtrip c line =
   try roundtrip_raw c line with
   | End_of_file -> conn_fail "connection closed by server mid-roundtrip"
+  | Sys_blocked_io -> conn_fail "timed out waiting for the server"
   | Sys_error e -> conn_fail "connection error: %s" e
   | Unix.Unix_error (err, fn, _) ->
       conn_fail "connection error: %s (%s)" (Unix.error_message err) fn

@@ -191,6 +191,15 @@ type plan =
   | View_plan of Query.Ast.t * (Query.Eval.row list -> Query.Eval.row list)
   | Global_plan of Query.Rewrite.component_query list
 
+(* The node's role with the state only that role has. *)
+type replica =
+  | Leading of Replicate.Leader.t
+  | Following of {
+      leader : Wire.addr;
+      node : string;  (** the identity sent in [repl_handshake] *)
+      progress : Replicate.Follower.progress;
+    }
+
 type t = {
   cfg : config;
   session : session;
@@ -204,26 +213,11 @@ type t = {
       (** bumped by every mutation; part of every plan key, so cached
           plans from before a state change can never be served after it *)
   views : View.t;  (** under [state_mu], like the store they index *)
-  repl_log : Replicate.Log.t option;  (** [Some] iff this node leads *)
-  repl_mu : Mutex.t;
-      (** serializes mutating ops end to end (execute, then append to
-          [repl_log] on success), so log order is application order;
-          compaction runs under it too, so a snapshot never interleaves
-          with a mutation *)
-  node_id : string;
-      (** this node's stable replication identity: read from (or first
-          written to) DIR/node_id when journalled, generated per process
-          otherwise.  Sent in [repl_handshake]; the leader keys acks by
-          it, never by a transport address *)
-  snap_mu : Mutex.t;
-  mutable snapshot : (int * string) option;
-      (** the latest state snapshot (seq, payload) a leader serves to
-          catching-up followers; under [snap_mu] *)
-  repl_progress : Replicate.Follower.progress;  (** follower tail state *)
-  mutable follower_thread : Thread.t option;  (** under [conns_mu] *)
+  replica : replica;
   inflight : int Atomic.t;
   stop_requested : bool Atomic.t;  (** accept loop should wind down *)
-  stopping : bool Atomic.t;  (** drain started: reject new data ops *)
+  stopping : bool Atomic.t;
+      (** drain started: reject new data ops; set once, by [drain] *)
   conns_mu : Mutex.t;
   live_conns : (int, Unix.file_descr) Hashtbl.t;  (** under [conns_mu] *)
   mutable live_threads : (int * Thread.t) list;  (** under [conns_mu] *)
@@ -241,7 +235,6 @@ type t = {
   s_evictions : int Atomic.t;
   s_conns : int Atomic.t;
   mutable serve_thread : Thread.t option;
-  mutable drained : bool;  (** under [conns_mu] *)
 }
 
 let stats t =
@@ -292,108 +285,6 @@ let bind_listen addr =
         | _ -> None
       in
       (fd, bound)
-
-(* The node's replication identity.  It must be stable across restarts
-   of the same data directory (so a rejoining follower re-registers as
-   itself instead of double-counting toward an ack quorum) and must NOT
-   be a transport address (two nodes can advertise the same address
-   through NAT/containers, and a restart can change an ephemeral port).
-   With a journal directory the id lives in DIR/node_id; without one
-   the node is ephemeral by construction, so a per-process id is the
-   correct lifetime. *)
-let fresh_node_id () =
-  let host = try Unix.gethostname () with _ -> "unknown" in
-  let pid = try Unix.getpid () with _ -> 0 in
-  let now = Unix.gettimeofday () in
-  Printf.sprintf "n-%08x"
-    (Hashtbl.hash (host, pid, now, Unix.times ()) land 0xffffffff)
-
-let load_node_id journal_dir =
-  match journal_dir with
-  | None -> fresh_node_id ()
-  | Some dir -> (
-      let path = Filename.concat dir "node_id" in
-      match
-        let ic = open_in path in
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-            String.trim (input_line ic))
-      with
-      | id when id <> "" -> id
-      | _ | (exception Sys_error _) | (exception End_of_file) -> (
-          let id = fresh_node_id () in
-          match
-            (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-             with Unix.Unix_error _ -> ());
-            let oc = open_out path in
-            Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-                output_string oc (id ^ "\n"))
-          with
-          | () -> id
-          | exception Sys_error _ -> id))
-
-(* Binds the socket and builds the record; the durable state is
-   recovered by [create] below, which needs the op dispatch defined
-   after this. *)
-let create_bound session cfg =
-  match bind_listen cfg.listen with
-  | exception Setup msg -> Error msg
-  | exception Unix.Unix_error (e, fn, arg) ->
-      Error
-        (Printf.sprintf "cannot listen on %s: %s (%s %s)"
-           (Wire.addr_to_string cfg.listen)
-           (Unix.error_message e) fn arg)
-  | listen_fd, bound_port ->
-      Ok
-        {
-          cfg = { cfg with queue = max 1 cfg.queue };
-          session;
-          listen_fd;
-          bound_port;
-          merged = session.initial_merged;
-          state_mu = Mutex.create ();
-          cache = Lru.create ~capacity:(max 0 cfg.cache);
-          cache_mu = Mutex.create ();
-          cache_epoch = Atomic.make 0;
-          views = View.create ();
-          repl_log =
-            (match cfg.repl.role with
-            | Follower _ -> None
-            | Leader ->
-                let persist =
-                  Option.map
-                    (fun dir -> Filename.concat dir "repl.journal")
-                    session.journal_dir
-                in
-                Some
-                  (Replicate.Log.create ?persist
-                     ~liveness_s:cfg.repl.liveness_s ()));
-          repl_mu = Mutex.create ();
-          node_id = load_node_id session.journal_dir;
-          snap_mu = Mutex.create ();
-          snapshot = None;
-          repl_progress = Replicate.Follower.make_progress ();
-          follower_thread = None;
-          inflight = Atomic.make 0;
-          stop_requested = Atomic.make false;
-          stopping = Atomic.make false;
-          conns_mu = Mutex.create ();
-          live_conns = Hashtbl.create 64;
-          live_threads = [];
-          finished_threads = [];
-          next_conn = 0;
-          t0 = Unix.gettimeofday ();
-          s_requests = Atomic.make 0;
-          s_ok = Atomic.make 0;
-          s_err = Atomic.make 0;
-          s_overloaded = Atomic.make 0;
-          s_deadline = Atomic.make 0;
-          s_hits = Atomic.make 0;
-          s_misses = Atomic.make 0;
-          s_evictions = Atomic.make 0;
-          s_conns = Atomic.make 0;
-          serve_thread = None;
-          drained = false;
-        }
 
 (* ---- request execution -------------------------------------------- *)
 
@@ -797,26 +688,6 @@ let apply_repl t _seq line =
       | exception Op_error (_, msg) -> Error msg
       | exception e -> Error (Printexc.to_string e))
 
-(* A leader restarting over a journal directory rebuilds its runtime
-   state by replaying its recovered replication log — the same
-   snapshot + log-shipping a follower does over the wire.  Every logged
-   frame was acknowledged, so a frame that no longer applies refuses
-   the start rather than silently drop an acknowledged write. *)
-let replay_repl_log t ~from =
-  match t.repl_log with
-  | None -> Ok ()
-  | Some log ->
-      List.fold_left
-        (fun acc (s, line) ->
-          Result.bind acc (fun () ->
-              Result.map_error
-                (Printf.sprintf
-                   "the replication log frame at seq %d no longer applies: %s"
-                   s)
-                (apply_repl t s line)))
-        (Ok ())
-        (Replicate.Log.from log from ~max:(Replicate.Log.seq log))
-
 (* ---- state snapshots ---------------------------------------------- *)
 
 (* A snapshot is the full serving state at a log seq: the merged store
@@ -991,94 +862,13 @@ let install_snapshot t seq payload =
       Atomic.incr t.cache_epoch;
       Ok ()
 
-(* ---- compaction ---------------------------------------------------- *)
-
-let snapshot_seq t =
-  Mutex.protect t.snap_mu (fun () ->
-      match t.snapshot with Some (s, _) -> s | None -> 0)
-
-(* Take a snapshot at the current log seq, persist it (journalled
-   leaders), and truncate the prefix nothing still needs.  The caller
-   holds [repl_mu], so the snapshot never interleaves with a mutation
-   and the lock order (repl_mu, then state_mu inside
-   [snapshot_payload]) matches the write path.
-
-   The truncation bound is the minimum of three floors:
-   - the seq the snapshot covers (frames above it are not yet covered);
-   - the oldest {e retained} snapshot on disk — a restart that finds
-     the newest snapshot torn falls back to the previous one and must
-     still find the frames after it;
-   - the lowest live follower ack, so no tailing follower has its
-     next frame truncated out from under it (a dead follower's ack
-     expires with the log's liveness window rather than pinning the
-     bound forever). *)
-let compact_locked t log =
-  let seq = Replicate.Log.seq log in
-  let cur = snapshot_seq t in
-  let sseq, keep_floor =
-    if seq > cur then begin
-      let payload = snapshot_payload t in
-      let floor =
-        match t.session.journal_dir with
-        | Some dir ->
-            let retained = Replicate.Snapshot.save ~dir ~seq payload in
-            List.fold_left min seq retained
-        | None -> seq
-      in
-      Mutex.protect t.snap_mu (fun () -> t.snapshot <- Some (seq, payload));
-      (seq, floor)
-    end
-    else
-      ( cur,
-        match t.session.journal_dir with
-        | Some dir -> (
-            match Replicate.Snapshot.retained ~dir with
-            | [] -> cur
-            | l -> List.fold_left min cur l)
-        | None -> cur )
-  in
-  let ack_floor =
-    match Replicate.Log.lowest_live_ack log with Some a -> a | None -> sseq
-  in
-  let dropped = Replicate.Log.truncate log (min keep_floor ack_floor) in
-  (sseq, dropped)
-
-let maybe_compact_locked t log =
-  let n = t.cfg.repl.compact_every in
-  if n > 0 && Replicate.Log.seq log - snapshot_seq t >= n then
-    ignore (compact_locked t log)
-
-(* ---- restart ------------------------------------------------------- *)
-
-(* [create] starts a node in four steps, each over the state the one
-   before left: the session rebuilt from the input files, the newest
-   snapshot, the startup views, the log frames after the snapshot.  A
-   first start is the same with no snapshot and no frames, so a restart
-   applies every logged frame to the state it was first applied to. *)
-
-(* Step 2; returns the first seq step 4 replays. *)
-let recover_snapshot t =
-  match (t.repl_log, t.session.journal_dir) with
-  | Some log, Some dir -> (
-      let base = Replicate.Log.base_seq log in
-      match Replicate.Snapshot.load ~dir with
-      | Some (sseq, payload) when sseq >= base -> (
-          match install_snapshot t sseq payload with
-          | Ok () ->
-              Mutex.protect t.snap_mu (fun () ->
-                  t.snapshot <- Some (sseq, payload));
-              Ok (sseq + 1)
-          | Error msg ->
-              Error (Printf.sprintf "cannot restart from snapshot: %s" msg))
-      | Some _ | None ->
-          if base = 0 then Ok 1
-          else
-            Error
-              (Printf.sprintf
-                 "the replication log is truncated to seq %d but no valid \
-                  snapshot could be read from %s"
-                 base dir))
-  | _ -> Ok 1
+(* The serving state as the leader sees it. *)
+let serving t =
+  {
+    Replicate.Leader.apply = apply_repl t;
+    snapshot = (fun () -> snapshot_payload t);
+    install = install_snapshot t;
+  }
 
 type view_def = {
   view : string;
@@ -1131,17 +921,13 @@ let respond_err ?data t id code msg =
    deadline" is reachable deterministically from a test. *)
 let test_delay_after_op_ms = Atomic.make 0
 
-(* Runs on the connection's thread, after any wait for [repl_mu]; must
-   never let an exception escape.
-
-   The post-execution deadline check applies to read ops only.  A
-   mutating op that [run_op] completed HAS changed state, and the [ok]
-   field of its response is what the leader uses to decide whether the
-   op joins the replication log — reporting [deadline_exceeded] after
-   the fact would skip the append and silently diverge every follower
-   (and the leader's own restart replay) from the applied state.  So
-   once a mutation is applied, the response says so; the deadline can
-   only reject a mutation before it runs. *)
+(* Runs on the connection's thread, after any wait for the write lock;
+   never lets an exception escape.  The post-execution deadline check
+   applies to reads only: a mutation that [run_op] completed HAS changed
+   state, and its [ok] is what sends it to the replication log, so a
+   late [deadline_exceeded] would diverge every follower (and the
+   leader's own restart replay) from the applied state.  The deadline
+   can only reject a mutation before it runs. *)
 let execute t (req : Wire.request) ~t_start ~deadline =
   let id = req.Wire.id in
   try
@@ -1163,6 +949,14 @@ let execute t (req : Wire.request) ~t_start ~deadline =
   | Query.Update.Error msg -> respond_err t id Wire.Update_error msg
   | Invalid_argument msg -> respond_err t id Wire.Bad_request msg
   | e -> respond_err t id Wire.Internal (Printexc.to_string e)
+
+(* The replica tier's fields of [health], or with [detail] of [repl_status]. *)
+let replica_status t ~detail =
+  match t.replica with
+  | Leading l -> Replicate.Leader.status l ~detail
+  | Following f ->
+      Replicate.Follower.status f.progress
+        ~leader:(Wire.addr_to_string f.leader) ~node:f.node ~detail
 
 let health_payload t =
   let s = stats t in
@@ -1200,219 +994,7 @@ let health_payload t =
         ] );
   ]
   @
-  match (t.cfg.repl.role, t.repl_log) with
-  | Leader, Some log ->
-      [
-        ("role", Json.String "leader");
-        ("repl_seq", Json.Int (Replicate.Log.seq log));
-        ("base_seq", Json.Int (Replicate.Log.base_seq log));
-        ("snapshot_seq", Json.Int (snapshot_seq t));
-      ]
-  | Leader, None -> [ ("role", Json.String "leader") ]
-  | Follower _, _ ->
-      let p = t.repl_progress in
-      [
-        ("role", Json.String "follower");
-        ("applied_seq", Json.Int (Atomic.get p.Replicate.Follower.applied));
-        ("staleness_seq", Json.Int (Replicate.Follower.staleness p));
-        ("repl_connected", Json.Bool (Atomic.get p.Replicate.Follower.connected));
-        ( "repl_apply_errors",
-          Json.Int (Atomic.get p.Replicate.Follower.apply_errors) );
-        ( "snapshot_installs",
-          Json.Int (Atomic.get p.Replicate.Follower.snapshots) );
-        ("repl_last_error", Json.String (Replicate.Follower.last_error p));
-      ]
-
-(* ---- replication operations (inline, never queued) ---------------- *)
-
-let not_leader_response t id =
-  match t.cfg.repl.role with
-  | Follower leader ->
-      respond_err t id
-        ~data:[ ("leader", Json.String (Wire.addr_to_string leader)) ]
-        Wire.Not_leader "this node is a follower; send writes to the leader"
-  | Leader ->
-      (* a leader without a log never exists; belt and braces *)
-      respond_err t id Wire.Internal "replication log unavailable"
-
-let repl_handshake t (req : Wire.request) =
-  let id = req.Wire.id in
-  match t.repl_log with
-  | None -> not_leader_response t id
-  | Some log ->
-      (match req.Wire.node with
-      | Some node -> Replicate.Log.ack log ~node 0 (* register the node *)
-      | None -> ());
-      respond_ok t id
-        [
-          ("role", Json.String "leader");
-          ("repl_seq", Json.Int (Replicate.Log.seq log));
-          ("base_seq", Json.Int (Replicate.Log.base_seq log));
-        ]
-
-let repl_pull t (req : Wire.request) =
-  let id = req.Wire.id in
-  match t.repl_log with
-  | None -> not_leader_response t id
-  | Some log -> (
-      match req.Wire.seq with
-      | None ->
-          respond_err t id Wire.Bad_request
-            "op \"repl_pull\" needs a \"seq\" field"
-      | Some from when from < 1 ->
-          respond_err t id Wire.Bad_request "\"seq\" must be >= 1"
-      | Some from ->
-          (* pulling from [from] acknowledges everything before it *)
-          (match req.Wire.node with
-          | Some node -> Replicate.Log.ack log ~node (from - 1)
-          | None -> ());
-          let batch = min 1024 (max 1 (Option.value ~default:64 req.Wire.max)) in
-          let wait_ms =
-            min 10_000 (max 0 (Option.value ~default:0 req.Wire.wait_ms))
-          in
-          let read () = Replicate.Log.from log from ~max:batch in
-          let frames = read () in
-          let frames =
-            (* long poll: block this connection thread until new frames
-               arrive or the budget runs out (a closing log returns
-               early, which is what lets drain finish) *)
-            if frames = [] && wait_ms > 0 && not (Atomic.get t.stopping)
-            then begin
-              ignore
-                (Replicate.Log.wait log ~from
-                   ~timeout_s:(float wait_ms /. 1000.));
-              read ()
-            end
-            else frames
-          in
-          respond_ok t id
-            [
-              ("repl_seq", Json.Int (Replicate.Log.seq log));
-              ("base_seq", Json.Int (Replicate.Log.base_seq log));
-              ( "frames",
-                Json.List
-                  (List.map
-                     (fun (s, f) ->
-                       Json.Obj
-                         [ ("seq", Json.Int s); ("frame", Json.String f) ])
-                     frames) );
-            ])
-
-let repl_frame t (req : Wire.request) =
-  let id = req.Wire.id in
-  match t.repl_log with
-  | None -> not_leader_response t id
-  | Some log -> (
-      match req.Wire.seq with
-      | None ->
-          respond_err t id Wire.Bad_request
-            "op \"repl_frame\" needs a \"seq\" field"
-      | Some s -> (
-          match Replicate.Log.get log s with
-          | Some f ->
-              respond_ok t id [ ("seq", Json.Int s); ("frame", Json.String f) ]
-          | None ->
-              respond_err t id Wire.Bad_request
-                (Printf.sprintf "no replicated frame %d (log is at %d)" s
-                   (Replicate.Log.seq log))))
-
-(* Snapshot transfer, one bounded chunk per round-trip so no response
-   line grows with the snapshot.  The chunk index rides the
-   request's [seq] field; every chunk repeats the covered seq and the
-   chunk count, so a follower detects a snapshot replaced mid-transfer
-   and restarts the fetch.  A pulling follower's liveness is refreshed
-   (ack at 0) so the transfer itself keeps the node registered. *)
-let snap_chunk_bytes = 1 lsl 20
-
-let repl_snapshot t (req : Wire.request) =
-  let id = req.Wire.id in
-  match t.repl_log with
-  | None -> not_leader_response t id
-  | Some log -> (
-      (match req.Wire.node with
-      | Some node -> Replicate.Log.ack log ~node 0
-      | None -> ());
-      match Mutex.protect t.snap_mu (fun () -> t.snapshot) with
-      | None ->
-          respond_err t id Wire.Bad_request
-            "no snapshot available (the log has never been compacted)"
-      | Some (sseq, payload) ->
-          let len = String.length payload in
-          let total = max 1 ((len + snap_chunk_bytes - 1) / snap_chunk_bytes) in
-          let i = Option.value ~default:0 req.Wire.seq in
-          if i < 0 || i >= total then
-            respond_err t id Wire.Bad_request
-              (Printf.sprintf "snapshot chunk %d out of range (0..%d)" i
-                 (total - 1))
-          else
-            let chunk =
-              String.sub payload (i * snap_chunk_bytes)
-                (min snap_chunk_bytes (len - (i * snap_chunk_bytes)))
-            in
-            respond_ok t id
-              [
-                ("snapshot_seq", Json.Int sseq);
-                ("chunks", Json.Int total);
-                ("chunk", Json.String chunk);
-                ("base_seq", Json.Int (Replicate.Log.base_seq log));
-                ("repl_seq", Json.Int (Replicate.Log.seq log));
-              ])
-
-let repl_compact t (req : Wire.request) =
-  let id = req.Wire.id in
-  match t.repl_log with
-  | None -> not_leader_response t id
-  | Some log ->
-      let sseq, dropped =
-        Mutex.protect t.repl_mu (fun () -> compact_locked t log)
-      in
-      respond_ok t id
-        [
-          ("snapshot_seq", Json.Int sseq);
-          ("base_seq", Json.Int (Replicate.Log.base_seq log));
-          ("dropped", Json.Int dropped);
-        ]
-
-let repl_status t (req : Wire.request) =
-  let id = req.Wire.id in
-  match (t.cfg.repl.role, t.repl_log) with
-  | Leader, Some log ->
-      respond_ok t id
-        [
-          ("role", Json.String "leader");
-          ("repl_seq", Json.Int (Replicate.Log.seq log));
-          ("base_seq", Json.Int (Replicate.Log.base_seq log));
-          ("snapshot_seq", Json.Int (snapshot_seq t));
-          ("ack_replicas", Json.Int t.cfg.repl.ack_replicas);
-          ( "followers",
-            Json.List
-              (List.map
-                 (fun (node, acked) ->
-                   Json.Obj
-                     [
-                       ("node", Json.String node); ("acked", Json.Int acked);
-                     ])
-                 (Replicate.Log.acks log)) );
-        ]
-  | Leader, None ->
-      respond_ok t id [ ("role", Json.String "leader"); ("repl_seq", Json.Int 0) ]
-  | Follower leader, _ ->
-      let p = t.repl_progress in
-      respond_ok t id
-        [
-          ("role", Json.String "follower");
-          ("leader", Json.String (Wire.addr_to_string leader));
-          ("applied_seq", Json.Int (Atomic.get p.Replicate.Follower.applied));
-          ("leader_seq", Json.Int (Atomic.get p.Replicate.Follower.leader_seq));
-          ("staleness_seq", Json.Int (Replicate.Follower.staleness p));
-          ("connected", Json.Bool (Atomic.get p.Replicate.Follower.connected));
-          ( "apply_errors",
-            Json.Int (Atomic.get p.Replicate.Follower.apply_errors) );
-          ( "snapshot_installs",
-            Json.Int (Atomic.get p.Replicate.Follower.snapshots) );
-          ("last_error", Json.String (Replicate.Follower.last_error p));
-          ("node", Json.String t.node_id);
-        ]
+  replica_status t ~detail:false
 
 let handle_request t decoded =
   Atomic.incr t.s_requests;
@@ -1421,32 +1003,34 @@ let handle_request t decoded =
   | Error (code, msg) -> respond_err t None code msg
   | Ok req -> (
       let id = req.Wire.id in
-      match req.Wire.op with
+      match (req.Wire.op, t.replica) with
       (* control operations: answered inline, never queued, so the
          daemon stays observable under load and during drain *)
-      | "health" -> respond_ok t id (health_payload t)
-      | "metrics" ->
+      | "health", _ -> respond_ok t id (health_payload t)
+      | "metrics", _ ->
           let meta = [ ("tool", Json.String "sit_serve") ] in
           respond_ok t id [ ("report", Obs.Report.to_json ~meta ()) ]
-      | "view_stats" -> respond_ok t id (views_payload t)
-      | "repl_handshake" -> repl_handshake t req
-      | "repl_pull" -> repl_pull t req
-      | "repl_frame" -> repl_frame t req
-      | "repl_status" -> repl_status t req
-      | "repl_snapshot" -> repl_snapshot t req
-      | "repl_compact" -> repl_compact t req
-      | "sleep" when not t.cfg.debug ->
-          respond_err t id Wire.Unknown_op "unknown op \"sleep\""
-      | op
-        when Wire.mutating op
-             && (match t.cfg.repl.role with
-                | Follower _ -> true
-                | Leader -> false) ->
+      | "view_stats", _ -> respond_ok t id (views_payload t)
+      | "repl_status", _ -> respond_ok t id (replica_status t ~detail:true)
+      | op, Leading l when List.mem op Replicate.Leader.ops -> (
+          match
+            Replicate.Leader.serve l (serving t) op ~node:req.Wire.node
+              ~seq:req.Wire.seq ~batch:req.Wire.max ~wait_ms:req.Wire.wait_ms
+          with
+          | Ok payload -> respond_ok t id payload
+          | Error (`Bad_request, msg) -> respond_err t id Wire.Bad_request msg
+          | Error (`Internal, msg) -> respond_err t id Wire.Internal msg)
+      | op, Following f when Wire.mutating op || List.mem op Replicate.Leader.ops
+        ->
           (* the follower write gate: a typed redirect, not an error the
              client has to guess about *)
-          not_leader_response t id
-      | "query" | "rewrite" | "update" | "migrate" | "define_view"
-      | "drop_view" | "refresh_view" | "sleep" ->
+          respond_err t id
+            ~data:[ ("leader", Json.String (Wire.addr_to_string f.leader)) ]
+            Wire.Not_leader "this node is a follower; send writes to the leader"
+      | ( ( "query" | "rewrite" | "update" | "migrate" | "define_view"
+          | "drop_view" | "refresh_view" | "sleep" ) as op,
+          _ )
+        when op <> "sleep" || t.cfg.debug ->
           if Atomic.get t.stopping then
             respond_err t id Wire.Shutting_down "server is draining"
           else begin
@@ -1468,53 +1052,25 @@ let handle_request t decoded =
                     | None -> t.cfg.deadline_ms
                   in
                   let resp =
-                    match t.repl_log with
-                    | Some log when Wire.mutating req.Wire.op -> (
-                        (* serialize mutations end to end so the log
-                           order is exactly the application order *)
-                        let resp, seq =
-                          Mutex.protect t.repl_mu (fun () ->
-                              let resp = execute t req ~t_start ~deadline in
-                              match Json.member "ok" resp with
-                              | Some (Json.Bool true) ->
-                                  let s =
-                                    Replicate.Log.append log (repl_line req)
-                                  in
-                                  (* compaction rides the write path,
-                                     still under [repl_mu]: every
-                                     [compact_every] acknowledged writes
-                                     the log re-snapshots and sheds its
-                                     covered prefix *)
-                                  maybe_compact_locked t log;
-                                  (resp, Some s)
-                              | _ -> (resp, None))
+                    match t.replica with
+                    | Leading l when Wire.mutating req.Wire.op -> (
+                        let apply () =
+                          let resp = execute t req ~t_start ~deadline in
+                          ( resp,
+                            match Json.member "ok" resp with
+                            | Some (Json.Bool true) -> Some (repl_line req)
+                            | _ -> None )
                         in
-                        match seq with
-                        | Some s when t.cfg.repl.ack_replicas > 0 ->
-                            (* semi-sync: hold the ack until enough
-                               followers have applied this seq *)
-                            if
-                              Replicate.Log.wait_acked log ~seq:s
-                                ~replicas:t.cfg.repl.ack_replicas
-                                ~timeout_s:
-                                  (float t.cfg.repl.ack_timeout_ms /. 1000.)
-                            then resp
-                            else
-                              respond_err t id Wire.Internal
-                                (Printf.sprintf
-                                   "write %d applied locally but fewer than \
-                                    %d replicas acknowledged it within %d ms \
-                                    — outcome is replicated-unknown"
-                                   s t.cfg.repl.ack_replicas
-                                   t.cfg.repl.ack_timeout_ms)
-                        | _ -> resp)
+                        match Replicate.Leader.write l (serving t) apply with
+                        | Ok resp -> resp
+                        | Error msg -> respond_err t id Wire.Internal msg)
                     | _ -> execute t req ~t_start ~deadline
                   in
                   observe_op req.Wire.op
                     ((Unix.gettimeofday () -. t_start) *. 1000.);
                   resp)
           end
-      | op ->
+      | op, _ ->
           respond_err t id Wire.Unknown_op (Printf.sprintf "unknown op %S" op))
 
 (* In-process execution: one JSON request line in, one canonical JSON
@@ -1532,7 +1088,8 @@ end
 (* One JSON line in, one JSON line out, until the peer hangs up.  A
    malformed line is answered with a typed error and the connection
    continues: the newline is the frame boundary, so the stream never
-   loses its place. *)
+   loses its place.  However the loop ends, the thread unregisters and
+   the fd closes, so a drain never waits on a dead thread. *)
 let handle_conn t conn_id fd =
   Atomic.incr t.s_conns;
   Obs.Counter.incr c_connections;
@@ -1548,15 +1105,15 @@ let handle_conn t conn_id fd =
     | exception (End_of_file | Sys_error _) -> ()
     | line -> if write (handle_request t (Wire.request_of_line line)) then loop ()
   in
-  loop ();
-  Mutex.protect t.conns_mu (fun () ->
-      Hashtbl.remove t.live_conns conn_id;
-      let self, live =
-        List.partition (fun (id, _) -> id = conn_id) t.live_threads
-      in
-      t.live_threads <- live;
-      t.finished_threads <- List.map snd self @ t.finished_threads);
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Fun.protect loop ~finally:(fun () ->
+      Mutex.protect t.conns_mu (fun () ->
+          Hashtbl.remove t.live_conns conn_id;
+          let self, live =
+            List.partition (fun (id, _) -> id = conn_id) t.live_threads
+          in
+          t.live_threads <- live;
+          t.finished_threads <- List.map snd self @ t.finished_threads);
+      try Unix.close fd with Unix.Unix_error _ -> ())
 
 let reap_finished t =
   let finished =
@@ -1568,19 +1125,11 @@ let reap_finished t =
   List.iter Thread.join finished
 
 let drain t =
-  let already =
-    Mutex.protect t.conns_mu (fun () ->
-        let d = t.drained in
-        t.drained <- true;
-        d)
-  in
-  if not already then begin
-    Atomic.set t.stopping true;
-    (* wake long-polling repl_pull waiters and stop the follower tail *)
-    (match t.repl_log with
-    | Some log -> Replicate.Log.close log
-    | None -> ());
-    Replicate.Follower.request_stop t.repl_progress;
+  if not (Atomic.exchange t.stopping true) then begin
+    (* wake long-polling repl_pull waiters, or stop the follower tail *)
+    (match t.replica with
+    | Leading l -> Replicate.Leader.interrupt l
+    | Following f -> Replicate.Follower.request_stop f.progress);
     (* stop accepting *)
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (match t.cfg.listen with
@@ -1606,24 +1155,85 @@ let drain t =
     in
     join_live ();
     reap_finished t;
-    (let tail =
-       Mutex.protect t.conns_mu (fun () ->
-           let th = t.follower_thread in
-           t.follower_thread <- None;
-           th)
-     in
-     match tail with Some th -> Thread.join th | None -> ())
+    (* every in-flight write is logged and answered by now *)
+    match t.replica with
+    | Leading l -> Replicate.Leader.close l
+    | Following _ -> ()
   end
 
-(* The four restart steps (see "restart" above); a node that cannot
-   reproduce its history releases its socket and refuses. *)
+(* A node starts in four steps, each over the state the one before
+   left: the session rebuilt from the input files, the newest snapshot
+   ({!Replicate.Leader.recover}), the startup views, the log frames
+   after the snapshot ({!Replicate.Leader.replay}).  A first start is
+   the same with no snapshot and no frames, so a restart applies every
+   logged frame to the state it was first applied to.  A node that
+   cannot reproduce its history releases its socket and refuses. *)
 let create ?(views = []) session cfg =
-  match create_bound session cfg with
-  | Error _ as e -> e
-  | Ok t -> (
+  match bind_listen cfg.listen with
+  | exception Setup msg -> Error msg
+  | exception Unix.Unix_error (e, fn, arg) ->
+      Error
+        (Printf.sprintf "cannot listen on %s: %s (%s %s)"
+           (Wire.addr_to_string cfg.listen)
+           (Unix.error_message e) fn arg)
+  | listen_fd, bound_port -> (
+      let t =
+        {
+          cfg = { cfg with queue = max 1 cfg.queue };
+          session;
+          listen_fd;
+          bound_port;
+          merged = session.initial_merged;
+          state_mu = Mutex.create ();
+          cache = Lru.create ~capacity:(max 0 cfg.cache);
+          cache_mu = Mutex.create ();
+          cache_epoch = Atomic.make 0;
+          views = View.create ();
+          replica =
+            (let r = cfg.repl and dir = session.journal_dir in
+             match r.role with
+             | Leader ->
+                 Leading
+                   (Replicate.Leader.create ~dir ~liveness_s:r.liveness_s
+                      ~compact_every:r.compact_every ~ack_replicas:r.ack_replicas
+                      ~ack_timeout_ms:r.ack_timeout_ms
+                      ~warn:(Printf.eprintf "sit_serve: repl: %s\n%!"))
+             | Follower leader ->
+                 Following
+                   {
+                     leader;
+                     node = Replicate.Follower.node_id dir;
+                     progress = Replicate.Follower.make_progress ();
+                   });
+          inflight = Atomic.make 0;
+          stop_requested = Atomic.make false;
+          stopping = Atomic.make false;
+          conns_mu = Mutex.create ();
+          live_conns = Hashtbl.create 64;
+          live_threads = [];
+          finished_threads = [];
+          next_conn = 0;
+          t0 = Unix.gettimeofday ();
+          s_requests = Atomic.make 0;
+          s_ok = Atomic.make 0;
+          s_err = Atomic.make 0;
+          s_overloaded = Atomic.make 0;
+          s_deadline = Atomic.make 0;
+          s_hits = Atomic.make 0;
+          s_misses = Atomic.make 0;
+          s_evictions = Atomic.make 0;
+          s_conns = Atomic.make 0;
+          serve_thread = None;
+        }
+      in
       let ( let* ) = Result.bind in
+      let leader step =
+        match t.replica with
+        | Leading l -> step l (serving t)
+        | Following _ -> Ok ()
+      in
       match
-        let* from = recover_snapshot t in
+        let* () = leader Replicate.Leader.recover in
         let* () =
           List.fold_left
             (fun acc d ->
@@ -1631,7 +1241,7 @@ let create ?(views = []) session cfg =
               define_startup_view t d)
             (Ok ()) views
         in
-        replay_repl_log t ~from
+        leader Replicate.Leader.replay
       with
       | Ok () -> Ok t
       | Error msg ->
@@ -1640,42 +1250,29 @@ let create ?(views = []) session cfg =
 
 let request_stop t = Atomic.set t.stop_requested true
 
-(* Start the follower tail thread (idempotent; no-op on a leader).
-   The transport is the ordinary client, so the stream rides the same
-   wire — and the same error paths — every other consumer uses.  The
-   node identifies itself by its stable [node_id], never its listen
-   address: the leader keys quorum acks by this name, and an address
-   can be shared, reassigned, or change across restarts. *)
-let start_follower t =
-  match t.cfg.repl.role with
-  | Leader -> ()
-  | Follower leader ->
-      Mutex.protect t.conns_mu (fun () ->
-          if t.follower_thread = None then begin
-            let node = t.node_id in
-            let r = t.cfg.repl in
-            t.follower_thread <-
-              Some
-                (Thread.create
-                   (fun () ->
-                     Replicate.Follower.run ~node
-                       ~connect:(fun () -> Client.connect leader)
-                       ~close:Client.close ~roundtrip:Client.roundtrip
-                       ~apply:(fun seq frame -> apply_repl t seq frame)
-                       ~progress:t.repl_progress ~batch:r.batch
-                       ~wait_ms:r.wait_ms ~throttle_ms:r.throttle_ms
-                       ~install:(fun seq payload ->
-                         install_snapshot t seq payload)
-                       ~log:(fun msg ->
-                         Printf.eprintf "sit_serve: repl[%s]: %s\n%!" node msg)
-                       ())
-                   ())
-          end)
+(* The follower tail rides the ordinary client, so the stream uses the
+   same wire, and the same error paths, as every other consumer. *)
+let start_tail t =
+  match t.replica with
+  | Leading _ -> None
+  | Following f ->
+      let r = t.cfg.repl in
+      let run () =
+        Replicate.Follower.run ~node:f.node
+          ~connect:(fun () -> Client.connect f.leader)
+          ~close:Client.close ~roundtrip:Client.roundtrip ~apply:(apply_repl t)
+          ~progress:f.progress ~batch:r.batch ~wait_ms:r.wait_ms
+          ~throttle_ms:r.throttle_ms ~install:(install_snapshot t)
+          ~log:(fun msg ->
+            Printf.eprintf "sit_serve: repl[%s]: %s\n%!" f.node msg)
+          ()
+      in
+      Some (Thread.create run ())
 
 let serve t =
   (* a client that disconnects mid-write must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  start_follower t;
+  let tail = start_tail t in
   let rec loop () =
     if Atomic.get t.stop_requested then ()
     else begin
@@ -1713,7 +1310,9 @@ let serve t =
     end
   in
   loop ();
-  drain t
+  (* the drain stops the tail *)
+  drain t;
+  Option.iter Thread.join tail
 
 let start session cfg =
   match create session cfg with

@@ -9,6 +9,10 @@
     JSON protocol ({!Wire}, reference in [docs/SERVING.md]) on a Unix
     or TCP socket.
 
+    This module is transport, dispatch, the data operations, session
+    load and the snapshot codec; a leader's replication is
+    {!Replicate.Leader}'s, a follower's {!Replicate.Follower}'s.
+
     Concurrency model: one thread per connection, bounded admission,
     one write lock.  Each connection's thread reads a frame, runs the
     operation itself and writes the response, in order.  Data
@@ -34,8 +38,9 @@
     of the query layer ([Query.Parser.Error], [Query.Rewrite.Unmapped],
     [Query.Eval.Error], [Query.Update.Error]) ever kills the daemon or
     a connection thread.  Shutdown ({!stop}, or SIGTERM in
-    [bin/sit_serve]) stops accepting, answers every in-flight request,
-    wakes idle connections and joins every thread. *)
+    [bin/sit_serve]) stops accepting, answers every in-flight request
+    (a write is logged first), wakes idle connections and joins every
+    thread. *)
 
 module Wire = Wire
 module Lru = Lru
@@ -55,7 +60,7 @@ type session = {
   journal_dir : string option;
       (** when set, the node's durable directory: a leader persists its
           replication log to [DIR/repl.journal] and its snapshots to
-          [DIR/repl.snap.<seq>], and every node keeps its replication
+          [DIR/repl.snap.<seq>], and a follower keeps its replication
           identity in [DIR/node_id].  Nothing else is written there: the
           session itself is always rebuilt from the input files *)
 }
@@ -186,11 +191,6 @@ val create : ?views:view_def list -> session -> config -> (t, string) result
     every readable snapshot, when a view name the snapshot holds is
     given a different definition, when a view fails to define, or when
     a logged frame no longer applies (the message names its seq). *)
-
-val start_follower : t -> unit
-(** Starts the follower tail thread (no-op on a leader; idempotent).
-    {!serve} calls this itself — it is exposed for tests that drive a
-    follower without an accept loop. *)
 
 val port : t -> int option
 (** The bound TCP port, [None] for Unix sockets. *)

@@ -5,7 +5,8 @@
 # the health op and error-path resilience, confirm SIGTERM drains and
 # exits cleanly, then restart a --journal daemon with a startup --view
 # twice and require the view to answer byte-identically across each
-# restart.  Run via `make serve-test` (part of `make check`).
+# restart, and last send SIGTERM to a --journal daemon in the middle of
+# a stream of writes.  Run via `make serve-test` (part of `make check`).
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -25,10 +26,12 @@ JWORK="${TMPDIR:-/tmp}/sit_serve_test_journal_$$"
 PID=$!
 TCPPID=""
 JPID=""
+WPID=""
 cleanup() {
   kill "$PID" 2>/dev/null || true
   [ -n "$TCPPID" ] && kill "$TCPPID" 2>/dev/null || true
   [ -n "$JPID" ] && kill "$JPID" 2>/dev/null || true
+  [ -n "$WPID" ] && kill -KILL "$WPID" 2>/dev/null || true
   rm -f "$SOCK" "$LOG" "$TCPLOG"
   rm -rf "$JWORK"
 }
@@ -206,5 +209,118 @@ for f in "$JDIR"/*; do
 done
 ls "$JDIR"/repl.snap.* >/dev/null 2>&1 \
   || { echo "serve-test: repl_compact left no snapshot"; exit 1; }
+
+# SIGTERM under writes: four clients stream updates at a journaled
+# daemon, which is told to stop mid-stream.  It must drain and exit 0
+# within 5 s, and a restart must serve every write answered ok and
+# none answered with an error.  A write sent after the drain stopped
+# reading gets no answer, and must not be served either.
+if command -v python3 >/dev/null 2>&1; then
+  WDIR="$JWORK/wdir"
+  WSOCK="$JWORK/w.sock"
+  WLOG="$JWORK/w.log"
+  wstart() {
+    "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" \
+      --script "$DATA/paper_session.sit" --data "$DATA/paper_instances.ecd" \
+      --journal "$WDIR" --compact-every 16 --listen "unix:$WSOCK" >"$WLOG" 2>&1 &
+    WPID=$!
+    i=0
+    while [ ! -S "$WSOCK" ]; do
+      i=$((i + 1))
+      [ "$i" -le 100 ] || { echo "serve-test: write-stream daemon did not come up"; cat "$WLOG"; exit 1; }
+      sleep 0.1
+    done
+  }
+  # four connections stream inserts until refused or cut off, and
+  # record each write's answer: "ok", an error code, or none
+  cat >"$JWORK/stream.py" <<'PY'
+import json, socket, sys, threading
+sock_path, out_path, ready_path = sys.argv[1:4]
+lock = threading.Lock()
+outcomes = {}
+oks = [0]
+def client(c):
+    s = socket.socket(socket.AF_UNIX)
+    s.settimeout(10)
+    s.connect(sock_path)
+    f = s.makefile("rw")
+    i = 0
+    while True:
+        name = "W%d_%d" % (c, i)
+        i += 1
+        u = "insert into Student { Name = '%s', GPA = 3.1 }" % name
+        try:
+            f.write(json.dumps({"op": "update", "view": "sc1", "u": u}) + "\n")
+            f.flush()
+            line = f.readline()
+        except OSError:
+            line = ""
+        code = None
+        if line:
+            r = json.loads(line)
+            code = "ok" if r["ok"] else r["error"]["code"]
+        with lock:
+            outcomes[name] = code
+            if code == "ok":
+                oks[0] += 1
+                if oks[0] == 40:
+                    open(ready_path, "w").close()
+        if code != "ok":
+            break
+    s.close()
+ts = [threading.Thread(target=client, args=(c,)) for c in range(4)]
+for t in ts:
+    t.start()
+for t in ts:
+    t.join()
+json.dump(outcomes, open(out_path, "w"))
+PY
+  wstart
+  python3 "$JWORK/stream.py" "$WSOCK" "$JWORK/outcomes.json" "$JWORK/ready" &
+  PYPID=$!
+  i=0
+  while [ ! -e "$JWORK/ready" ]; do
+    i=$((i + 1))
+    [ "$i" -le 100 ] || { echo "serve-test: the write stream did not start"; cat "$WLOG"; exit 1; }
+    sleep 0.1
+  done
+  kill -TERM "$WPID"
+  ( sleep 5; kill -KILL "$WPID" 2>/dev/null ) &
+  WATCHDOG=$!
+  RC=0
+  wait "$WPID" || RC=$?
+  kill "$WATCHDOG" 2>/dev/null || true
+  WPID=""
+  [ "$RC" -eq 0 ] || { echo "serve-test: SIGTERM under writes: exit $RC (137: still running after 5 s)"; cat "$WLOG"; exit 1; }
+  grep -q "drained" "$WLOG" || { echo "serve-test: SIGTERM under writes: no drain line"; cat "$WLOG"; exit 1; }
+  wait "$PYPID" || { echo "serve-test: SIGTERM under writes: the stream clients failed"; exit 1; }
+  wstart
+  python3 - "$WSOCK" "$JWORK/outcomes.json" <<'PY' || { echo "serve-test: SIGTERM under writes: the restart lost or invented a write"; cat "$WLOG"; exit 1; }
+import json, socket, sys
+outcomes = json.load(open(sys.argv[2]))
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+f = s.makefile("rw")
+f.write(json.dumps({"op": "query", "view": "sc1", "q": "select Name from Student"}) + "\n")
+f.flush()
+r = json.loads(f.readline())
+assert r["ok"], r
+names = {row["Name"] for row in r["rows"]}
+ok = [n for n, c in outcomes.items() if c == "ok"]
+refused = [n for n, c in outcomes.items() if c != "ok"]
+assert len(ok) >= 40, "only %d writes answered ok" % len(ok)
+lost = [n for n in ok if n not in names]
+assert not lost, "acknowledged writes lost: %s" % lost
+invented = [n for n in refused if n in names]
+assert not invented, "refused or unanswered writes served: %s" % invented
+print("serve-test: SIGTERM under writes: %d ok kept, %d refused or unanswered absent"
+      % (len(ok), len(refused)))
+PY
+  kill -TERM "$WPID"
+  wait "$WPID" || { echo "serve-test: restarted write-stream daemon exited non-zero"; cat "$WLOG"; exit 1; }
+  WPID=""
+else
+  echo "serve-test: python3 not found, skipping the SIGTERM-under-writes leg"
+fi
 
 echo "serve-test: ok"

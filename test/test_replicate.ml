@@ -268,6 +268,25 @@ let log_tests =
         check Alcotest.bool "close wakes waiters with false" false
           (Log.wait l ~from:2 ~timeout_s:5.);
         Thread.join closer);
+    tc "interrupt wakes every waiter at once; appends still log" (fun () ->
+        let l = Log.create () in
+        Log.ack l ~node:"f1" 0;
+        let interrupter =
+          Thread.create
+            (fun () ->
+              Thread.delay 0.05;
+              Log.interrupt l)
+            ()
+        in
+        check Alcotest.bool "a long poll wakes with false" false
+          (Log.wait l ~from:1 ~timeout_s:5.);
+        Thread.join interrupter;
+        check Alcotest.bool "a later poll returns at once" false
+          (Log.wait l ~from:1 ~timeout_s:5.);
+        check Alcotest.int "appends still log" 1 (Log.append l "a");
+        check Alcotest.bool "a quorum wait returns at once" false
+          (Log.wait_acked l ~seq:1 ~replicas:1 ~timeout_s:5.);
+        Log.close l);
     tc "acks are monotonic per node; wait_acked counts replicas" (fun () ->
         let l = Log.create () in
         ignore (Log.append l "a");
@@ -820,6 +839,49 @@ let cluster_tests =
               (match Server.Client.failover_roundtrip all_dead count_frame with
               | exception Server.Client.Connection_error _ -> true
               | _ -> false)));
+    tc "a stalled endpoint times out as Connection_error and fails over"
+      (fun () ->
+        (* a listener that never accepts: connects succeed, reads stall *)
+        let stalled = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind stalled (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        Unix.listen stalled 8;
+        let saddr =
+          match Unix.getsockname stalled with
+          | Unix.ADDR_INET (_, p) -> Server.Wire.Tcp ("127.0.0.1", p)
+          | _ -> Alcotest.fail "no stalled port"
+        in
+        let leader, laddr = start_server () in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close stalled;
+            stop_all [ leader ])
+          (fun () ->
+            let c = Server.Client.connect ~timeout_ms:200 saddr in
+            Fun.protect
+              ~finally:(fun () -> Server.Client.close c)
+              (fun () ->
+                check Alcotest.bool "a stalled roundtrip is Connection_error"
+                  true
+                  (match Server.Client.roundtrip c count_frame with
+                  | exception Server.Client.Connection_error _ -> true
+                  | _ -> false));
+            let fo =
+              Server.Client.failover ~timeout_ms:200
+                ~retry:{ Backoff.default with base_ms = 1.; seed = 3 }
+                [ saddr; laddr ]
+            in
+            Fun.protect
+              ~finally:(fun () -> Server.Client.failover_close fo)
+              (fun () ->
+                match
+                  Json.of_string (Server.Client.failover_roundtrip fo count_frame)
+                with
+                | Ok v ->
+                    check Alcotest.bool "answered by the live server" true
+                      (Server.Client.is_ok v);
+                    check Alcotest.bool "moved past the stalled endpoint" true
+                      (fst (Server.Client.failover_stats fo) >= 1)
+                | Error e -> Alcotest.fail e)));
     tc "semi-sync acks: leader killed mid-storm loses no acknowledged write"
       (fun () ->
         let leader, laddr =
@@ -1464,7 +1526,206 @@ let cluster_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* 6. The rewrite-plan cache across mutations.                         *)
+(* 6. The leader half on its own, over a fake serving state.           *)
+
+module Leader = Replicate.Leader
+
+let fake_state () =
+  {
+    Leader.apply = (fun _ _ -> Ok ());
+    snapshot = (fun () -> "state");
+    install = (fun _ _ -> Ok ());
+  }
+
+let payload_int name = function
+  | Ok fields -> (
+      match List.assoc_opt name fields with
+      | Some (Json.Int n) -> n
+      | _ -> Alcotest.fail (Printf.sprintf "no %S field" name))
+  | Error (_, msg) -> Alcotest.fail msg
+
+let leader_tests =
+  [
+    tc "compaction stops at a live follower's ack, then passes it once the \
+        follower expires"
+      (fun () ->
+        let state = fake_state () in
+        let l =
+          Leader.create ~dir:None ~liveness_s:0.2 ~compact_every:0
+            ~ack_replicas:0 ~ack_timeout_ms:1000 ~warn:ignore
+        in
+        Fun.protect
+          ~finally:(fun () -> Leader.close l)
+          (fun () ->
+            for i = 1 to 5 do
+              match
+                Leader.write l state (fun () -> ((), Some (insert_frame i)))
+              with
+              | Ok () -> ()
+              | Error msg -> Alcotest.fail msg
+            done;
+            let serve op ~node ~seq =
+              Leader.serve l state op ~node ~seq ~batch:None ~wait_ms:None
+            in
+            (* a follower that has applied seq 2 pulls from 3 *)
+            check Alcotest.int "the pull serves frames 3.." 5
+              (payload_int "repl_seq"
+                 (serve "repl_pull" ~node:(Some "f1") ~seq:(Some 3)));
+            let first = serve "repl_compact" ~node:None ~seq:None in
+            check Alcotest.int "the snapshot covers the whole log" 5
+              (payload_int "snapshot_seq" first);
+            check Alcotest.int "truncation stops at the live ack" 2
+              (payload_int "base_seq" first);
+            check Alcotest.bool "the follower's next frame is still served"
+              true
+              (match serve "repl_frame" ~node:None ~seq:(Some 3) with
+              | Ok _ -> true
+              | Error _ -> false);
+            (* the follower goes silent past its liveness window *)
+            Thread.delay 0.3;
+            let second = serve "repl_compact" ~node:None ~seq:None in
+            check Alcotest.int "now truncated to the snapshot floor" 5
+              (payload_int "base_seq" second);
+            check Alcotest.int "the three held frames dropped" 3
+              (payload_int "dropped" second)));
+    tc "a frame the log cannot take is an Error, never an exception"
+      (fun () ->
+        let l =
+          Leader.create ~dir:None ~liveness_s:1. ~compact_every:1
+            ~ack_replicas:0 ~ack_timeout_ms:1000 ~warn:ignore
+        in
+        Leader.close l;
+        check Alcotest.bool "the applied write reports it was not logged" true
+          (match
+             Leader.write l (fake_state ()) (fun () -> ((), Some "frame"))
+           with
+          | Error msg -> contains msg "could not be logged"
+          | Ok () -> false);
+        check Alcotest.bool "a write with nothing to log is Ok" true
+          (Leader.write l (fake_state ()) (fun () -> ((), None)) = Ok ()));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* 7. Shutdown under writes: every admitted write is answered.         *)
+
+(* [Server.stop] on another thread; false when it has not returned
+   after [s] seconds, so a hang fails the test instead of the suite. *)
+let stops_within s t =
+  let stopped = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Server.stop t;
+         Atomic.set stopped true)
+       ());
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < s do
+    Thread.delay 0.01
+  done;
+  Atomic.get stopped
+
+let update_line name =
+  Server.Wire.request_to_line ~view:"sc1"
+    ~text:(Printf.sprintf "insert into Student { Name = '%s', GPA = 3.2 }" name)
+    "update"
+
+(* One roundtrip that gives up after 3 s, with any failure as [Error]. *)
+let bounded_roundtrip addr line =
+  match
+    let c = Server.Client.connect ~timeout_ms:3000 addr in
+    Fun.protect
+      ~finally:(fun () -> Server.Client.close c)
+      (fun () -> Server.Client.roundtrip c line)
+  with
+  | resp -> (
+      match Json.of_string resp with Ok v -> Ok v | Error e -> Error e)
+  | exception e -> Error (Printexc.to_string e)
+
+let drain_tests =
+  [
+    tc "a write in flight when stop is called is logged and answered"
+      (fun () ->
+        let dir = fresh_dir () in
+        let leader, laddr = start_server ~journal_dir:dir () in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.For_testing.set_delay_after_op_ms 0;
+            ignore (stops_within 5. leader);
+            rm_rf dir)
+          (fun () ->
+            (* the write holds the write lock for 400 ms after it
+               applies, so the stop lands between apply and append *)
+            Server.For_testing.set_delay_after_op_ms 400;
+            let answer = ref (Error "no answer") in
+            let writer =
+              Thread.create
+                (fun () -> answer := bounded_roundtrip laddr (update_line "Late"))
+                ()
+            in
+            with_client laddr (fun c ->
+                eventually "the write admitted" (fun () ->
+                    int_field "inflight" (Server.Client.request c "health") = 1));
+            Thread.delay 0.1;
+            check Alcotest.bool "stop returns" true (stops_within 5. leader);
+            Thread.join writer;
+            Server.For_testing.set_delay_after_op_ms 0;
+            (match !answer with
+            | Ok v ->
+                check Alcotest.bool "the write is answered ok" true
+                  (Server.Client.is_ok v)
+            | Error e -> Alcotest.fail ("the write got no answer: " ^ e));
+            (* the restart replays it: it was logged before the log closed *)
+            let again, aaddr = start_server ~journal_dir:dir () in
+            Fun.protect
+              ~finally:(fun () -> stop_all [ again ])
+              (fun () ->
+                with_client aaddr (fun c ->
+                    check Alcotest.int "the write is in the log" 1
+                      (int_field "repl_seq" (Server.Client.request c "health"));
+                    check Alcotest.int "and in the recovered state" 3
+                      (student_count c)))));
+    tc "a compaction that cannot write leaves its write ok; stop returns"
+      (fun () ->
+        let dir = fresh_dir () in
+        let leader, laddr =
+          start_server ~journal_dir:dir
+            ~repl:{ Server.default_repl with compact_every = 1 }
+            ()
+        in
+        Fun.protect
+          ~finally:(fun () -> ignore (stops_within 5. leader))
+          (fun () ->
+            (* the snapshot directory vanishes under the running leader *)
+            rm_rf dir;
+            List.iter
+              (fun name ->
+                match bounded_roundtrip laddr (update_line name) with
+                | Ok v ->
+                    check Alcotest.bool
+                      (Printf.sprintf "write %s is answered ok" name)
+                      true (Server.Client.is_ok v)
+                | Error e -> Alcotest.fail ("the write got no answer: " ^ e))
+              [ "First"; "Second" ];
+            (match bounded_roundtrip laddr
+                     (Server.Wire.request_to_line "repl_compact") with
+            | Ok v ->
+                check
+                  Alcotest.(option string)
+                  "repl_compact answers internal" (Some "internal")
+                  (Server.Client.error_code v)
+            | Error e -> Alcotest.fail ("repl_compact got no answer: " ^ e));
+            (match bounded_roundtrip laddr
+                     (Server.Wire.request_to_line "health") with
+            | Ok h ->
+                check Alcotest.int "both writes logged" 2 (int_field "repl_seq" h);
+                check Alcotest.int "no snapshot taken" 0
+                  (int_field "snapshot_seq" h)
+            | Error e -> Alcotest.fail e);
+            check Alcotest.bool "stop returns" true (stops_within 5. leader)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* 8. The rewrite-plan cache across mutations.                         *)
 
 let cache_tests =
   [
@@ -1541,5 +1802,7 @@ let () =
       ("wire", wire_tests);
       ("follower", follower_tests);
       ("cluster", cluster_tests);
+      ("leader", leader_tests);
+      ("drain", drain_tests);
       ("plan-cache", cache_tests);
     ]
