@@ -700,8 +700,8 @@ let e17 () =
    the partition once ([Acs_index.build]) and answers each entry with a
    map lookup.  This experiment reproduces the naive path (one scan per
    entry — half of what PR 1 actually did, which scanned twice) and
-   races it against the indexed ranking and the heap top-k path on a
-   schemas x concepts sweep. *)
+   races it against the indexed ranking on a schemas x concepts
+   sweep. *)
 
 let naive_ranked_object_pairs s1 s2 eq =
   List.concat_map
@@ -731,8 +731,8 @@ let naive_ranked_object_pairs s1 s2 eq =
 
 let e18 () =
   section "E18" "scaling: indexed OCS ranking vs per-entry partition scans";
-  Printf.printf "\n%-9s %-9s %-8s %-11s %-11s %-9s %-11s\n" "schemas"
-    "concepts" "pairs" "naive (s)" "indexed (s)" "speedup" "top-25 (s)";
+  Printf.printf "\n%-9s %-9s %-8s %-11s %-11s %s\n" "schemas" "concepts"
+    "pairs" "naive (s)" "indexed (s)" "speedup";
   List.iter
     (fun (schemas, concepts) ->
       let w =
@@ -779,24 +779,15 @@ let e18 () =
               (fun (s1, s2) -> Similarity.ranked_object_pairs_with index s1 s2)
               sp)
       in
-      let _, t_topk =
-        time_once (fun () ->
-            let index = Acs_index.build eq in
-            List.map
-              (fun (s1, s2) -> Similarity.top_object_pairs ~k:25 index s1 s2)
-              sp)
-      in
       assert (naive_rank = indexed_rank);
-      Printf.printf "%-9d %-9d %-8d %-11.4f %-11.4f %8.1fx %-11.4f\n" schemas
-        concepts pairs t_naive t_indexed
-        (if t_indexed > 0.0 then t_naive /. t_indexed else 0.0)
-        t_topk)
+      Printf.printf "%-9d %-9d %-8d %-11.4f %-11.4f %8.1fx\n" schemas concepts
+        pairs t_naive t_indexed
+        (if t_indexed > 0.0 then t_naive /. t_indexed else 0.0))
     [ (2, 10); (2, 20); (2, 40); (2, 80); (3, 10); (3, 20); (3, 40) ];
   print_endline
     "\n(same workload seeds, same resulting order - asserted equal; naive\n\
     \ scans the ACS partition once per OCS entry, the index is built once\n\
-    \ per equivalence state and each entry is a map lookup; top-25 adds\n\
-    \ heap selection instead of sorting the full matrix)"
+    \ per equivalence state and each entry is a map lookup)"
 
 (* lib/par's one fan-out, sit_batch's sessions: k independent sessions
    over one federation (its schemas, then the script, then one

@@ -121,21 +121,7 @@ let run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
   | Some path -> Ecr.Dot.save path result.Integrate.Result.schema
   | None -> ());
   (match save_result with
-  | Some path ->
-      (* temp + rename: a crash mid-dump never leaves a torn dictionary
-         (but never rename over a non-regular file like /dev/null) *)
-      let regular =
-        match (Unix.lstat path).Unix.st_kind with
-        | Unix.S_REG -> true
-        | _ -> false
-        | exception Unix.Unix_error _ -> true
-      in
-      let target = if regular then path ^ ".tmp" else path in
-      let oc = open_out target in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Dictionary.result_to_string ws result));
-      if target <> path then Sys.rename target path
+  | Some path -> Dictionary.save_result path ws result
   | None -> ());
   (* ---- optional: operational data and translated requests ---------- *)
   if data <> None || updates <> [] || queries <> [] || global_queries <> []

@@ -66,6 +66,9 @@ let parse_qname lineno s =
       with Name.Invalid _ -> error "line %d: bad name %s" lineno s)
   | _ -> error "line %d: expected schema.object, got %s" lineno s
 
+let parse_name lineno s =
+  if Name.is_valid s then s else error "line %d: bad name %s" lineno s
+
 let parse_code lineno s =
   match Option.bind (int_of_string_opt s) Integrate.Assertion.of_code with
   | Some a -> a
@@ -109,7 +112,7 @@ let apply_directive ~strict ws lineno line =
   | [ "name"; a; b; forced ] ->
       Integrate.Workspace.set_naming
         (Integrate.Naming.with_override (parse_qname lineno a)
-           (parse_qname lineno b) forced
+           (parse_qname lineno b) (parse_name lineno forced)
            (Integrate.Workspace.naming ws))
         ws
   | _ -> error "line %d: unparseable directive: %s" lineno line
@@ -154,11 +157,28 @@ let of_string text =
     (until_marker [] session_lines)
   |> fst
 
-let save path ws =
-  let oc = open_out path in
+(* Temp file + atomic rename: a crash mid-write leaves the previous
+   file whole.  A non-regular target (/dev/null, a fifo) is written in
+   place, since renaming over it would replace the special file.  The
+   channel is closed before the rename, so a failed flush raises and
+   the previous file stays. *)
+let write_file path text =
+  let regular =
+    match (Unix.lstat path).Unix.st_kind with
+    | Unix.S_REG -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let target = if regular then path ^ ".tmp" else path in
+  let oc = open_out target in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ws))
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc text;
+      close_out oc);
+  if target <> path then Sys.rename target path
+
+let save path ws = write_file path (to_string ws)
 
 let load path =
   let ic = open_in_bin path in
@@ -249,6 +269,8 @@ let result_to_string ws (result : Integrate.Result.t) =
   to_string ws ^ "\n" ^ integrated_marker ^ "\n"
   ^ Ddl.Printer.to_string result.Integrate.Result.schema
   ^ "\n\n" ^ mappings_marker ^ "\n" ^ mapping_lines result
+
+let save_result path ws result = write_file path (result_to_string ws result)
 
 let mappings_of_string text =
   let lines = String.split_on_char '\n' text in

@@ -42,7 +42,10 @@ val of_string : string -> Integrate.Workspace.t
     @raise Error on syntax errors or conflicting assertions. *)
 
 val save : string -> Integrate.Workspace.t -> unit
-(** Writes {!to_string} to a file. *)
+(** Writes {!to_string} to a file through a temp file ([<path>.tmp])
+    and an atomic rename, so a crash mid-write leaves the previous file
+    whole.  A non-regular target such as [/dev/null] is written in
+    place. *)
 
 val load : string -> Integrate.Workspace.t
 (** Reads and parses a file.  @raise Error / [Sys_error]. *)
@@ -74,6 +77,10 @@ val result_to_string :
 (** The full dictionary ({!to_string}) followed by the integrated schema
     (as another DDL block under [%integrated]) and the [%mappings]
     section. *)
+
+val save_result :
+  string -> Integrate.Workspace.t -> Integrate.Result.t -> unit
+(** Writes {!result_to_string} to a file the way {!save} does. *)
 
 val mappings_of_string : string -> Integrate.Mapping.t
 (** Reconstructs the mapping from a dictionary containing a [%mappings]

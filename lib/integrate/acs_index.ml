@@ -1,230 +1,62 @@
 open Ecr
 
-(* The index is pure bookkeeping internal to this module, so its maps
-   and sets order by intern id (integer compares) instead of the
-   display order Qname/Name expose — nothing here iterates into
-   user-visible output, and id order is a total order like any other.
-   The two query-facing aggregates are flat: owners get dense slots in
-   first-contribution order and the per-pair covering-class counts live
-   in one triangular int array, so a [shared] query is two id-map
-   lookups and an array read. *)
-
-module FO = struct
+(* Owners order by intern id (integer compares) instead of the display
+   order Qname exposes: nothing here iterates into user-visible output,
+   and id order is a total order like any other. *)
+module OMap = Map.Make (struct
   type t = Qname.t
 
   let compare (a : Qname.t) (b : Qname.t) =
     match Int.compare (Name.id a.Qname.schema) (Name.id b.Qname.schema) with
     | 0 -> Int.compare (Name.id a.Qname.obj) (Name.id b.Qname.obj)
     | c -> c
-end
+end)
 
-module FA = struct
-  type t = Qname.Attr.t
-
-  let compare (a : Qname.Attr.t) (b : Qname.Attr.t) =
-    match FO.compare a.Qname.Attr.owner b.Qname.Attr.owner with
-    | 0 -> Int.compare (Name.id a.Qname.Attr.attr) (Name.id b.Qname.Attr.attr)
-    | c -> c
-end
-
-module AMap = Map.Make (FA)
-module ASet = Set.Make (FA)
-module OMap = Map.Make (FO)
-
-(* The index keeps, next to the attribute → root partition mirror, the
-   per-class owner multiset (so classes can be un-contributed when they
-   merge or shrink) and the two query-facing aggregates, flattened:
-   [slot] assigns each owner a dense array index and [counts] holds the
-   number of covering classes per unordered owner pair — entry (i, j)
-   with i >= j lives at i*(i+1)/2 + j; the diagonal (i, i) is the
-   per-owner class count.  The array is copied before every update
-   (owner counts are bounded by the structure count of the workspace,
-   so copies are small) which keeps the whole index persistent. *)
-type t = {
-  root : Qname.Attr.t AMap.t;  (** attribute -> its class root *)
-  members : ASet.t AMap.t;  (** root -> class members *)
-  owners : int OMap.t AMap.t;  (** root -> owner -> #attributes in class *)
-  slot : int OMap.t;  (** owner -> dense index into [counts] *)
-  n_slots : int;
-  counts : int array;  (** triangular pair/diagonal aggregate; immutable *)
-}
-
-let empty =
-  {
-    root = AMap.empty;
-    members = AMap.empty;
-    owners = AMap.empty;
-    slot = OMap.empty;
-    n_slots = 0;
-    counts = [||];
-  }
+(* Owners get dense slots in first-contribution order, and [counts]
+   holds the number of covering classes per unordered slot pair: entry
+   (i, j) with i >= j lives at i*(i+1)/2 + j, and the diagonal (i, i)
+   is the owner's own class count. *)
+type t = { slot : int OMap.t; counts : int array }
 
 let c_builds = Obs.Counter.make "similarity.index_builds"
-let c_updates = Obs.Counter.make "similarity.index_updates"
-
-(* --- flat aggregate bookkeeping ------------------------------------ *)
 
 let tri i j = if i >= j then (i * (i + 1) / 2) + j else (j * (j + 1) / 2) + i
-
-(* Adds (delta = 1) or removes (delta = -1) one class's contribution to
-   the aggregates: every owner it covers gains/loses a covering class
-   (the diagonal), and so does every unordered pair of distinct owners.
-   Cost is quadratic in the class's *owner* count, which is bounded by
-   the number of schemas in the workspace — tiny next to the attr
-   count.  [mut] lets the one-pass [build] reuse its private array
-   instead of copying per class. *)
-let contribute ?(mut = false) delta owner_multiset t =
-  let owner_list = List.map fst (OMap.bindings owner_multiset) in
-  let slot, n_slots =
-    List.fold_left
-      (fun ((slot, n) as acc) o ->
-        if OMap.mem o slot then acc else (OMap.add o n slot, n + 1))
-      (t.slot, t.n_slots) owner_list
-  in
-  let need = n_slots * (n_slots + 1) / 2 in
-  let counts =
-    if need <= Array.length t.counts then
-      if mut then t.counts else Array.copy t.counts
-    else begin
-      (* grow with headroom so consecutive registrations don't copy
-         quadratically *)
-      let grown = Array.make (Int.max need (2 * Array.length t.counts)) 0 in
-      Array.blit t.counts 0 grown 0 (Array.length t.counts);
-      grown
-    end
-  in
-  let ids = List.map (fun o -> OMap.find o slot) owner_list in
-  let rec bump = function
-    | [] -> ()
-    | i :: rest ->
-        let d = tri i i in
-        counts.(d) <- counts.(d) + delta;
-        List.iter
-          (fun j ->
-            let p = tri i j in
-            counts.(p) <- counts.(p) + delta)
-          rest;
-        bump rest
-  in
-  bump ids;
-  { t with slot; n_slots; counts }
-
-let owners_of_members members =
-  ASet.fold
-    (fun a acc ->
-      let o = a.Qname.Attr.owner in
-      OMap.add o (1 + Option.value ~default:0 (OMap.find_opt o acc)) acc)
-    members OMap.empty
-
-(* Installs a class (members + owner multiset) under [root] and adds its
-   contribution. *)
-let add_class ?mut root members owner_multiset t =
-  let t = contribute ?mut 1 owner_multiset t in
-  {
-    t with
-    root = ASet.fold (fun a acc -> AMap.add a root acc) members t.root;
-    members = AMap.add root members t.members;
-    owners = AMap.add root owner_multiset t.owners;
-  }
-
-(* Drops a class (by root) and removes its contribution; the members'
-   [root] entries are left to be overwritten by the caller. *)
-let drop_class ?mut root t =
-  let owner_multiset = AMap.find root t.owners in
-  let t = contribute ?mut (-1) owner_multiset t in
-  { t with members = AMap.remove root t.members; owners = AMap.remove root t.owners }
-
-(* --- mirrored partition operations -------------------------------- *)
-
-let register_mut mut a t =
-  if AMap.mem a t.root then t
-  else
-    add_class ~mut a (ASet.singleton a)
-      (OMap.singleton a.Qname.Attr.owner 1)
-      t
-
-let register a t = register_mut false a t
-
-let register_schema s t =
-  let add_attrs owner attrs t =
-    List.fold_left
-      (fun t attr -> register_mut true (Qname.Attr.make owner attr.Attribute.name) t)
-      t attrs
-  in
-  (* one private array for the whole schema: the first registration
-     copies (or grows) it, the rest mutate in place *)
-  let t = { t with counts = Array.copy t.counts } in
-  let t =
-    List.fold_left
-      (fun t oc ->
-        add_attrs (Schema.qname s oc.Object_class.name) oc.Object_class.attributes t)
-      t (Schema.objects s)
-  in
-  List.fold_left
-    (fun t r ->
-      add_attrs (Schema.qname s r.Relationship.name) r.Relationship.attributes t)
-    t (Schema.relationships s)
-
-let declare a b t =
-  let t = register a (register b t) in
-  let ra = AMap.find a t.root and rb = AMap.find b t.root in
-  if Qname.Attr.equal ra rb then t
-  else begin
-    Obs.Counter.incr c_updates;
-    let ma = AMap.find ra t.members and mb = AMap.find rb t.members in
-    let oa = AMap.find ra t.owners and ob = AMap.find rb t.owners in
-    let keep, grow, absorb =
-      if ASet.cardinal ma >= ASet.cardinal mb then (ra, ma, mb) else (rb, mb, ma)
-    in
-    let merged_owners = OMap.union (fun _ x y -> Some (x + y)) oa ob in
-    (* the first drop copies the array; the rest may mutate the copy *)
-    let t = drop_class ra t in
-    let t = drop_class ~mut:true rb t in
-    add_class ~mut:true keep (ASet.union grow absorb) merged_owners t
-  end
-
-let separate a t =
-  match AMap.find_opt a t.root with
-  | None -> t
-  | Some r ->
-      let members = AMap.find r t.members in
-      if ASet.cardinal members <= 1 then t
-      else begin
-        Obs.Counter.incr c_updates;
-        let t = drop_class r t in
-        let rest = ASet.remove a members in
-        let rest_root =
-          if Qname.Attr.equal r a then ASet.min_elt rest else r
-        in
-        let t = add_class ~mut:true rest_root rest (owners_of_members rest) t in
-        add_class ~mut:true a (ASet.singleton a)
-          (OMap.singleton a.Qname.Attr.owner 1)
-          t
-      end
-
-(* --- one-pass construction ---------------------------------------- *)
 
 let build eq =
   Obs.Span.run "similarity.index_build" @@ fun () ->
   Obs.Counter.incr c_builds;
-  List.fold_left
-    (fun t cls ->
-      match cls with
-      | [] -> t
-      | root :: _ ->
-          let members = ASet.of_list cls in
-          (* [empty]'s array is private to this fold: mutate freely *)
-          add_class ~mut:true root members (owners_of_members members) t)
-    empty (Equivalence.classes eq)
-
-(* --- queries ------------------------------------------------------- *)
+  (* First pass: slot every owner and list each class's distinct owner
+     slots, so the array is sized once. *)
+  let slot, n_slots, classes =
+    List.fold_left
+      (fun (slot, n, classes) cls ->
+        let slot, n, ids =
+          List.fold_left
+            (fun ((slot, n, ids) as acc) a ->
+              let o = a.Qname.Attr.owner in
+              match OMap.find_opt o slot with
+              | Some i -> if List.mem i ids then acc else (slot, n, i :: ids)
+              | None -> (OMap.add o n slot, n + 1, n :: ids))
+            (slot, n, []) cls
+        in
+        (slot, n, ids :: classes))
+      (OMap.empty, 0, []) (Equivalence.classes eq)
+  in
+  (* Second pass: each class adds one to every owner it covers and to
+     every unordered pair of distinct owners it covers. *)
+  let counts = Array.make (n_slots * (n_slots + 1) / 2) 0 in
+  let bump p = counts.(p) <- counts.(p) + 1 in
+  let rec contribute = function
+    | [] -> ()
+    | i :: rest ->
+        bump (tri i i);
+        List.iter (fun j -> bump (tri i j)) rest;
+        contribute rest
+  in
+  List.iter contribute classes;
+  { slot; counts }
 
 let shared o1 o2 t =
-  match OMap.find_opt o1 t.slot with
-  | None -> 0
-  | Some i ->
-      if Qname.equal o1 o2 then t.counts.(tri i i)
-      else (
-        match OMap.find_opt o2 t.slot with
-        | None -> 0
-        | Some j -> t.counts.(tri i j))
+  match (OMap.find_opt o1 t.slot, OMap.find_opt o2 t.slot) with
+  | Some i, Some j -> t.counts.(tri i j)
+  | _ -> 0

@@ -1,5 +1,5 @@
 (** An owner-indexed view of the ACS partition, built once and queried
-    per OCS entry in (amortised) constant time.
+    per OCS entry in constant time.
 
     {!Equivalence.shared_count} answers one OCS matrix entry by scanning
     the {e whole} ACS partition, and the similarity ranking asks for
@@ -12,48 +12,26 @@
       entry), and
     - per owner, the number of classes covering it (the diagonal),
 
-    so that a full OCS matrix costs one O(attrs) build plus a map lookup
-    per entry, instead of a partition scan per entry.
+    so that a full OCS matrix costs one O(attrs) build plus a lookup per
+    entry, instead of a partition scan per entry.
 
-    The index also updates {e incrementally}: the Screen 7 operations —
-    {!declare} and {!separate} — touch only the one or two classes they
-    change, so an interactive session never rebuilds from scratch.
-    {!Workspace} maintains an index alongside its {!Equivalence.t} this
-    way.
+    An index is a snapshot: it answers for the equivalence it was built
+    from, and a later edit of that equivalence needs a new {!build}.
+    Like the paper's tool, which derives the OCS matrix when the DDA
+    leaves the equivalence phase, callers build one when they rank.
 
     Observability: builds run under the ["similarity.index_build"] span
-    and count ["similarity.index_builds"]; incremental edits count
-    ["similarity.index_updates"]. *)
+    and count ["similarity.index_builds"]. *)
 
 type t
-
-val empty : t
 
 val build : Equivalence.t -> t
 (** [build eq] folds the whole partition into an index.  O(attrs ·
     log attrs + Σ per-class owner pairs) — one pass; every subsequent
-    {!shared} query is a single map lookup. *)
-
-val register : Ecr.Qname.Attr.t -> t -> t
-(** Mirrors {!Equivalence.register}: makes the attribute a known
-    singleton class.  Registering twice is a no-op. *)
-
-val register_schema : Ecr.Schema.t -> t -> t
-(** Mirrors {!Equivalence.register_schema}. *)
-
-val declare : Ecr.Qname.Attr.t -> Ecr.Qname.Attr.t -> t -> t
-(** Mirrors {!Equivalence.declare}: unions the two attributes' classes
-    (registering them first if needed), patching only the rows of the
-    owners present in the two merged classes. *)
-
-val separate : Ecr.Qname.Attr.t -> t -> t
-(** Mirrors {!Equivalence.separate}: removes the attribute from its
-    class into a fresh singleton.  A no-op on unregistered attributes
-    and on singletons, like its model. *)
+    {!shared} query is two map lookups and an array read. *)
 
 val shared : Ecr.Qname.t -> Ecr.Qname.t -> t -> int
 (** [shared o1 o2 t] is the OCS entry for the two structures: the number
     of equivalence classes containing at least one attribute of each.
     Agrees with {!Equivalence.shared_count} on the equivalence the index
-    was built from (property-tested in [test/test_similarity.ml]).  One
-    map lookup. *)
+    was built from (property-tested in [test/test_similarity.ml]). *)

@@ -158,18 +158,19 @@ let collect_over_pairs options (dda : Dda.t) ask ranked matrix =
     (matrix, zero_stats) ranked
 
 (* The ranked pair list for one schema pair: the whole ordering, or —
-   under a DDA effort budget — only the best [n] pairs by heap
-   selection, skipping the full sort.  A caller-supplied index (built
-   once per equivalence state) is reused across every schema pair. *)
-let ranked_objects options index s1 s2 =
+   under a DDA effort budget — its best [n] pairs.  A caller-supplied
+   index (built once per equivalence state) is reused across every
+   schema pair. *)
+let budget options ranked =
   match options.max_object_pairs with
-  | None -> Similarity.ranked_object_pairs_with index s1 s2
-  | Some n -> Similarity.top_object_pairs ~k:n index s1 s2
+  | None -> ranked
+  | Some n -> Similarity.top n ranked
+
+let ranked_objects options index s1 s2 =
+  budget options (Similarity.ranked_object_pairs_with index s1 s2)
 
 let ranked_relationships options index s1 s2 =
-  match options.max_object_pairs with
-  | None -> Similarity.ranked_relationship_pairs_with index s1 s2
-  | Some n -> Similarity.top_relationship_pairs ~k:n index s1 s2
+  budget options (Similarity.ranked_relationship_pairs_with index s1 s2)
 
 let collect_object_assertions ?index options s1 s2 (dda : Dda.t) eq matrix =
   let index =

@@ -18,8 +18,9 @@ type options = {
       (** signals used when [exhaustive_attribute_pairs = false] *)
   suggestion_threshold : float;  (** candidate cut-off, default 0.5 *)
   max_object_pairs : int option;
-      (** present only the first [n] ranked pairs (a DDA effort budget);
-          [None] presents all *)
+      (** present only the first [n] ranked pairs (a DDA effort budget):
+          {!Similarity.top} of the full ranking, per schema pair and
+          subphase; [None] presents all *)
   skip_determined : bool;
       (** [true]: do not ask about pairs whose cell is already a
           singleton (derived by transitive composition) — quantifies the
@@ -84,8 +85,9 @@ val collect_object_assertions :
   Assertions.t * stats
 (** Phase 3, object subphase, over the ranked pair list.  [?index] is an
     {!Acs_index} already built over the given equivalence; when absent,
-    one is built for this call.  {!run} builds a single index after
-    Phase 2 and shares it across every schema pair of both subphases. *)
+    one is built for this call.  {!run} builds a single index when
+    Phase 2 has fixed the partition and shares it across every schema
+    pair of both subphases. *)
 
 val collect_relationship_assertions :
   ?index:Acs_index.t ->

@@ -17,16 +17,20 @@ let parse_line ~file ~line text =
       (fun message -> raise (Parse_error { file; line; message }))
       fmt
   in
+  (* every identifier is validated here, so no [Ecr.Name.Invalid]
+     escapes the parser or waits for the directive's replay *)
+  let valid = List.for_all Ecr.Name.is_valid in
   let qattr s =
     match String.split_on_char '.' s with
-    | [ a; b; c ] -> Ecr.Qname.Attr.v a b c
+    | [ a; b; c ] when valid [ a; b; c ] -> Ecr.Qname.Attr.v a b c
     | _ -> error "malformed qualified attribute: %s" s
   in
   let qname s =
     match String.split_on_char '.' s with
-    | [ a; b ] -> Ecr.Qname.v a b
+    | [ a; b ] when valid [ a; b ] -> Ecr.Qname.v a b
     | _ -> error "malformed qualified name: %s" s
   in
+  let name s = if Ecr.Name.is_valid s then s else error "malformed name: %s" s in
   let code s =
     match Option.bind (int_of_string_opt s) Assertion.of_code with
     | Some a -> a
@@ -45,7 +49,7 @@ let parse_line ~file ~line text =
   | [ "equiv"; a; b ] -> Some (Equiv (qattr a, qattr b))
   | [ "object"; a; c; b ] -> Some (Object_assertion (qname a, code c, qname b))
   | [ "rel"; a; c; b ] -> Some (Rel_assertion (qname a, code c, qname b))
-  | [ "name"; a; b; forced ] -> Some (Rename (qname a, qname b, forced))
+  | [ "name"; a; b; forced ] -> Some (Rename (qname a, qname b, name forced))
   | _ -> error "unparseable directive: %s" (String.trim text)
 
 let parse_file path =

@@ -104,13 +104,3 @@ let ranked_relationship_pairs s1 s2 eq =
   rank (relationship_rows index s1 s2)
 
 let top n pairs = List.filteri (fun i _ -> i < n) pairs
-
-let top_object_pairs ~k index s1 s2 =
-  Obs.Span.run "similarity.rank_objects" @@ fun () ->
-  Obs.Counter.incr c_cache_hits;
-  Topk.select ~compare:compare_ranked k (object_rows index s1 s2)
-
-let top_relationship_pairs ~k index s1 s2 =
-  Obs.Span.run "similarity.rank_relationships" @@ fun () ->
-  Obs.Counter.incr c_cache_hits;
-  Topk.select ~compare:compare_ranked k (relationship_rows index s1 s2)

@@ -15,10 +15,10 @@
     The matrix is computed through an {!Acs_index}: one O(attrs) fold of
     the partition, then one lookup per entry — not a partition scan per
     entry (the measured hot spot this replaced; see
-    [docs/PERFORMANCE.md]).  The [*_with] variants take a prebuilt
-    (typically cached) index, so repeated rankings over one equivalence
-    state — every schema pair of an n-ary session, or every refresh of
-    an interactive screen — share a single build. *)
+    [docs/PERFORMANCE.md]).  The plain rankings build their own index;
+    the [*_with] variants take one already built, so the rankings of
+    every schema pair of an n-ary session ({!Protocol.run}) share a
+    single build. *)
 
 type ranked = {
   left : Ecr.Qname.t;  (** structure from the first schema *)
@@ -52,15 +52,15 @@ val compare_ranked : ranked -> ranked -> int
 (** The ranking order: decreasing ratio, then increasing size of the
     smaller class (a full match over fewer attributes first, which
     reproduces the paper's Screen 8 order), then declaration order
-    (ties — callers sort stably or use {!Topk.select}). *)
+    (ties — callers sort stably). *)
 
 val ranked_object_pairs :
   Ecr.Schema.t -> Ecr.Schema.t -> Equivalence.t -> ranked list
 (** Every (object class of schema 1, object class of schema 2) pair in
     {!compare_ranked} order.  Pairs with ratio 0 are kept (the DDA may
-    still relate attribute-poor classes), at the end.  Builds a
-    throwaway {!Acs_index} — prefer {!ranked_object_pairs_with} when
-    ranking more than once per equivalence state. *)
+    still relate attribute-poor classes), at the end.  Builds an
+    {!Acs_index} of [eq] for this call — use {!ranked_object_pairs_with}
+    to share one across several rankings of one equivalence state. *)
 
 val ranked_relationship_pairs :
   Ecr.Schema.t -> Ecr.Schema.t -> Equivalence.t -> ranked list
@@ -80,24 +80,5 @@ val ranked_relationship_pairs_with :
 
 val top : int -> ranked list -> ranked list
 (** [top n ranked] keeps the first [n] rows — what a screenful shows
-    the DDA.  The whole list when [n] exceeds its length. *)
-
-val top_object_pairs :
-  k:int ->
-  Acs_index.t ->
-  Ecr.Schema.t ->
-  Ecr.Schema.t ->
-  ranked list
-(** [top_object_pairs ~k index s1 s2] is
-    [top k (ranked_object_pairs_with index s1 s2)] — including the order
-    among ties — computed by heap selection in O(pairs · log k) instead
-    of sorting the whole matrix.  The path for a DDA who only consumes
-    the best [k] pairs ({!Protocol}'s [max_object_pairs]). *)
-
-val top_relationship_pairs :
-  k:int ->
-  Acs_index.t ->
-  Ecr.Schema.t ->
-  Ecr.Schema.t ->
-  ranked list
-(** As {!top_object_pairs}, over relationship sets. *)
+    the DDA, or {!Protocol}'s [max_object_pairs] budget.  The whole list
+    when [n] exceeds its length. *)

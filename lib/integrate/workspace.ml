@@ -5,10 +5,6 @@ type fact = Qname.t * Assertion.t * Qname.t
 type t = {
   schemas : Schema.t list;
   equivalence : Equivalence.t;
-  index : Acs_index.t;
-      (** kept in lockstep with [equivalence]: patched incrementally by
-          [declare_equivalent]/[separate_attribute], rebuilt on the rare
-          structural edits (schema add/remove) *)
   object_facts : fact list;
       (** in entry order; exactly the facts [obj_matrix] was built from *)
   relationship_facts : fact list;
@@ -27,7 +23,6 @@ let empty =
   {
     schemas = [];
     equivalence = Equivalence.empty;
-    index = Acs_index.empty;
     object_facts = [];
     relationship_facts = [];
     obj_matrix = Assertions.create [];
@@ -85,7 +80,6 @@ let add_schema s t =
       t with
       schemas;
       equivalence = Equivalence.register_schema s t.equivalence;
-      index = Acs_index.register_schema s t.index;
     }
 
 let remove_schema n t =
@@ -99,27 +93,15 @@ let remove_schema n t =
       schemas =
         List.filter (fun s -> not (Name.equal (Schema.name s) n)) t.schemas;
       equivalence;
-      (* a structural edit: restriction can split classes arbitrarily, so
-         rebuild rather than patch *)
-      index = Acs_index.build equivalence;
     }
 
 let declare_equivalent a b t =
-  {
-    t with
-    equivalence = Equivalence.declare a b t.equivalence;
-    index = Acs_index.declare a b t.index;
-  }
+  { t with equivalence = Equivalence.declare a b t.equivalence }
 
 let separate_attribute a t =
-  {
-    t with
-    equivalence = Equivalence.separate a t.equivalence;
-    index = Acs_index.separate a t.index;
-  }
+  { t with equivalence = Equivalence.separate a t.equivalence }
 
 let equivalence t = t.equivalence
-let index t = t.index
 
 let object_matrix t = t.obj_matrix
 let relationship_matrix t = t.rel_matrix
@@ -171,12 +153,12 @@ let require_schema n t =
   match find_schema n t with Some s -> s | None -> raise Not_found
 
 let ranked_pairs n1 n2 t =
-  Similarity.ranked_object_pairs_with t.index (require_schema n1 t)
-    (require_schema n2 t)
+  Similarity.ranked_object_pairs (require_schema n1 t) (require_schema n2 t)
+    t.equivalence
 
 let ranked_relationship_pairs n1 n2 t =
-  Similarity.ranked_relationship_pairs_with t.index (require_schema n1 t)
-    (require_schema n2 t)
+  Similarity.ranked_relationship_pairs (require_schema n1 t)
+    (require_schema n2 t) t.equivalence
 
 let set_naming naming t = { t with naming }
 let naming t = t.naming

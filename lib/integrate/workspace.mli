@@ -33,14 +33,6 @@ val declare_equivalent : Ecr.Qname.Attr.t -> Ecr.Qname.Attr.t -> t -> t
 val separate_attribute : Ecr.Qname.Attr.t -> t -> t
 val equivalence : t -> Equivalence.t
 
-val index : t -> Acs_index.t
-(** The {!Acs_index} over {!equivalence}, maintained incrementally:
-    [declare_equivalent] and [separate_attribute] patch only the classes
-    they touch, structural edits ([add_schema]/[remove_schema]) refresh
-    it, and {!ranked_pairs} consumes it without rebuilding — so Screen 8
-    refreshes after a Screen 7 edit cost one index patch, not a
-    partition fold. *)
-
 (** {1 Phase 3 — assertions} *)
 
 val object_matrix : t -> Assertions.t
@@ -69,8 +61,11 @@ val relationship_facts : t -> (Ecr.Qname.t * Assertion.t * Ecr.Qname.t) list
 
 val ranked_pairs :
   Ecr.Name.t -> Ecr.Name.t -> t -> Similarity.ranked list
-(** Ranked object pairs between two collected schemas (by name).
-    @raise Not_found when either schema is absent. *)
+(** Ranked object pairs between two collected schemas (by name): the
+    OCS matrix of the current {!equivalence}, derived when asked — one
+    {!Acs_index.build} per call, as the paper's tool derives it on
+    leaving the equivalence phase.  Equivalence edits themselves do no
+    index work.  @raise Not_found when either schema is absent. *)
 
 val ranked_relationship_pairs :
   Ecr.Name.t -> Ecr.Name.t -> t -> Similarity.ranked list

@@ -98,7 +98,7 @@ let op_of_string text =
     | [ "retract"; a; b ] -> Integrate.Op.Retract_object (qname a, qname b)
     | [ "retractrel"; a; b ] ->
         Integrate.Op.Retract_relationship (qname a, qname b)
-    | [ "name"; a; b; forced ] ->
+    | [ "name"; a; b; forced ] when Ecr.Name.is_valid forced ->
         Integrate.Op.Rename (qname a, qname b, forced)
     | _ -> raise Corrupt
 

@@ -118,6 +118,12 @@ let load_session setup =
             (Unix.error_message e))
     | _ -> ());
     let result = Integrate.Workspace.integrate ?name:setup.name ws in
+    (* The workspace and what integration built on the way are garbage
+       now.  Collecting them before the long-lived stores are loaded
+       lets the allocator reuse that memory for the stores (and for the
+       collector's mark stack) and return the rest, instead of placing
+       them above it, where they would pin it in the resident set. *)
+    Gc.major ();
     let stores =
       match setup.data with
       | Some path -> (

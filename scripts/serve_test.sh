@@ -3,7 +3,8 @@
 # sit_serve on the paper's worked example, load it with the drive
 # client (4 connections, 1000 requests, byte-identity checked), verify
 # the health op and error-path resilience, confirm SIGTERM drains and
-# exits cleanly, then restart a --journal daemon with a startup --view
+# exits cleanly, check that scripts it cannot load stop it at start-up
+# with a message, then restart a --journal daemon with a startup --view
 # twice and require the view to answer byte-identically across each
 # restart, and last send SIGTERM to a --journal daemon in the middle of
 # a stream of writes.  Run via `make serve-test` (part of `make check`).
@@ -125,12 +126,35 @@ wait "$PID" || { echo "serve-test: daemon exited non-zero"; cat "$LOG"; exit 1; 
 grep -q "drained" "$LOG" || { echo "serve-test: no drain line in log"; cat "$LOG"; exit 1; }
 [ ! -S "$SOCK" ] || { echo "serve-test: socket not removed on shutdown"; exit 1; }
 
+mkdir -p "$JWORK"
+
+# Start-up refusals: a script the daemon cannot load must stop it
+# within a second with exit 2 and its message on stderr, never with an
+# uncaught exception.
+# refuse NAME MESSAGE — start on $JWORK/NAME.sit, expect MESSAGE
+refuse() {
+  "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" --script "$JWORK/$1.sit" \
+    --listen "unix:$JWORK/refused.sock" >/dev/null 2>"$JWORK/$1.err" &
+  RPID=$!
+  ( sleep 1; kill -KILL "$RPID" 2>/dev/null ) &
+  WATCHDOG=$!
+  RC=0
+  wait "$RPID" || RC=$?
+  kill "$WATCHDOG" 2>/dev/null || true
+  [ "$RC" -eq 2 ] || { echo "serve-test: $1: exit $RC, expected 2 (137: still running after 1 s)"; cat "$JWORK/$1.err"; exit 1; }
+  grep -qF "$2" "$JWORK/$1.err" || { echo "serve-test: $1: no \"$2\" on stderr"; cat "$JWORK/$1.err"; exit 1; }
+  ! grep -q "internal error" "$JWORK/$1.err" || { echo "serve-test: $1: internal error"; cat "$JWORK/$1.err"; exit 1; }
+}
+printf '# a typo\nequiv sc1.Stu-dent.Name sc2.Student.Name\n' >"$JWORK/bad_name.sit"
+refuse bad_name "$JWORK/bad_name.sit:2: malformed qualified attribute"
+printf 'object sc1.Department 1 sc2.Department\nobject sc1.Department 0 sc2.Department\n' >"$JWORK/conflict.sit"
+refuse conflict "conflicting assertion between sc1.Department and sc2.Department"
+
 # Journaled restarts: the replication log (and its snapshots) is the
 # only durable history, so a restart rebuilds the session from the
 # files, installs the newest snapshot, defines the --view views and
 # replays the logged writes after it.  A manual view serves stale rows
 # honestly, which makes it the sharpest probe of that order.
-mkdir -p "$JWORK"
 JDIR="$JWORK/dir"
 JSOCK="$JWORK/serve.sock"
 JLOG="$JWORK/serve.log"

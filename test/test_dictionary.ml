@@ -93,6 +93,39 @@ let tests =
             check Alcotest.bool "mentions line" true
               (Util.contains ~needle:"line" msg)
         | _ -> Alcotest.fail "expected rejection");
+    tc "a malformed name is an Error with its line" (fun () ->
+        List.iter
+          (fun (directive, message) ->
+            match
+              Dictionary.of_string
+                ("schema a { entity X; }\nschema b { entity Y; }\n%session\n"
+               ^ directive ^ "\n")
+            with
+            | exception Dictionary.Error msg ->
+                check Alcotest.string directive message msg
+            | _ -> Alcotest.failf "accepted %S" directive)
+          [
+            ("name a.X b.Y Bad-Name", "line 4: bad name Bad-Name");
+            ("equiv a.X.Na-me b.Y.Name", "line 4: bad attribute a.X.Na-me");
+            ("object a.X 1 b.9Y", "line 4: bad name b.9Y");
+          ]);
+    tc "saving over a dictionary replaces it through a temp file" (fun () ->
+        let path = Filename.temp_file "sit" ".sitd" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Dictionary.save path (paper_workspace ());
+            let before = (Unix.stat path).Unix.st_ino in
+            Dictionary.save path (paper_workspace ());
+            check Alcotest.bool "a new inode" true
+              ((Unix.stat path).Unix.st_ino <> before);
+            check Alcotest.bool "no temp file left" false
+              (Sys.file_exists (path ^ ".tmp"));
+            check Alcotest.int "still loads" 2
+              (List.length (Workspace.schemas (Dictionary.load path))));
+        Dictionary.save "/dev/null" (paper_workspace ());
+        check Alcotest.bool "/dev/null is still a character device" true
+          ((Unix.stat "/dev/null").Unix.st_kind = Unix.S_CHR));
     tc "merge combines two dictionaries" (fun () ->
         let ws1 = Dictionary.of_string "schema a { entity X; }\n" in
         let ws2 =

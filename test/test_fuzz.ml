@@ -273,6 +273,136 @@ let line_fuzz_tests =
         | Ok _ -> Alcotest.fail "accepted a 10M-deep line");
   ]
 
+(* ---- session-text fuzzing ---------------------------------------- *)
+
+(* The session text format has three parsers — script lines, the
+   dictionary's session section and the journal's op records — and one
+   contract: a mutated input is accepted, or refused through the
+   parser's own error, never by a stray exception such as
+   [Ecr.Name.Invalid].  Accepted input must also replay without one. *)
+
+let paper_session =
+  let here = Filename.dirname Sys.executable_name in
+  In_channel.with_open_bin
+    (Filename.concat here "../../../examples/data/paper_session.sit")
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+let paper_directives =
+  List.filter_map (Integrate.Script.parse_line ~file:"paper" ~line:1) paper_session
+
+(* The paper's sc1 and sc2 after the whole paper session. *)
+let paper_workspace =
+  let ws =
+    List.fold_left
+      (fun ws s -> Integrate.Workspace.add_schema s ws)
+      Integrate.Workspace.empty
+      [ Workload.Paper.sc1; Workload.Paper.sc2 ]
+  in
+  match Integrate.Script.apply paper_directives ws with
+  | Ok ws -> ws
+  | Error e -> failwith (Integrate.Script.apply_error_to_string e)
+
+let unhandled what e input =
+  Alcotest.failf "%s raised %s for %S" what (Printexc.to_string e) input
+
+let script_outcome input =
+  match Integrate.Script.parse_line ~file:"fuzz.sit" ~line:7 input with
+  | None -> ()
+  | Some d -> (
+      match Integrate.Script.apply_one d paper_workspace with
+      | Ok _ | Error _ -> ()
+      | exception e -> unhandled "Script.apply_one" e input)
+  | exception Integrate.Script.Parse_error { file; line; message } ->
+      check bool
+        (Printf.sprintf "%S positioned at fuzz.sit:7" input)
+        true
+        (file = "fuzz.sit" && line = 7 && message <> "")
+  | exception e -> unhandled "Script.parse_line" e input
+
+let dictionary_outcome input =
+  match Dictionary.of_string input with
+  | _ -> ()
+  | exception Dictionary.Error msg ->
+      check bool "message is not empty" true (msg <> "")
+  | exception e -> unhandled "Dictionary.of_string" e input
+
+(* The op records of a journal holding the paper session and one of
+   every other op, each split into its "op <seq>" header and op text. *)
+let journal_records =
+  let q = Ecr.Qname.v and qa = Ecr.Qname.Attr.v in
+  let ops =
+    [ Integrate.Op.Add_schema Workload.Paper.sc1;
+      Integrate.Op.Add_schema Workload.Paper.sc2 ]
+    @ List.map Integrate.Op.of_directive paper_directives
+    @ [
+        Integrate.Op.Separate_attribute (qa "sc1" "Student" "GPA");
+        Integrate.Op.Retract_object (q "sc1" "Student", q "sc2" "Faculty");
+        Integrate.Op.Retract_relationship (q "sc1" "Majors", q "sc2" "Major_in");
+        Integrate.Op.Remove_schema (Ecr.Name.v "sc2");
+      ]
+  in
+  let path = Filename.temp_file "fuzz" ".sitj" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let _, j = Journal.open_ ~fsync:Journal.Never path in
+  List.iter (Journal.append j) ops;
+  Journal.close j;
+  List.map
+    (fun payload ->
+      let i = String.index payload '\n' in
+      (String.sub payload 0 (i + 1), String.sub payload (i + 1) (String.length payload - i - 1)))
+    (Journal.Frames.recover ~magic:"SITJRNL1" path).Journal.Frames.payloads
+
+(* Frames [payloads] into a fresh journal file (valid lengths and CRCs,
+   whatever the bytes) and recovers it. *)
+let journal_outcome payloads =
+  let path = Filename.temp_file "fuzz" ".sitj" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let _, frames = Journal.Frames.open_ ~fsync:Journal.Never ~magic:"SITJRNL1" path in
+  List.iter (Journal.Frames.append frames) payloads;
+  Journal.Frames.close frames;
+  match Journal.recover path with
+  | r ->
+      check bool "recovered seq is within the file" true
+        (r.Journal.seq >= 0 && r.Journal.seq <= List.length payloads)
+  | exception e ->
+      unhandled "Journal.recover" e (String.concat "\n---\n" payloads)
+
+let text_fuzz_tests =
+  [
+    tc "3000 mutated script lines parse, or raise a positioned Parse_error"
+      (fun () ->
+        let g = Workload.Prng.create 0x5C21F7 in
+        List.iter script_outcome paper_session;
+        for _ = 1 to 3000 do
+          script_outcome (mutate g (Workload.Prng.pick g paper_session))
+        done);
+    tc "2000 mutated dictionaries load, or raise Dictionary.Error" (fun () ->
+        let g = Workload.Prng.create 0xD1C7 in
+        let saved = Dictionary.to_string paper_workspace in
+        dictionary_outcome saved;
+        for _ = 1 to 2000 do
+          dictionary_outcome (mutate g saved)
+        done);
+    tc "1000 journals with a mutated op record recover without raising"
+      (fun () ->
+        let g = Workload.Prng.create 0x10A7 in
+        let n = List.length journal_records in
+        for _ = 1 to 1000 do
+          let victim = Workload.Prng.int g n in
+          journal_outcome
+            (List.mapi
+               (fun i (header, op) ->
+                 header ^ if i = victim then mutate g op else op)
+               journal_records)
+        done);
+  ]
+
 let () =
   Alcotest.run "fuzz"
-    [ ("ddl-fuzz", fuzz_tests); ("wire-fuzz", line_fuzz_tests) ]
+    [
+      ("ddl-fuzz", fuzz_tests);
+      ("wire-fuzz", line_fuzz_tests);
+      ("text-fuzz", text_fuzz_tests);
+    ]

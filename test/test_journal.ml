@@ -228,6 +228,21 @@ let bitflip_tests =
                   bit := (!bit + 3) mod 8;
                   b := !b + 11
                 done)));
+    tc "a CRC-valid record with a malformed name ends the prefix" (fun () ->
+        with_path (fun path ->
+            let boundaries = record_session path in
+            (* the first two ops (sc1, sc2), then a well-framed rename
+               whose integrated name is no identifier *)
+            let two = fst (List.find (fun (_, k) -> k = 2) boundaries) in
+            write_file path (String.sub (read_file path) 0 two);
+            let bad = "op 3\nname sc1.Majors sc2.Major_in Bad-Name" in
+            let _, frames = Journal.Frames.open_ ~magic:"SITJRNL1" path in
+            Journal.Frames.append frames bad;
+            Journal.Frames.close frames;
+            let r = Journal.recover path in
+            check_recovery ~what:"bad name" ~full:true two 2 r;
+            check Alcotest.int "the bad record is the dropped tail"
+              (8 + String.length bad) r.Journal.truncated_bytes));
     tc "open_ truncates the corrupt tail so new appends extend the prefix"
       (fun () ->
         with_path (fun path ->

@@ -64,6 +64,23 @@ let parse_tests =
         | _ -> Alcotest.fail "expected Parse_error"
         | exception Script.Parse_error { message; _ } ->
             check Alcotest.string "bad code" "unknown assertion code: 9" message);
+    tc "a malformed identifier is a positioned parse error" (fun () ->
+        List.iter
+          (fun (line, message) ->
+            with_script [ "# one"; line ] @@ fun path ->
+            match Script.parse_file path with
+            | _ -> Alcotest.failf "accepted %S" line
+            | exception Script.Parse_error p ->
+                check Alcotest.int "line" 2 p.line;
+                check Alcotest.string "message" message p.message)
+          [
+            ( "equiv sc1.Stu-dent.Name sc2.Student.Name",
+              "malformed qualified attribute: sc1.Stu-dent.Name" );
+            ( "object sc1.Department 1 sc2.9Dept",
+              "malformed qualified name: sc2.9Dept" );
+            ( "name sc1.Majors sc2.Major_in Bad-Name",
+              "malformed name: Bad-Name" );
+          ]);
     tc "failed parses do not leak channels" (fun () ->
         (* warm up any lazily allocated descriptors, then the count must
            be stable across many mid-file failures *)

@@ -614,6 +614,49 @@ let sit_batch_tests =
           (run scripts));
   ]
 
+(* ---- regression: a malformed identifier is refused, not raised ---- *)
+
+(* Each bad line, on line 2 of a script of its own. *)
+let with_bad_scripts f =
+  List.iter
+    (fun line ->
+      let path = Filename.temp_file "bad_name" ".sit" in
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "# a typo\n%s\n" line);
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path))
+    [
+      "equiv sc1.Stu-dent.Name sc2.Student.Name";
+      "name sc1.Majors sc2.Major_in Bad-Name";
+    ]
+
+let bad_name_tests =
+  [
+    tc "sit_batch refuses a malformed name at file:line" (fun () ->
+        with_bad_scripts @@ fun path ->
+        let rc, text = sit_batch [ "-s"; path ] in
+        check Alcotest.int "exit status" 2 rc;
+        check Alcotest.bool "positioned" true
+          (Util.contains ~needle:(path ^ ":2: malformed") text);
+        check Alcotest.bool "no internal error" false
+          (Util.contains ~needle:"internal error" text));
+    tc "load_session refuses a malformed name as an Error" (fun () ->
+        with_bad_scripts @@ fun path ->
+        match
+          Server.load_session
+            {
+              Server.schema_files = [ example "sc1.ecr"; example "sc2.ecr" ];
+              script = Some path;
+              data = None;
+              journal = None;
+              name = None;
+            }
+        with
+        | Ok _ -> Alcotest.fail "accepted a malformed name"
+        | Error msg ->
+            check Alcotest.bool "positioned" true
+              (Util.contains ~needle:(path ^ ":2: malformed") msg));
+  ]
+
 (* ---- journaled restarts rebuild the session from the inputs ------ *)
 
 let paper_script ~rel_name =
@@ -694,4 +737,5 @@ let () =
       ("strategy regressions", strategy_tests);
       ("conflict diagnostics", conflict_tests);
       ("sit_batch regressions", sit_batch_tests);
+      ("malformed names", bad_name_tests);
     ]

@@ -146,8 +146,8 @@ let ranking_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The indexed engine: Acs_index must be observationally equal to the
-   naive partition scan, top-k to the full sort's prefix, and the
-   incrementally patched workspace index to a from-scratch rebuild.     *)
+   naive partition scan, and so must the rankings a workspace derives
+   after any sequence of equivalence edits.                             *)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -221,6 +221,37 @@ let index_matches_naive eq schemas =
         os)
     os
 
+(* The reference ranking of one schema pair, over each side's
+   (structure, attribute count) list: every OCS entry is an
+   [Equivalence.shared_count] partition scan, stably sorted. *)
+let scanned_ranking side1 side2 eq =
+  List.concat_map
+    (fun (left, n1) ->
+      List.map
+        (fun (right, n2) ->
+          let shared = Equivalence.shared_count left right eq
+          and smaller = Int.min n1 n2 in
+          let ratio =
+            if shared = 0 && smaller = 0 then 0.0
+            else float_of_int shared /. float_of_int (shared + smaller)
+          in
+          { Similarity.left; right; shared; smaller; ratio })
+        side2)
+    side1
+  |> List.stable_sort Similarity.compare_ranked
+
+let object_sizes s =
+  List.map
+    (fun oc ->
+      (Schema.qname s oc.Object_class.name, List.length oc.Object_class.attributes))
+    (Schema.objects s)
+
+let relationship_sizes s =
+  List.map
+    (fun r ->
+      (Schema.qname s r.Relationship.name, List.length r.Relationship.attributes))
+    (Schema.relationships s)
+
 (* A session: interleaved declares (pairing random attributes) and
    separates (random attributes), driven by index picks. *)
 let session_gen =
@@ -245,21 +276,8 @@ let indexed_engine_props =
         | [ s1; s2 ] ->
             index_matches_naive (oracle_equivalence w s1 s2) [ s1; s2 ]
         | _ -> false);
-    qtest ~count:60 "top-k is the k-prefix of the full ranking (ties included)"
-      (QCheck.pair params (QCheck.make QCheck.Gen.(int_range 0 30)))
-      (fun (p, k) ->
-        let w = Workload.Generator.generate p in
-        match w.Workload.Generator.schemas with
-        | [ s1; s2 ] ->
-            let index = Acs_index.build (oracle_equivalence w s1 s2) in
-            Similarity.top_object_pairs ~k index s1 s2
-            = Similarity.top k (Similarity.ranked_object_pairs_with index s1 s2)
-            && Similarity.top_relationship_pairs ~k index s1 s2
-               = Similarity.top k
-                   (Similarity.ranked_relationship_pairs_with index s1 s2)
-        | _ -> false);
     qtest ~count:60
-      "incrementally patched workspace index equals a from-scratch rebuild"
+      "workspace rankings after declare/separate equal the partition scan"
       session
       (fun (p, ops) ->
         let w = Workload.Generator.generate p in
@@ -279,30 +297,20 @@ let indexed_engine_props =
                   Workspace.declare_equivalent attrs.(i mod n) attrs.(j mod n) ws)
               ws ops
           in
-          let rebuilt = Acs_index.build (Workspace.equivalence ws) in
-          let patched = Workspace.index ws in
-          let os = owners schemas in
+          let eq = Workspace.equivalence ws in
           List.for_all
-            (fun o1 ->
+            (fun s1 ->
               List.for_all
-                (fun o2 ->
-                  Acs_index.shared o1 o2 patched
-                  = Acs_index.shared o1 o2 rebuilt
-                  && Acs_index.shared o1 o2 rebuilt
-                     = Equivalence.shared_count o1 o2 (Workspace.equivalence ws))
-                os)
-            os
+                (fun s2 ->
+                  let n1 = Schema.name s1 and n2 = Schema.name s2 in
+                  Workspace.ranked_pairs n1 n2 ws
+                  = scanned_ranking (object_sizes s1) (object_sizes s2) eq
+                  && Workspace.ranked_relationship_pairs n1 n2 ws
+                     = scanned_ranking (relationship_sizes s1)
+                         (relationship_sizes s2) eq)
+                schemas)
+            schemas
         end);
-    qtest ~count:100 "Topk.select is the stable-sort prefix on any ints"
-      QCheck.(pair (small_list (int_bound 5)) (QCheck.make QCheck.Gen.(int_range 0 12)))
-      (fun (l, k) ->
-        (* many duplicate keys, so the tie order is really exercised;
-           pair each value with its position to detect reordering *)
-        let decorated = List.mapi (fun i x -> (x, i)) l in
-        let compare (a, _) (b, _) = Int.compare a b in
-        let take n l = List.filteri (fun i _ -> i < n) l in
-        Topk.select ~compare k decorated
-        = take k (List.stable_sort compare decorated));
   ]
 
 let () =

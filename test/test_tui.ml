@@ -314,6 +314,40 @@ let session_tests =
           (has "Object Class Screen" out);
         (* sc3's Instructor is not part of the pair integration *)
         check Alcotest.bool "instructor absent" false (has "Instructor" out));
+    tc "Screen 8 ranks the equivalence Screen 7 left behind" (fun () ->
+        let ws =
+          Integrate.Workspace.(
+            add_schema Workload.Paper.sc2 (add_schema Workload.Paper.sc1 empty))
+        in
+        (* task 2: declare Name and GPA on Student/Grad_student, delete
+           sc1.Student.GPA again, declare Name on the Departments; then
+           task 3 over the same pair of schemas *)
+        let io, buf =
+          Tui.Session.scripted
+            [
+              "2"; "sc1"; "sc2"; "Student"; "Grad_student";
+              "a"; "Name"; "Name"; "a"; "GPA"; "GPA";
+              "d"; "sc1.Student.GPA"; "e"; "y";
+              "Department"; "Department"; "a"; "Name"; "Name"; "e"; "n";
+              "3"; "sc1"; "sc2"; "e"; "e";
+            ]
+        in
+        let ws' = Tui.Session.run ~workspace:ws io in
+        let eq = Integrate.Workspace.equivalence ws' in
+        check Alcotest.bool "the GPA pair was deleted" false
+          (Integrate.Equivalence.equivalent
+             (Ecr.Qname.Attr.v "sc1" "Student" "GPA")
+             (Ecr.Qname.Attr.v "sc2" "Grad_student" "GPA")
+             eq);
+        let screen =
+          Tui.Canvas.to_string
+            (Tui.Screens.assertion_collection ~answered:[]
+               (Integrate.Similarity.ranked_object_pairs Workload.Paper.sc1
+                  Workload.Paper.sc2 eq))
+        in
+        check Alcotest.bool "Student-Grad_student at 1/3" true (has "0.3333" screen);
+        check Alcotest.bool "task 3 printed that ranking" true
+          (has screen (Buffer.contents buf)));
     tc "an invalid schema edit is refused and not recorded" (fun () ->
         let ws =
           Integrate.Workspace.(
