@@ -12,6 +12,14 @@ exception Session_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Session_error s)) fmt
 
+(* [f ()] reads the input file [path]; a failure to read it names the
+   file ([Sys_error] carries the path only when opening fails). *)
+let reading path f =
+  try f ()
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    fail "%s" (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
 (* One integration session: replay [directives] against [schemas] and
    return everything the session prints.  Pure apart from the optional
    file outputs, which the driver only allows in single-script runs.
@@ -129,7 +137,7 @@ let run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
     let stores =
       match data with
       | Some path -> (
-          try Instance.Loader.load_file ~schemas path
+          try reading path (fun () -> Instance.Loader.load_file ~schemas path)
           with Instance.Loader.Error _ as e ->
             fail "%s" (Instance.Loader.error_to_string e))
       | None -> List.map (fun s -> (s, Instance.Store.create s)) schemas
@@ -255,7 +263,13 @@ let run files scripts out_ddl out_dot name analyse save_dict save_result
     Obs.enable ();
     Obs.reset ()
   end;
-  let schemas = List.concat_map Ddl.Parser.schemas_of_file files in
+  let schemas =
+    try
+      List.concat_map
+        (fun f -> reading f (fun () -> Ddl.Parser.schemas_of_file f))
+        files
+    with Session_error msg -> hard_fail "%s" msg
+  in
   List.iter
     (fun s ->
       match Ecr.Schema.validate s with
@@ -272,9 +286,14 @@ let run files scripts out_ddl out_dot name analyse save_dict save_result
     match scripts with
     | [] -> [ [] ]
     | paths -> (
-        try List.map Integrate.Script.parse_file paths
-        with Integrate.Script.Parse_error _ as e ->
-          hard_fail "%s" (Integrate.Script.parse_error_to_string e))
+        try
+          List.map
+            (fun p -> reading p (fun () -> Integrate.Script.parse_file p))
+            paths
+        with
+        | Integrate.Script.Parse_error _ as e ->
+            hard_fail "%s" (Integrate.Script.parse_error_to_string e)
+        | Session_error msg -> hard_fail "%s" msg)
   in
   let journal =
     match journal_dir with

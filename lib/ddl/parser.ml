@@ -219,10 +219,4 @@ let schema_of_string src =
            (Printf.sprintf "expected exactly one schema, found %d" (List.length ss), 0, 0))
 
 let schemas_of_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  schemas_of_string content
+  schemas_of_string (In_channel.with_open_bin path In_channel.input_all)

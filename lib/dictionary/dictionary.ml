@@ -180,14 +180,7 @@ let write_file path text =
 
 let save path ws = write_file path (to_string ws)
 
-let load path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string text
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let merge base extra =
   let ws =

@@ -11,7 +11,7 @@ let error ~file ~line fmt =
   Printf.ksprintf (fun message -> raise (Error { file; line; message })) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Tokens (with line numbers for error reporting).                     *)
+(* Lexing: a cursor over the source with one token of lookahead.       *)
 
 type token =
   | Ident of string
@@ -27,8 +27,6 @@ type token =
   | Assign
   | Eof
 
-type located = { token : token; line : int }
-
 let token_to_string = function
   | Ident s -> Printf.sprintf "identifier '%s'" s
   | Number s -> Printf.sprintf "number '%s'" s
@@ -43,125 +41,143 @@ let token_to_string = function
   | Assign -> "'='"
   | Eof -> "end of input"
 
-let tokenize ~file src =
-  let n = String.length src in
-  let out = ref [] in
-  let line = ref 1 in
-  let emit token = out := { token; line = !line } :: !out in
-  let is_ident_start c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-  in
-  let is_ident c = is_ident_start c || (c >= '0' && c <= '9') in
-  let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-' in
-  let rec scan i =
-    if i >= n then emit Eof
-    else
-      match src.[i] with
-      | '\n' ->
-          incr line;
-          scan (i + 1)
-      | ' ' | '\t' | '\r' -> scan (i + 1)
-      | '-' when i + 1 < n && src.[i + 1] = '-' ->
-          let rec eol j = if j < n && src.[j] <> '\n' then eol (j + 1) else j in
-          scan (eol i)
-      | '{' ->
-          emit Lbrace;
-          scan (i + 1)
-      | '}' ->
-          emit Rbrace;
-          scan (i + 1)
-      | '(' ->
-          emit Lparen;
-          scan (i + 1)
-      | ')' ->
-          emit Rparen;
-          scan (i + 1)
-      | ',' ->
-          emit Comma;
-          scan (i + 1)
-      | ':' ->
-          emit Colon;
-          scan (i + 1)
-      | '=' ->
-          emit Assign;
-          scan (i + 1)
-      | ('\'' | '"') as quote ->
-          let rec stop j =
-            if j >= n then
-              error ~file ~line:!line "unterminated string (opened with %c)"
-                quote
-            else if src.[j] = quote then j
-            else stop (j + 1)
-          in
-          let j = stop (i + 1) in
-          emit (Str (String.sub src (i + 1) (j - i - 1)));
-          scan (j + 1)
-      | c when (c >= '0' && c <= '9') || c = '-' ->
-          let rec stop j = if j < n && is_num src.[j] then stop (j + 1) else j in
-          let j = stop i in
-          let word = String.sub src i (j - i) in
-          (* a bare date looks like 2020-09-01 *)
-          (match String.split_on_char '-' word with
+(* The next token is lexed only when the parser asks for it ([peek]),
+   and [advance] merely drops it, so an error is raised at the first
+   offending token in file order and the file is never held as a token
+   list. *)
+type state = {
+  file : string;
+  src : string;
+  mutable pos : int;  (** first byte not yet lexed *)
+  mutable line : int;  (** line of [pos] *)
+  mutable tok : token;  (** the lookahead, when [ready] *)
+  mutable tok_line : int;  (** the line [tok] starts on *)
+  mutable ready : bool;
+}
+
+let is_ident_start c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
+let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-'
+
+let rec scan_while p src j =
+  if j < String.length src && p src.[j] then scan_while p src (j + 1) else j
+
+(* Skips blanks and [--] comments from [i], counting newlines. *)
+let rec skip_blank st i =
+  let src = st.src in
+  if i >= String.length src then i
+  else
+    match src.[i] with
+    | '\n' ->
+        st.line <- st.line + 1;
+        skip_blank st (i + 1)
+    | ' ' | '\t' | '\r' -> skip_blank st (i + 1)
+    | '-' when i + 1 < String.length src && src.[i + 1] = '-' ->
+        skip_blank st (scan_while (fun c -> c <> '\n') src i)
+    | _ -> i
+
+(* The closing quote at or after [j]; newlines inside the string count
+   towards later lines, while the string itself (and an unterminated
+   one) stays on the line it opened on, [st.tok_line]. *)
+let rec string_end st quote j =
+  let src = st.src in
+  if j >= String.length src then
+    error ~file:st.file ~line:st.tok_line "unterminated string (opened with %c)"
+      quote
+  else if src.[j] = quote then j
+  else begin
+    if src.[j] = '\n' then st.line <- st.line + 1;
+    string_end st quote (j + 1)
+  end
+
+let emit st tok next =
+  st.tok <- tok;
+  st.pos <- next;
+  st.ready <- true
+
+let lex st =
+  let src = st.src in
+  let i = skip_blank st st.pos in
+  st.tok_line <- st.line;
+  if i >= String.length src then emit st Eof i
+  else
+    match src.[i] with
+    | '{' -> emit st Lbrace (i + 1)
+    | '}' -> emit st Rbrace (i + 1)
+    | '(' -> emit st Lparen (i + 1)
+    | ')' -> emit st Rparen (i + 1)
+    | ',' -> emit st Comma (i + 1)
+    | ':' -> emit st Colon (i + 1)
+    | '=' -> emit st Assign (i + 1)
+    | ('\'' | '"') as quote ->
+        let j = string_end st quote (i + 1) in
+        emit st (Str (String.sub src (i + 1) (j - i - 1))) (j + 1)
+    | c when (c >= '0' && c <= '9') || c = '-' ->
+        let j = scan_while is_num src i in
+        let word = String.sub src i (j - i) in
+        (* a bare date looks like 2020-09-01 *)
+        let tok =
+          match String.split_on_char '-' word with
           | [ y; m; d ]
             when String.length word = 10
                  && String.length y = 4
                  && int_of_string_opt y <> None
                  && int_of_string_opt m <> None
                  && int_of_string_opt d <> None ->
-              emit
-                (DateTok (int_of_string y, int_of_string m, int_of_string d))
-          | _ -> emit (Number word));
-          scan j
-      | c when is_ident_start c ->
-          let rec stop j = if j < n && is_ident src.[j] then stop (j + 1) else j in
-          let j = stop i in
-          emit (Ident (String.sub src i (j - i)));
-          scan j
-      | c -> error ~file ~line:!line "illegal character %C" c
-  in
-  scan 0;
-  List.rev !out
+              DateTok (int_of_string y, int_of_string m, int_of_string d)
+          | _ -> Number word
+        in
+        emit st tok j
+    | c when is_ident_start c ->
+        let j = scan_while is_ident src i in
+        emit st (Ident (String.sub src i (j - i))) j
+    | c -> error ~file:st.file ~line:st.line "illegal character %C" c
 
 (* ------------------------------------------------------------------ *)
 (* Parsing.                                                            *)
 
-type state = { file : string; mutable rest : located list }
-
 let peek st =
-  match st.rest with [] -> { token = Eof; line = 0 } | t :: _ -> t
+  if not st.ready then lex st;
+  st.tok
 
-let fail_at st t fmt = error ~file:st.file ~line:t.line fmt
+(* The line of the lookahead token. *)
+let peek_line st =
+  ignore (peek st);
+  st.tok_line
 
-let advance st = match st.rest with [] -> () | _ :: r -> st.rest <- r
+let advance st = st.ready <- false
+let fail_at st line fmt = error ~file:st.file ~line fmt
 
 let ident st =
-  let t = peek st in
-  match t.token with
+  match peek st with
   | Ident s ->
       advance st;
       s
-  | _ -> fail_at st t "expected an identifier, found %s" (token_to_string t.token)
+  | t ->
+      fail_at st st.tok_line "expected an identifier, found %s"
+        (token_to_string t)
 
 let expect st token what =
   let t = peek st in
-  if t.token = token then advance st
-  else fail_at st t "expected %s, found %s" what (token_to_string t.token)
+  if t = token then advance st
+  else fail_at st st.tok_line "expected %s, found %s" what (token_to_string t)
 
 let value st =
-  let t = peek st in
-  match t.token with
+  let line = peek_line st in
+  match peek st with
   | Number s -> (
       advance st;
-      (* the tokenizer's number class also admits junk like "1.2.3" or
+      (* the lexer's number class also admits junk like "1.2.3" or
          a lone "-"; reject it here, positioned *)
       if String.contains s '.' then
         match float_of_string_opt s with
         | Some x -> Value.Real x
-        | None -> fail_at st t "malformed number '%s'" s
+        | None -> fail_at st line "malformed number '%s'" s
       else
         match int_of_string_opt s with
         | Some n -> Value.Int n
-        | None -> fail_at st t "malformed number '%s'" s)
+        | None -> fail_at st line "malformed number '%s'" s)
   | Str s ->
       advance st;
       Value.Str s
@@ -177,27 +193,27 @@ let value st =
   | Ident s when String.lowercase_ascii s = "null" ->
       advance st;
       Value.Null
-  | _ -> fail_at st t "expected a value, found %s" (token_to_string t.token)
+  | t -> fail_at st line "expected a value, found %s" (token_to_string t)
 
 let tuple_block st =
   expect st Lbrace "'{'";
-  if (peek st).token = Rbrace then begin
+  if peek st = Rbrace then begin
     advance st;
     Name.Map.empty
   end
   else begin
     let rec fields acc =
-      let t = peek st in
+      let line = peek_line st in
       let field = ident st in
       let field_name =
         match Name.of_string_opt field with
         | Some n -> n
-        | None -> fail_at st t "invalid attribute name '%s'" field
+        | None -> fail_at st line "invalid attribute name '%s'" field
       in
       expect st Assign "'='";
       let v = value st in
       let acc = Name.Map.add field_name v acc in
-      if (peek st).token = Comma then begin
+      if peek st = Comma then begin
         advance st;
         fields acc
       end
@@ -210,65 +226,69 @@ let tuple_block st =
   end
 
 let load_string ?(file = "<instance>") ~schemas src =
-  let st = { file; rest = tokenize ~file src } in
+  Obs.Span.run "instance.load" @@ fun () ->
+  let st =
+    { file; src; pos = 0; line = 1; tok = Eof; tok_line = 1; ready = false }
+  in
   let stores = Hashtbl.create 4 in
   List.iter
     (fun s ->
       Hashtbl.replace stores (Name.to_string (Schema.name s)) (s, Store.create s))
     schemas;
   let rec blocks () =
-    match (peek st).token with
+    match peek st with
     | Eof -> ()
-    | _ ->
-        let t = peek st in
-        (match (peek st).token with
+    | tok ->
+        let line = st.tok_line in
+        (match tok with
         | Ident s when String.lowercase_ascii s = "instance" -> advance st
         | tok ->
-            fail_at st t "expected 'instance', found %s" (token_to_string tok));
+            fail_at st line "expected 'instance', found %s"
+              (token_to_string tok));
         let sname = ident st in
         let schema, store =
           match Hashtbl.find_opt stores sname with
           | Some pair -> pair
-          | None -> fail_at st t "unknown schema %s" sname
+          | None -> fail_at st line "unknown schema %s" sname
         in
         expect st Lbrace "'{'";
         let labels = Hashtbl.create 32 in
         let store = ref store in
         let rec entries () =
-          match (peek st).token with
+          match peek st with
           | Rbrace -> advance st
           | Ident "in" ->
               (* in Category: label *)
               advance st;
-              let t = peek st in
+              let line = peek_line st in
               let cat = ident st in
               expect st Colon "':'";
               let label = ident st in
               let cat_name =
                 match Name.of_string_opt cat with
                 | Some n when Schema.find_object n schema <> None -> n
-                | _ -> fail_at st t "unknown class %s" cat
+                | _ -> fail_at st line "unknown class %s" cat
               in
               let oid =
                 match Hashtbl.find_opt labels label with
                 | Some oid -> oid
-                | None -> fail_at st t "unknown label %s" label
+                | None -> fail_at st line "unknown label %s" label
               in
               store := Store.classify oid cat_name !store;
               entries ()
           | Ident _ -> (
-              let t = peek st in
+              let line = st.tok_line in
               let structure = ident st in
               let sname_n =
                 match Name.of_string_opt structure with
                 | Some n -> n
-                | None -> fail_at st t "invalid name '%s'" structure
+                | None -> fail_at st line "invalid name '%s'" structure
               in
               match Schema.find_structure sname_n schema with
               | Some (Schema.Obj _) ->
                   let tuple = tuple_block st in
                   let label =
-                    match (peek st).token with
+                    match peek st with
                     | Ident "as" ->
                         advance st;
                         Some (ident st)
@@ -278,17 +298,17 @@ let load_string ?(file = "<instance>") ~schemas src =
                   store := st';
                   Option.iter (fun l -> Hashtbl.replace labels l oid) label;
                   entries ()
-              | Some (Schema.Rel _) ->
+              | Some (Schema.Rel r) ->
                   expect st Lparen "'('";
                   let rec participants acc =
-                    let t = peek st in
+                    let line = peek_line st in
                     let label = ident st in
                     let oid =
                       match Hashtbl.find_opt labels label with
                       | Some oid -> oid
-                      | None -> fail_at st t "unknown label %s" label
+                      | None -> fail_at st line "unknown label %s" label
                     in
-                    if (peek st).token = Comma then begin
+                    if peek st = Comma then begin
                       advance st;
                       participants (oid :: acc)
                     end
@@ -298,18 +318,21 @@ let load_string ?(file = "<instance>") ~schemas src =
                     end
                   in
                   let oids = participants [] in
+                  (* checked before the value block is read, so an error
+                     in the block cannot pre-empt it *)
+                  if List.length oids <> Relationship.arity r then
+                    fail_at st line
+                      "relationship %s expects %d participants, got %d"
+                      structure (Relationship.arity r) (List.length oids);
                   let values =
-                    if (peek st).token = Lbrace then tuple_block st
-                    else Name.Map.empty
+                    if peek st = Lbrace then tuple_block st else Name.Map.empty
                   in
-                  (try store := Store.relate sname_n oids values !store
-                   with Store.Violation msg -> fail_at st t "%s" msg);
+                  store := Store.relate sname_n oids values !store;
                   entries ()
-              | None -> fail_at st t "unknown structure %s" structure)
-          | _ ->
-              let t = peek st in
-              fail_at st t "expected an entry or '}', found %s"
-                (token_to_string t.token)
+              | None -> fail_at st line "unknown structure %s" structure)
+          | tok ->
+              fail_at st st.tok_line "expected an entry or '}', found %s"
+                (token_to_string tok)
         in
         entries ();
         Hashtbl.replace stores sname (schema, !store);
@@ -321,15 +344,8 @@ let load_string ?(file = "<instance>") ~schemas src =
     schemas
 
 let load_file ~schemas path =
-  let ic = open_in_bin path in
-  (* [Fun.protect] so an [Error] raised mid-parse cannot leak the
-     channel *)
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  load_string ~file:path ~schemas text
+  load_string ~file:path ~schemas
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation.                                                      *)

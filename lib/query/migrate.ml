@@ -19,27 +19,75 @@ let rename_tuple (entry : Integrate.Mapping.entry) tuple =
       | None -> Name.Map.add attr v acc)
     tuple Name.Map.empty
 
+(* What migrating an entity needs besides its tuple.  It depends only
+   on the component schema and the classes the entity was placed in,
+   so [run] resolves it once per distinct class set. *)
+type plan = {
+  entries : Integrate.Mapping.entry list;  (** one per mapped class *)
+  targets : Name.t list;  (** their integrated classes, sorted *)
+  insertion : Name.t;
+      (** the most specific target (one that no other target is a
+          descendant of) *)
+  keys : (Name.t * string) list;
+      (** each key attribute visible on [insertion], with its fusion-key
+          prefix *)
+}
+
 (* Fusion keys: every key attribute visible on the insertion class with
    a non-null value on the tuple.  Two incoming entities fuse when they
    agree on any one of these, scoped by the root of the insertion
    class's IS-A chain so unrelated classes can never cross-fuse. *)
-let key_pairs integrated insertion tuple =
-  let root =
-    match Schema.ancestors integrated insertion with
-    | [] -> insertion
-    | ancestors -> List.nth ancestors (List.length ancestors - 1)
-  in
-  Attribute.keys (Schema.all_attributes integrated insertion)
-  |> Attribute.names
-  |> List.filter_map (fun k ->
-         match Name.Map.find_opt k tuple with
-         | Some v when not (Value.equal v Value.Null) ->
-             Some
-               (Name.to_string root ^ "|" ^ Name.to_string k ^ "="
-              ^ Value.to_string v)
-         | _ -> None)
+let resolve mapping ~integrated sname classes =
+  match
+    List.filter_map
+      (fun c -> Integrate.Mapping.object_entry (Qname.make sname c) mapping)
+      classes
+  with
+  | [] -> None
+  | first :: _ as entries ->
+      let targets =
+        List.map (fun (e : Integrate.Mapping.entry) -> e.target) entries
+        |> List.sort_uniq Name.compare
+      in
+      let insertion =
+        match
+          List.filter
+            (fun t ->
+              not
+                (List.exists
+                   (fun t' ->
+                     (not (Name.equal t t'))
+                     && Schema.is_ancestor integrated ~ancestor:t t')
+                   targets))
+            targets
+        with
+        | t :: _ -> t
+        | [] -> first.Integrate.Mapping.target
+      in
+      let root =
+        match Schema.ancestors integrated insertion with
+        | [] -> insertion
+        | ancestors -> List.nth ancestors (List.length ancestors - 1)
+      in
+      let keys =
+        Attribute.keys (Schema.all_attributes integrated insertion)
+        |> Attribute.names
+        |> List.map (fun k ->
+               (k, Name.to_string root ^ "|" ^ Name.to_string k ^ "="))
+      in
+      Some { entries; targets; insertion; keys }
+
+let key_pairs plan tuple =
+  List.filter_map
+    (fun (k, prefix) ->
+      match Name.Map.find_opt k tuple with
+      | Some v when not (Value.equal v Value.Null) ->
+          Some (prefix ^ Value.to_string v)
+      | _ -> None)
+    plan.keys
 
 let run mapping ~integrated components =
+  Obs.Span.run "migrate" @@ fun () ->
   let store = ref (Store.create integrated) in
   let entities_in = ref 0
   and fused = ref 0
@@ -54,50 +102,32 @@ let run mapping ~integrated components =
   List.iter
     (fun (schema, comp_store) ->
       let sname = Schema.name schema in
+      let plans = Hashtbl.create 16 in
       List.iter
         (fun old_oid ->
           incr entities_in;
           let classes = Store.classes_of old_oid comp_store in
-          let entries =
-            List.filter_map
-              (fun c ->
-                Integrate.Mapping.object_entry (Qname.make sname c) mapping)
-              classes
+          let plan =
+            match Hashtbl.find_opt plans classes with
+            | Some p -> p
+            | None ->
+                let p = resolve mapping ~integrated sname classes in
+                Hashtbl.add plans classes p;
+                p
           in
-          match entries with
-          | [] -> ()
-          | first :: _ ->
+          match plan with
+          | None -> ()
+          | Some plan ->
+              let comp_tuple = Store.tuple_of old_oid comp_store in
               let tuple =
                 List.fold_left
-                  (fun acc (e : Integrate.Mapping.entry) ->
+                  (fun acc e ->
                     Name.Map.union
                       (fun _ v _ -> Some v)
-                      acc
-                      (rename_tuple e (Store.tuple_of old_oid comp_store)))
-                  Name.Map.empty entries
+                      acc (rename_tuple e comp_tuple))
+                  Name.Map.empty plan.entries
               in
-              let target_classes =
-                List.map (fun (e : Integrate.Mapping.entry) -> e.Integrate.Mapping.target) entries
-                |> List.sort_uniq Name.compare
-              in
-              (* the insertion class: the most specific target (one that
-                 no other target is a descendant of) *)
-              let insertion =
-                match
-                  List.filter
-                    (fun t ->
-                      not
-                        (List.exists
-                           (fun t' ->
-                             (not (Name.equal t t'))
-                             && Schema.is_ancestor integrated ~ancestor:t t')
-                           target_classes))
-                    target_classes
-                with
-                | t :: _ -> t
-                | [] -> first.Integrate.Mapping.target
-              in
-              let pairs = key_pairs integrated insertion tuple in
+              let pairs = key_pairs plan tuple in
               let existing =
                 List.find_map (Hashtbl.find_opt by_key) pairs
               in
@@ -108,7 +138,7 @@ let run mapping ~integrated components =
                     (* add class memberships and missing values *)
                     List.iter
                       (fun t -> store := Store.classify oid t !store)
-                      target_classes;
+                      plan.targets;
                     Name.Map.iter
                       (fun a v ->
                         if
@@ -119,13 +149,13 @@ let run mapping ~integrated components =
                     List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
                     oid
                 | None ->
-                    let st, oid = Store.insert insertion tuple !store in
+                    let st, oid = Store.insert plan.insertion tuple !store in
                     store := st;
                     List.iter
                       (fun t ->
-                        if not (Name.equal t insertion) then
+                        if not (Name.equal t plan.insertion) then
                           store := Store.classify oid t !store)
-                      target_classes;
+                      plan.targets;
                     List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
                     oid
               in

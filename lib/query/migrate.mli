@@ -29,6 +29,10 @@ val run :
   integrated:Ecr.Schema.t ->
   (Ecr.Schema.t * Instance.Store.t) list ->
   Instance.Store.t * report
-(** @raise Instance.Store.Violation when a component store references
+(** Timed as the [migrate] span.  What an entity's migration depends on
+    besides its tuple (mapping entries, target and insertion classes,
+    fusion keys) is resolved once per component schema and set of
+    classes the entity was placed in.
+    @raise Instance.Store.Violation when a component store references
     structures absent from its schema (i.e. the component store is
     corrupt). *)

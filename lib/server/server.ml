@@ -70,6 +70,15 @@ exception Setup of string
 
 let setup_fail fmt = Printf.ksprintf (fun s -> raise (Setup s)) fmt
 
+(* [f ()] reads the input file [path]; a failure to read it names the
+   file ([Sys_error] carries the path only when opening fails). *)
+let reading path f =
+  try f ()
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    setup_fail "%s"
+      (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
 let load_session setup =
   try
     let schemas =
@@ -78,7 +87,7 @@ let load_session setup =
       | files ->
           List.concat_map
             (fun file ->
-              try Ddl.Parser.schemas_of_file file
+              try reading file (fun () -> Ddl.Parser.schemas_of_file file)
               with Ddl.Parser.Error (msg, line, col) ->
                 setup_fail "%s:%d:%d: %s" file line col msg)
             files
@@ -95,7 +104,7 @@ let load_session setup =
       match setup.script with
       | None -> []
       | Some path -> (
-          try Integrate.Script.parse_file path
+          try reading path (fun () -> Integrate.Script.parse_file path)
           with Integrate.Script.Parse_error _ as e ->
             setup_fail "%s" (Integrate.Script.parse_error_to_string e))
     in
@@ -118,16 +127,10 @@ let load_session setup =
             (Unix.error_message e))
     | _ -> ());
     let result = Integrate.Workspace.integrate ?name:setup.name ws in
-    (* The workspace and what integration built on the way are garbage
-       now.  Collecting them before the long-lived stores are loaded
-       lets the allocator reuse that memory for the stores (and for the
-       collector's mark stack) and return the rest, instead of placing
-       them above it, where they would pin it in the resident set. *)
-    Gc.major ();
     let stores =
       match setup.data with
       | Some path -> (
-          try Instance.Loader.load_file ~schemas path
+          try reading path (fun () -> Instance.Loader.load_file ~schemas path)
           with Instance.Loader.Error _ as e ->
             setup_fail "%s" (Instance.Loader.error_to_string e))
       | None -> List.map (fun s -> (s, Instance.Store.create s)) schemas

@@ -128,27 +128,39 @@ grep -q "drained" "$LOG" || { echo "serve-test: no drain line in log"; cat "$LOG
 
 mkdir -p "$JWORK"
 
-# Start-up refusals: a script the daemon cannot load must stop it
-# within a second with exit 2 and its message on stderr, never with an
-# uncaught exception.
-# refuse NAME MESSAGE — start on $JWORK/NAME.sit, expect MESSAGE
+# Start-up refusals: a script or data file the daemon cannot load must
+# stop it within a second with exit 2 and its message on stderr, never
+# with an uncaught exception.
+# refuse NAME MESSAGE ARGS... — start on the paper schemas with ARGS,
+# expect MESSAGE
 refuse() {
-  "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" --script "$JWORK/$1.sit" \
-    --listen "unix:$JWORK/refused.sock" >/dev/null 2>"$JWORK/$1.err" &
+  NAME=$1 MESSAGE=$2
+  shift 2
+  "$SERVE" "$DATA/sc1.ecr" "$DATA/sc2.ecr" "$@" \
+    --listen "unix:$JWORK/refused.sock" >/dev/null 2>"$JWORK/$NAME.err" &
   RPID=$!
   ( sleep 1; kill -KILL "$RPID" 2>/dev/null ) &
   WATCHDOG=$!
   RC=0
   wait "$RPID" || RC=$?
   kill "$WATCHDOG" 2>/dev/null || true
-  [ "$RC" -eq 2 ] || { echo "serve-test: $1: exit $RC, expected 2 (137: still running after 1 s)"; cat "$JWORK/$1.err"; exit 1; }
-  grep -qF "$2" "$JWORK/$1.err" || { echo "serve-test: $1: no \"$2\" on stderr"; cat "$JWORK/$1.err"; exit 1; }
-  ! grep -q "internal error" "$JWORK/$1.err" || { echo "serve-test: $1: internal error"; cat "$JWORK/$1.err"; exit 1; }
+  [ "$RC" -eq 2 ] || { echo "serve-test: $NAME: exit $RC, expected 2 (137: still running after 1 s)"; cat "$JWORK/$NAME.err"; exit 1; }
+  grep -qF "$MESSAGE" "$JWORK/$NAME.err" || { echo "serve-test: $NAME: no \"$MESSAGE\" on stderr"; cat "$JWORK/$NAME.err"; exit 1; }
+  ! grep -q "internal error" "$JWORK/$NAME.err" || { echo "serve-test: $NAME: internal error"; cat "$JWORK/$NAME.err"; exit 1; }
 }
 printf '# a typo\nequiv sc1.Stu-dent.Name sc2.Student.Name\n' >"$JWORK/bad_name.sit"
-refuse bad_name "$JWORK/bad_name.sit:2: malformed qualified attribute"
+refuse bad_name "$JWORK/bad_name.sit:2: malformed qualified attribute" \
+  --script "$JWORK/bad_name.sit"
 printf 'object sc1.Department 1 sc2.Department\nobject sc1.Department 0 sc2.Department\n' >"$JWORK/conflict.sit"
-refuse conflict "conflicting assertion between sc1.Department and sc2.Department"
+refuse conflict "conflicting assertion between sc1.Department and sc2.Department" \
+  --script "$JWORK/conflict.sit"
+# a string spanning lines: the error after it names its own line
+printf 'instance sc1 {\n  Student { Name = "A\nB" }\n  Ghost { }\n}\n' >"$JWORK/multiline.ecd"
+refuse multiline "$JWORK/multiline.ecd:4: unknown structure Ghost" \
+  --script "$DATA/paper_session.sit" --data "$JWORK/multiline.ecd"
+mkdir -p "$JWORK/data_dir"
+refuse data_dir "$JWORK/data_dir: " \
+  --script "$DATA/paper_session.sit" --data "$JWORK/data_dir"
 
 # Journaled restarts: the replication log (and its snapshots) is the
 # only durable history, so a restart rebuilds the session from the

@@ -657,6 +657,67 @@ let bad_name_tests =
               (Util.contains ~needle:(path ^ ":2: malformed") msg));
   ]
 
+(* ---- regression: inputs need not be seekable regular files ------- *)
+
+let unreadable_tests =
+  let paper =
+    [ "-s"; example "paper_session.sit"; "-q"; "sc1: select Name from Student" ]
+  in
+  [
+    tc "sit_batch reads DDL and data through a pipe" (fun () ->
+        let rc, by_path =
+          sit_batch (paper @ [ "--data"; example "paper_instances.ecd" ])
+        in
+        check Alcotest.int "exit status from files" 0 rc;
+        let out = Filename.temp_file "sit_batch" ".out" in
+        Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+        let piped file args =
+          Sys.command
+            (Printf.sprintf "cat %s | %s" (Filename.quote file)
+               (Filename.quote_command
+                  (Filename.concat here "../bin/sit_batch.exe")
+                  ~stdout:out ~stderr:out args))
+        in
+        let data =
+          piped (example "paper_instances.ecd")
+            (example "sc1.ecr" :: example "sc2.ecr" :: paper
+            @ [ "--data"; "/dev/stdin" ])
+        in
+        check Alcotest.int "exit status, data piped" 0 data;
+        check Alcotest.string "same output, data piped" by_path
+          (In_channel.with_open_bin out In_channel.input_all);
+        let ddl =
+          piped (example "sc1.ecr")
+            ("/dev/stdin" :: example "sc2.ecr" :: paper
+            @ [ "--data"; example "paper_instances.ecd" ])
+        in
+        check Alcotest.int "exit status, DDL piped" 0 ddl;
+        check Alcotest.string "same output, DDL piped" by_path
+          (In_channel.with_open_bin out In_channel.input_all));
+    tc "a directory as --data is refused naming it" (fun () ->
+        let dir = Filename.dirname (example "sc1.ecr") in
+        let rc, text = sit_batch (paper @ [ "--data"; dir ]) in
+        check Alcotest.int "sit_batch exit status" 2 rc;
+        check Alcotest.bool "sit_batch names it" true
+          (Util.contains ~needle:(dir ^ ": ") text);
+        check Alcotest.bool "no internal error" false
+          (Util.contains ~needle:"internal error" text);
+        match
+          Server.load_session
+            {
+              Server.schema_files = [ example "sc1.ecr"; example "sc2.ecr" ];
+              script = None;
+              data = Some dir;
+              journal = None;
+              name = None;
+            }
+        with
+        | Ok _ -> Alcotest.fail "loaded a directory"
+        | Error msg ->
+            check Alcotest.bool ("load_session names it: " ^ msg) true
+              (Util.contains ~needle:(dir ^ ": ") msg));
+  ]
+
 (* ---- journaled restarts rebuild the session from the inputs ------ *)
 
 let paper_script ~rel_name =
@@ -738,4 +799,5 @@ let () =
       ("conflict diagnostics", conflict_tests);
       ("sit_batch regressions", sit_batch_tests);
       ("malformed names", bad_name_tests);
+      ("unreadable inputs", unreadable_tests);
     ]
