@@ -93,7 +93,9 @@ bench-diff:
 docs-check:
 	sh scripts/docs_check.sh
 
-check: build test crash-test serve-test scenario-test chaos-test doc fmt-check docs-check
+# docs-check runs before fmt-check, so a formatting failure cannot hide
+# documentation drift.
+check: build test crash-test serve-test scenario-test chaos-test doc docs-check fmt-check
 	@echo "check: build, tests, crash-test, serve-test, scenario-test, chaos-test, docs and formatting all green"
 
 clean:

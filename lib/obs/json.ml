@@ -26,14 +26,15 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no token for an infinity or a NaN, so those print as null. *)
 let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     (* keep a decimal point so the value round-trips as a float *)
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.9g" f
 
-let to_string ?indent v =
-  let buf = Buffer.create 256 in
+let to_buffer ?indent buf v =
   let nl level =
     match indent with
     | None -> ()
@@ -73,7 +74,11 @@ let to_string ?indent v =
         nl level;
         Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string ?indent v =
+  let buf = Buffer.create 256 in
+  to_buffer ?indent buf v;
   Buffer.contents buf
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -7,7 +7,9 @@
     [obs] adds no third-party dependency to the build.
 
     Printing is deterministic: object fields are emitted in the order
-    given, floats with ["%.9g"], and strings with the escapes required
+    given, integral floats below 1e15 in magnitude with ["%.1f"] and
+    other finite floats with ["%.9g"], infinities and NaN as [null]
+    (JSON has no token for them), and strings with the escapes required
     by RFC 8259.  [of_string] accepts any document this module prints
     (and standard JSON generally, including [\uXXXX] escapes). *)
 
@@ -20,9 +22,12 @@ type t =
   | List of t list
   | Obj of (string * t) list  (** field order is preserved *)
 
+val to_buffer : ?indent:int -> Buffer.t -> t -> unit
+(** [to_buffer buf v] appends [v] to [buf] on one line; [~indent:n]
+    pretty-prints with [n]-space indentation steps. *)
+
 val to_string : ?indent:int -> t -> string
-(** [to_string v] prints [v] on one line; [~indent:n] pretty-prints
-    with [n]-space indentation steps. *)
+(** [to_string v] is what {!to_buffer} appends to an empty buffer. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line printing, same output as {!to_string}. *)

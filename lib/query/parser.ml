@@ -115,7 +115,8 @@ let value_of_token = function
   | Number s -> (
       if String.contains s '.' then
         match float_of_string_opt s with
-        | Some f -> V.real f
+        | Some f when Float.is_finite f -> V.real f
+        | Some _ -> error "number %s is out of range" s
         | None -> error "bad number %s" s
       else
         match int_of_string_opt s with

@@ -1094,25 +1094,42 @@ end
 
 (* ---- connections and lifecycle ------------------------------------ *)
 
+(* OCaml's channel buffer size *)
+let channel_buffer = 65536
+
 (* One JSON line in, one JSON line out, until the peer hangs up.  A
    malformed line is answered with a typed error and the connection
    continues: the newline is the frame boundary, so the stream never
-   loses its place.  However the loop ends, the thread unregisters and
-   the fd closes, so a drain never waits on a dead thread. *)
+   loses its place.  Each response is encoded into one buffer that the
+   connection keeps, and written from it.  However the loop ends, the
+   thread unregisters and the fd closes, so a drain never waits on a
+   dead thread. *)
 let handle_conn t conn_id fd =
   Atomic.incr t.s_conns;
   Obs.Counter.incr c_connections;
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let r = Wire.reader ic in
+  let out = Buffer.create 256 in
   let write v =
-    match output_string oc (Obs.Json.to_string v ^ "\n"); flush oc with
-    | () -> true
-    | exception Sys_error _ -> false
+    Obs.Json.to_buffer out v;
+    Buffer.add_char out '\n';
+    let sent =
+      match Buffer.output_buffer oc out; flush oc with
+      | () -> true
+      | exception Sys_error _ -> false
+    in
+    (* a response past the channel's buffer, such as a snapshot chunk,
+       does not stay allocated on the connection *)
+    if Buffer.length out > channel_buffer then Buffer.reset out
+    else Buffer.clear out;
+    sent
   in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line -> if write (handle_request t (Wire.request_of_line line)) then loop ()
+    match Wire.next_request r with
+    | exception Sys_error _ -> ()
+    | None -> ()
+    | Some decoded -> if write (handle_request t decoded) then loop ()
   in
   Fun.protect loop ~finally:(fun () ->
       Mutex.protect t.conns_mu (fun () ->

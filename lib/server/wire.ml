@@ -136,6 +136,55 @@ let request_of_line line =
   | Error e -> Error (Bad_frame, "frame is not valid JSON: " ^ e)
   | Ok v -> request_of_json v
 
+let max_request_line = 1 lsl 20
+
+(* A connection's request lines: [chunk] from [lo] to [hi] has been
+   read from [ic] but not yet framed.  The channel cannot be searched
+   for a newline without taking bytes past it, and [input_char] takes
+   the channel's lock for each byte, so lines are cut from a chunk. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  line : Buffer.t;
+}
+
+let reader ic =
+  { ic; chunk = Bytes.create 1024; lo = 0; hi = 0; line = Buffer.create 256 }
+
+(* Bytes past the cap are read but not kept, so a line that never ends
+   cannot grow [line]; it is refused once its newline arrives.  [line]
+   starts each request at its first size, so a long one does not stay
+   allocated. *)
+let next_request r =
+  Buffer.reset r.line;
+  let rec fill () =
+    if r.lo = r.hi then begin
+      r.lo <- 0;
+      r.hi <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.hi = 0 then Buffer.length r.line > 0
+    else
+      let nl =
+        match Bytes.index_from r.chunk r.lo '\n' with
+        | i when i < r.hi -> i
+        | _ | (exception Not_found) -> r.hi
+      in
+      let room = max_request_line + 1 - Buffer.length r.line in
+      Buffer.add_subbytes r.line r.chunk r.lo (min room (nl - r.lo));
+      r.lo <- min r.hi (nl + 1);
+      nl < r.hi || fill ()
+  in
+  if not (fill ()) then None
+  else if Buffer.length r.line > max_request_line then
+    Some
+      (Error
+         ( Bad_frame,
+           Printf.sprintf "request line is longer than %d bytes"
+             max_request_line ))
+  else Some (request_of_line (Buffer.contents r.line))
+
 let request_to_line ?id ?view ?text ?base ?policy ?deadline_ms ?seq ?max
     ?wait_ms ?node op =
   let int_opt name = function

@@ -19,7 +19,9 @@ val addr_to_string : addr -> string
     of these; the daemon never answers a frame with anything else (and
     never dies on one). *)
 type error_code =
-  | Bad_frame  (** not JSON, or not a JSON object *)
+  | Bad_frame
+      (** not JSON, not a JSON object, or a line longer than
+          {!max_request_line} *)
   | Bad_request  (** missing/ill-typed fields for the operation *)
   | Unknown_op
   | Unknown_view
@@ -79,6 +81,23 @@ val request_of_line : string -> (request, error_code * string) result
     no id is available for a frame that does not decode to an object,
     so the error response echoes [id] only when one was recoverable. *)
 
+val max_request_line : int
+(** 1 MiB: the longest request line {!next_request} accepts, newline
+    excluded. *)
+
+type reader
+(** The request lines arriving on one connection's channel. *)
+
+val reader : in_channel -> reader
+
+val next_request : reader -> (request, error_code * string) result option
+(** The next line, decoded by {!request_of_line}; [None] at end of
+    input.  As with [input_line], a last line without its newline
+    counts.  A line longer than {!max_request_line} is an [Error] with
+    {!Bad_frame} once its newline has been read; the reader keeps at
+    most one byte of it past the cap.  Raises [Sys_error] when the
+    channel fails. *)
+
 val request_to_line :
   ?id:Obs.Json.t ->
   ?view:string ->
@@ -122,7 +141,8 @@ val error_line :
 
 val value_to_json : Instance.Value.t -> Obs.Json.t
 (** [Str]/[Int]/[Real]/[Bool] map to their JSON counterparts, [Date] to
-    ["YYYY-MM-DD"], [Null] to [null]. *)
+    ["YYYY-MM-DD"], [Null] to [null].
+    A non-finite [Real] prints as [null] ({!Obs.Json.to_buffer}). *)
 
 val row_to_json : Query.Eval.row -> Obs.Json.t
 (** Object with one field per column, in [Ecr.Name] order —

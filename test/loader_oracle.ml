@@ -152,7 +152,8 @@ let value st =
       advance st;
       if String.contains s '.' then
         match float_of_string_opt s with
-        | Some x -> Value.Real x
+        | Some x when Float.is_finite x -> Value.Real x
+        | Some _ -> fail_at st t "number '%s' is out of range" s
         | None -> fail_at st t "malformed number '%s'" s
       else
         match int_of_string_opt s with

@@ -110,6 +110,10 @@ let tests =
             ("instance sc1 {\n  Student { Name = 1.2.3 }\n}", 2,
              "malformed number '1.2.3'");
             ("instance sc1 {\n  Student ? { }\n}", 2, "illegal character");
+            (* a literal past the largest double is refused, not read as inf *)
+            ( "instance sc1 {\n  Student { GPA = 1" ^ String.make 400 '0' ^ ".0 }\n}",
+              2,
+              "is out of range" );
             (* newlines inside a string count towards later lines *)
             ("instance sc1 {\n  Student { Name = \"A\nB\" }\n  Ghost { }\n}", 4,
              "unknown structure Ghost");

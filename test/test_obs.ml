@@ -256,6 +256,93 @@ let disabled_tests =
                 roots)));
   ]
 
+(* ---- the encoder against its reference ------------------------- *)
+
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        (* integral, on both sides of the 1e15 switch to "%.9g" *)
+        map Float.of_int (int_range (-1_000_000) 1_000_000);
+        map
+          (fun (k, neg) -> if neg then -.(1e15 +. Float.of_int k) else 1e15 +. Float.of_int k)
+          (pair (int_range (-3) 3) bool);
+        oneofl
+          [
+            0.0; -0.0; 1e15; Float.pred 1e15; Float.succ 1e15; 999_999_999_999_999.0;
+            Float.min_float; 4.9e-324; Float.max_float; -.Float.max_float;
+            Float.pred Float.max_float; 1e308; 0.1; 2.5; -3.25;
+          ];
+        (* any finite double: subnormals, huge magnitudes, fractions *)
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else Float.max_float)
+          ui64;
+        float_range (-1e6) 1e6;
+      ])
+
+(* bytes 0x00-0xff, with runs of plain ones between the escaped ones *)
+let string_gen =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (3, printable); (1, char) ]) (int_bound 24))
+
+let json_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, pure Obs.Json.Null);
+                 (1, map (fun b -> Obs.Json.Bool b) bool);
+                 (2, map (fun i -> Obs.Json.Int i) int);
+                 (4, map (fun f -> Obs.Json.Float f) float_gen);
+                 (4, map (fun s -> Obs.Json.String s) string_gen);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 4) (pair string_gen (self (n - 1)))) );
+               ]))
+
+let encoder_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000
+         ~name:"to_string and to_buffer print what the reference prints"
+         QCheck.(
+           make
+             ~print:(fun (indent, v) ->
+               Printf.sprintf "indent %s: %s"
+                 (Option.fold ~none:"-" ~some:string_of_int indent)
+                 (Json_oracle.to_string v))
+             Gen.(pair (opt (int_bound 4)) json_gen))
+         (fun (indent, v) ->
+           let expected = Json_oracle.to_string ?indent v in
+           let buf = Buffer.create 1 in
+           Buffer.add_string buf "prefix";
+           Obs.Json.to_buffer ?indent buf v;
+           Obs.Json.to_string ?indent v = expected
+           && Buffer.contents buf = "prefix" ^ expected));
+    tc "infinities and NaN print as null" (fun () ->
+        List.iter
+          (fun f ->
+            let v = Obs.Json.(List [ Float f; Obj [ ("x", Float f) ] ]) in
+            let text = Obs.Json.to_string v in
+            check Alcotest.string (Printf.sprintf "%h" f) {|[null,{"x":null}]|} text;
+            check Alcotest.bool "parses" true
+              (Result.is_ok (Obs.Json.of_string text)))
+          [ Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ]);
+  ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -263,5 +350,6 @@ let () =
       ("histograms", histogram_tests);
       ("spans", span_tests);
       ("json", json_tests);
+      ("encoder", encoder_tests);
       ("disabled", disabled_tests);
     ]

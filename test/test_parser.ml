@@ -103,6 +103,8 @@ let query_tests =
             "select * from S where";
             "select * from S extra";
             "select * from S where a ==";
+            (* a literal past the largest double is refused, not read as inf *)
+            "select * from S where a = 1" ^ String.make 400 '0' ^ ".0";
           ]);
     tc "parsed queries run" (fun () ->
         let st = Instance.Store.create Workload.Paper.sc1 in
@@ -186,7 +188,12 @@ let update_tests =
             match Query.Parser.update_of_string src with
             | exception Query.Parser.Error _ -> ()
             | _ -> Alcotest.failf "accepted %S" src)
-          [ "drop table x"; "insert into X"; "update X set" ]);
+          [
+            "drop table x";
+            "insert into X";
+            "update X set";
+            "insert into X { a = -1" ^ String.make 400 '0' ^ ".0 }";
+          ]);
   ]
 
 let cluster_tests =

@@ -381,6 +381,118 @@ let retired_binary_tests =
                   (Server.Client.is_ok (response ())))));
   ]
 
+(* ---- framing limits and the values a response can carry ---------- *)
+
+(* a valid health frame padded with JSON whitespace to [n] bytes *)
+let padded_health n =
+  let frame = Server.Wire.request_to_line "health" in
+  String.sub frame 0 (String.length frame - 1)
+  ^ String.make (max 0 (n - String.length frame)) ' '
+  ^ "}"
+
+let framing_tests =
+  [
+    tc "a request line past the cap is answered bad_frame and skipped"
+      (fun () ->
+        let cap = Server.Wire.max_request_line in
+        with_server (fun _t addr ->
+            let fd, ic, oc = raw_connect addr in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                let send line =
+                  output_string oc line;
+                  flush oc
+                in
+                let response () =
+                  match Json.of_string (input_line ic) with
+                  | Ok v -> v
+                  | Error e -> Alcotest.fail ("response is not a JSON line: " ^ e)
+                in
+                send (padded_health cap ^ "\n");
+                check Alcotest.bool "a line of exactly the cap is served" true
+                  (Server.Client.is_ok (response ()));
+                send (padded_health (cap + 1) ^ "\n");
+                let v = response () in
+                check
+                  Alcotest.(option string)
+                  "one byte more" (Some "bad_frame")
+                  (Server.Client.error_code v);
+                (match Json.find [ "error"; "message" ] v with
+                | Some (Json.String m) ->
+                    check Alcotest.bool ("names the cap: " ^ m) true
+                      (Util.contains ~needle:(string_of_int cap) m)
+                | _ -> Alcotest.fail "no error message");
+                send (Server.Wire.request_to_line "health" ^ "\n");
+                check Alcotest.bool "the next frame is answered" true
+                  (Server.Client.is_ok (response ()));
+                (* a last line without its newline still counts *)
+                send (Server.Wire.request_to_line "health");
+                Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                check Alcotest.bool "unterminated last line" true
+                  (Server.Client.is_ok (response ()));
+                check Alcotest.bool "then the daemon hangs up" true
+                  (match input_line ic with
+                  | exception End_of_file -> true
+                  | _ -> false))));
+    tc "request lines cut across reads come out whole" (fun () ->
+        (* health frames padded to land on and around the reader's
+           1 KiB chunk, one empty line, and an unterminated last line *)
+        let lines =
+          List.map padded_health
+            [ 1; 1022; 1023; 1024; 1025; 20; 5000; 2047; 2048 ]
+          @ [ "" ]
+        in
+        let path = Filename.temp_file "lines" ".txt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc ->
+                List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+                output_string oc (padded_health 50));
+            In_channel.with_open_bin path (fun ic ->
+                let r = Server.Wire.reader ic in
+                let rec read ok bad =
+                  match Server.Wire.next_request r with
+                  | None -> (ok, bad)
+                  | Some (Ok req) ->
+                      check Alcotest.string "op" "health" req.Server.Wire.op;
+                      read (ok + 1) bad
+                  | Some (Error _) -> read ok (bad + 1)
+                in
+                check
+                  Alcotest.(pair int int)
+                  "frames and the empty line" (10, 1) (read 0 0))));
+    tc "a literal past the largest double never reaches the wire" (fun () ->
+        with_server (fun _t addr ->
+            with_client addr (fun c ->
+                let huge = "1" ^ String.make 400 '0' ^ ".0" in
+                let v =
+                  Server.Client.roundtrip c
+                    (Server.Wire.request_to_line ~view:"sc1"
+                       ~text:
+                         ("insert into Student { Name = 'zzinf', GPA = " ^ huge
+                        ^ " }")
+                       "update")
+                  |> Json.of_string |> Result.get_ok
+                in
+                check
+                  Alcotest.(option string)
+                  "refused" (Some "parse_error")
+                  (Server.Client.error_code v);
+                let answer =
+                  Server.Client.roundtrip c
+                    (Server.Wire.request_to_line ~view:"sc1"
+                       ~text:"select Name, GPA from Student where Name = 'zzinf'"
+                       "query")
+                in
+                match Json.of_string answer with
+                | Ok v ->
+                    check Alcotest.bool "no such row" true
+                      (Json.member "rows" v = Some (Json.List []))
+                | Error e -> Alcotest.fail ("not JSON: " ^ e))));
+  ]
+
 (* ---- regression: strategy error paths ----------------------------- *)
 
 let strategy_tests =
@@ -795,6 +907,7 @@ let () =
       ("server", server_tests);
       ("restart", restart_tests);
       ("retired binary magic", retired_binary_tests);
+      ("framing and values", framing_tests);
       ("strategy regressions", strategy_tests);
       ("conflict diagnostics", conflict_tests);
       ("sit_batch regressions", sit_batch_tests);
