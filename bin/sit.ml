@@ -13,17 +13,18 @@ let load_file ws file =
     Dictionary.merge ws (Dictionary.load file)
   else
     let schemas = Ddl.Parser.schemas_of_file file in
-    List.fold_left
-      (fun ws s ->
+    List.iter
+      (fun s ->
         match Ecr.Schema.validate s with
-        | [] -> Integrate.Workspace.add_schema s ws
+        | [] -> ()
         | errors ->
             List.iter
               (fun e ->
                 Printf.eprintf "%s: %s\n" file (Ecr.Schema.error_to_string e))
               errors;
             exit 2)
-      ws schemas
+      schemas;
+    Integrate.Workspace.add_schemas schemas ws
 
 (* With --journal, the whole session is write-ahead logged: a snapshot
    of the starting workspace (recovered session plus any files given on

@@ -130,17 +130,16 @@ let of_string text =
     with Ddl.Parser.Error (msg, line, col) ->
       error "schema section %d:%d: %s" line col msg
   in
-  let ws =
-    List.fold_left
-      (fun ws s ->
-        match Schema.validate s with
-        | [] -> Integrate.Workspace.add_schema s ws
-        | e :: _ ->
-            error "schema %s: %s"
-              (Name.to_string (Schema.name s))
-              (Schema.error_to_string e))
-      Integrate.Workspace.empty schemas
-  in
+  List.iter
+    (fun s ->
+      match Schema.validate s with
+      | [] -> ()
+      | e :: _ ->
+          error "schema %s: %s"
+            (Name.to_string (Schema.name s))
+            (Schema.error_to_string e))
+    schemas;
+  let ws = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
   let offset = List.length schema_lines + 1 in
   (* the session section ends at the next %-marker (an %integrated or
      %mappings section appended by [result_to_string]) *)
@@ -184,10 +183,7 @@ let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let merge base extra =
   let ws =
-    List.fold_left
-      (fun ws s -> Integrate.Workspace.add_schema s ws)
-      base
-      (Integrate.Workspace.schemas extra)
+    Integrate.Workspace.add_schemas (Integrate.Workspace.schemas extra) base
   in
   let ws =
     List.fold_left

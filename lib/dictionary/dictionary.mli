@@ -53,7 +53,9 @@ val load : string -> Integrate.Workspace.t
 val merge : Integrate.Workspace.t -> Integrate.Workspace.t -> Integrate.Workspace.t
 (** [merge base extra] adds [extra]'s schemas, equivalences and
     consistent assertions into [base]; assertions of [extra] that
-    conflict with [base] are dropped.  The dictionary is "available to
+    conflict with [base] are dropped.  [extra]'s schemas go in with one
+    {!Integrate.Workspace.add_schemas}, so [base]'s own assertions are
+    checked against the merged schema list only.  The dictionary is "available to
     all of the tools": two tools' dictionaries can be combined. *)
 
 (** {1 Mappings}

@@ -63,6 +63,21 @@ let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-'
 let rec scan_while p src j =
   if j < String.length src && p src.[j] then scan_while p src (j + 1) else j
 
+let is_digit c = c >= '0' && c <= '9'
+
+(* The end of an exponent ([e] or [E], an optional sign, digits) that
+   starts at [j] right after a digit, as in [1e-07] or [2.5E+300];
+   [j] itself when there is none. *)
+let scan_exponent src j =
+  let at k p = k < String.length src && p src.[k] in
+  let k = if at (j + 1) (fun c -> c = '+' || c = '-') then j + 2 else j + 1 in
+  if
+    at (j - 1) is_digit
+    && at j (fun c -> c = 'e' || c = 'E')
+    && at k is_digit
+  then scan_while is_digit src k
+  else j
+
 (* Skips blanks and [--] comments from [i], counting newlines. *)
 let rec skip_blank st i =
   let src = st.src in
@@ -114,7 +129,7 @@ let lex st =
         let j = string_end st quote (i + 1) in
         emit st (Str (String.sub src (i + 1) (j - i - 1))) (j + 1)
     | c when (c >= '0' && c <= '9') || c = '-' ->
-        let j = scan_while is_num src i in
+        let j = scan_exponent src (scan_while is_num src i) in
         let word = String.sub src i (j - i) in
         (* a bare date looks like 2020-09-01 *)
         let tok =
@@ -170,7 +185,7 @@ let value st =
       advance st;
       (* the lexer's number class also admits junk like "1.2.3" or
          a lone "-"; reject it here, positioned *)
-      if String.contains s '.' then
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
         match float_of_string_opt s with
         | Some x when Float.is_finite x -> Value.Real x
         | Some _ -> fail_at st line "number '%s' is out of range" s
@@ -351,12 +366,24 @@ let load_file ~schemas path =
 (* ------------------------------------------------------------------ *)
 (* Serialisation.                                                      *)
 
+(* The shortest of 15, 16 and 17 significant digits that reads back as
+   [x]; a [.0] marks a whole number as a real. *)
+let real_to_syntax x =
+  let rec shortest digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits = 17 || float_of_string s = x then s else shortest (digits + 1)
+  in
+  let s = shortest 15 in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+
+(* Neither the loader nor the query language has escapes, so no string
+   holds both quotes: one with a double quote is written in single
+   quotes. *)
 let value_to_syntax = function
+  | Value.Str s when String.contains s '"' -> "'" ^ s ^ "'"
   | Value.Str s -> "\"" ^ s ^ "\""
   | Value.Int n -> string_of_int n
-  | Value.Real x ->
-      let s = Printf.sprintf "%g" x in
-      if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+  | Value.Real x -> real_to_syntax x
   | Value.Bool b -> string_of_bool b
   | Value.Date (y, m, d) -> Printf.sprintf "%04d-%02d-%02d" y m d
   | Value.Null -> "null"

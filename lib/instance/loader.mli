@@ -22,7 +22,9 @@
     - [Rel (label, label, ...) { attr = value, ... }] adds a relationship
       instance (the attribute block may be omitted);
     - values are numbers, single/double-quoted strings, [true], [false],
-      [null], or bare dates [YYYY-MM-DD]. *)
+      [null], or bare dates [YYYY-MM-DD]; a number with a [.] or an
+      exponent after a digit ([1e-07], [2.5E+300]) is a real.  Strings
+      have no escapes, so a string holds at most one kind of quote. *)
 
 exception Error of { file : string; line : int; message : string }
 (** Syntax errors, unknown labels, or references to structures the
@@ -62,4 +64,7 @@ val load_file :
 val to_string : Ecr.Schema.t -> Store.t -> string
 (** Serialises a store back to the format (labels are synthesised as
     [e<oid>]); [load_string] of the output reproduces the store up to
-    oid renumbering. *)
+    oid renumbering, every value exactly: a real is written with the
+    fewest of 15, 16 or 17 significant digits that read back as the
+    same float, and a string holding a double quote goes in single
+    quotes.  The store inside a replication snapshot is this text. *)

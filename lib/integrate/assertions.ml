@@ -24,7 +24,7 @@ module Slots = Hashtbl.Make (struct
 end)
 
 (* The matrix is dense: the distinct nodes hold slots 0..n-1 in
-   [Qname] order, and cell (i, j) is [cells.(i * n + j)], one int packing
+   [Qname] order, and cell (i, j) is [rows.(i).(j)], one int packing
 
    - bits 0-4: the relation oriented i -> j (a {!Rel.t});
    - bit 5: the pair's integrable flag (the DDA used code 4 on it);
@@ -35,10 +35,13 @@ end)
    a cell is known exactly when its source is not 0 (a cell only ever
    tightens, so a known cell is never {!Rel.all}).
 
-   Everything but [cells] is fixed by the node list and shared by every
-   matrix [add] derives from one [create].  [cells] is copy-on-write:
-   [add] copies it once and closes the copy in place, so a matrix a
-   caller holds never changes. *)
+   Everything but [rows] is fixed by the node list and shared by every
+   matrix [add] derives from one [create].  [rows] is copy-on-write by
+   row: [add] copies the spine, and the closure copies a row the first
+   time it writes to it, so the result shares every row it left alone
+   with the matrix it came from.  No row is written once a matrix is
+   returned, so a matrix a caller holds never changes and any domain
+   may read it. *)
 type t = {
   nodes : Qname.t list;
   names : Qname.t array;  (** slot -> node *)
@@ -46,7 +49,7 @@ type t = {
   order : int array;
       (** the slot of each entry of [nodes], in registration order: the
           order [propagate] visits third nodes in *)
-  cells : int array;
+  rows : int array array;
 }
 
 exception Contradiction of conflict
@@ -87,7 +90,7 @@ let make nodes =
     names;
     slots;
     order = Array.of_list (List.map (Slots.find slots) nodes);
-    cells = Array.make (n * n) (Rel.all :> int);
+    rows = Array.init n (fun _ -> Array.make n (Rel.all :> int));
   }
 
 let nodes t = t.nodes
@@ -109,7 +112,7 @@ let source_of t cell =
 
 let cell t a b =
   match (slot t a, slot t b) with
-  | Some i, Some j -> Some t.cells.((i * dim t) + j)
+  | Some i, Some j -> Some t.rows.(i).(j)
   | _ -> None
 
 let source_to_string = function
@@ -149,15 +152,26 @@ let assertion_between t a b =
   | Some c -> Rel.to_assertion ~integrable:(c land flag_bit <> 0) (rel_of c)
   | None -> None
 
-(* Store [rel] as the relation from slot [i] to slot [j], in place.  No
-   flag is lost: a flagged cell is a singleton, which only a conflict
-   could tighten.  On the diagonal the second write wins, so a cell
-   (i, i) holds [rel] as given. *)
-let set t i j rel src ~integrable =
-  let n = dim t in
+(* Row [i] of [t], ready to be written: a row [t] still shares with
+   [base], the spine of the matrix it was derived from, is copied into
+   [t] first.  The seed writes in place, with an empty [base]. *)
+let own t base i =
+  let row = t.rows.(i) in
+  if i < Array.length base && row == base.(i) then begin
+    let row = Array.copy row in
+    t.rows.(i) <- row;
+    row
+  end
+  else row
+
+(* Store [rel] as the relation from slot [i] to slot [j].  No flag is
+   lost: a flagged cell is a singleton, which only a conflict could
+   tighten.  On the diagonal the second write wins, so a cell (i, i)
+   holds [rel] as given. *)
+let set t base i j rel src ~integrable =
   let tag = (if integrable then flag_bit else 0) lor (src lsl src_shift) in
-  t.cells.((j * n) + i) <- (Rel.converse (rel_of rel) :> int) lor tag;
-  t.cells.((i * n) + j) <- rel lor tag
+  (own t base j).(i) <- (Rel.converse (rel_of rel) :> int) lor tag;
+  (own t base i).(j) <- rel lor tag
 
 (* The slots of a pair in [Qname.Pair] orientation. *)
 let canonical i j = if i <= j then (i, j) else (j, i)
@@ -175,7 +189,7 @@ let explain_slots t i j =
     if Visited.mem key visited then []
     else
       let visited = Visited.add key visited in
-      let c = t.cells.(key) in
+      let c = t.rows.(lo).(hi) in
       match c lsr src_shift with
       | 0 -> []
       | s when s < src_derived -> (
@@ -208,7 +222,7 @@ let explain t a b =
   | _ -> []
 
 let conflict_of t i j attempted =
-  let c = t.cells.((i * dim t) + j) in
+  let c = t.rows.(i).(j) in
   {
     left = t.names.(i);
     right = t.names.(j);
@@ -222,56 +236,56 @@ let contradiction t i j =
   Obs.Counter.incr c_conflicts;
   raise (Contradiction { (conflict_of t i j None) with current = Rel.empty })
 
-(* Incremental path consistency, in place: starting from the tightened
-   cell [ab] (an index into [cells]), push consequences until fixpoint,
-   visiting the third node k in node order.  Raises [Contradiction] when
-   a cell empties. *)
-let propagate t ab =
+(* Incremental path consistency: starting from the tightened cell
+   (a, b), queued as [a * n + b], push consequences until fixpoint,
+   visiting the third node k in node order.  Writes go through [set],
+   which may replace a row, so every read goes through [t.rows] afresh.
+   Raises [Contradiction] when a cell empties. *)
+let propagate t base ab =
   Obs.Span.run "assertions.propagate" @@ fun () ->
-  let n = dim t and cells = t.cells in
+  let n = dim t and rows = t.rows and order = t.order in
   let pending = Queue.create () in
   Queue.add ab pending;
   while not (Queue.is_empty pending) do
     let ab = Queue.pop pending in
     let a = ab / n and b = ab mod n in
-    let rel_ab = rel_of cells.(ab) in
-    let row_a = a * n and row_b = b * n in
-    Array.iter
-      (fun k ->
-        if k <> a && k <> b then begin
-          (* tighten (a,k) through b *)
-          let old_ak = cells.(row_a + k) land rel_mask in
-          let new_ak =
-            old_ak land (Rel.compose rel_ab (rel_of cells.(row_b + k)) :> int)
-          in
-          if new_ak <> old_ak then begin
-            if new_ak = 0 then contradiction t a k;
-            Obs.Counter.incr c_derived;
-            set t a k new_ak (src_via b) ~integrable:false;
-            Queue.add (row_a + k) pending
-          end;
-          (* tighten (k,b) through a *)
-          let kb = (k * n) + b in
-          let old_kb = cells.(kb) land rel_mask in
-          let new_kb =
-            old_kb land (Rel.compose (rel_of cells.((k * n) + a)) rel_ab :> int)
-          in
-          if new_kb <> old_kb then begin
-            if new_kb = 0 then contradiction t k b;
-            Obs.Counter.incr c_derived;
-            set t k b new_kb (src_via a) ~integrable:false;
-            Queue.add kb pending
-          end
-        end)
-      t.order
+    let rel_ab = rel_of rows.(a).(b) in
+    (* a loop, not [Array.iter]: the closure call per visit cost a
+       tenth of the script's closing time *)
+    for x = 0 to Array.length order - 1 do
+      let k = order.(x) in
+      if k <> a && k <> b then begin
+        (* tighten (a,k) through b *)
+        let old_ak = rows.(a).(k) land rel_mask in
+        let new_ak =
+          old_ak land (Rel.compose rel_ab (rel_of rows.(b).(k)) :> int)
+        in
+        if new_ak <> old_ak then begin
+          if new_ak = 0 then contradiction t a k;
+          Obs.Counter.incr c_derived;
+          set t base a k new_ak (src_via b) ~integrable:false;
+          Queue.add ((a * n) + k) pending
+        end;
+        (* tighten (k,b) through a *)
+        let old_kb = rows.(k).(b) land rel_mask in
+        let new_kb =
+          old_kb land (Rel.compose (rel_of rows.(k).(a)) rel_ab :> int)
+        in
+        if new_kb <> old_kb then begin
+          if new_kb = 0 then contradiction t k b;
+          Obs.Counter.incr c_derived;
+          set t base k b new_kb (src_via a) ~integrable:false;
+          Queue.add ((k * n) + b) pending
+        end
+      end
+    done
   done
 
-(* Records "i ⟨assertion⟩ j" and closes the matrix, on a copy of the
-   cells when [copy] (so a rejection leaves [t] untouched), else on
-   [t]'s own. *)
+(* Records "i ⟨assertion⟩ j" and closes the matrix: when [copy], on a
+   new spine whose rows are copied as they are first written (so a
+   rejection leaves [t] untouched), else on [t]'s own rows. *)
 let apply_fact t i assertion j ~src ~copy =
-  let ij = (i * dim t) + j in
-  let old_rel = t.cells.(ij) land rel_mask in
+  let old_rel = t.rows.(i).(j) land rel_mask in
   let new_rel = old_rel land (Rel.of_assertion assertion :> int) in
   if new_rel = 0 then begin
     Obs.Counter.incr c_conflicts;
@@ -280,10 +294,12 @@ let apply_fact t i assertion j ~src ~copy =
   else if new_rel = old_rel then Ok t
   else begin
     Obs.Counter.incr c_facts;
-    let t' = if copy then { t with cells = Array.copy t.cells } else t in
-    set t' i j new_rel src
+    let t', base =
+      if copy then ({ t with rows = Array.copy t.rows }, t.rows) else (t, [||])
+    in
+    set t' base i j new_rel src
       ~integrable:(assertion = Assertion.Disjoint_integrable);
-    match propagate t' ij with
+    match propagate t' base ((i * dim t) + j) with
     | () -> Ok t'
     | exception Contradiction c -> Error c
   end
@@ -325,7 +341,7 @@ let create schemas =
         List.map (fun oc -> Schema.qname s oc.Object_class.name) (Schema.objects s))
       schemas
   in
-  (* The seed closes in place, on the array [make] allocated.  A fact
+  (* The seed closes in place, on the rows [make] allocated.  A fact
      the schema itself contradicts (it would have failed validation) is
      dropped, and nothing of it stays behind: the facts are containments
      and disjointness, whose closure shows every contradiction at the
@@ -366,8 +382,9 @@ let fold_known t f init =
   let n = dim t in
   let acc = ref init in
   for lo = n - 1 downto 0 do
+    let row = t.rows.(lo) in
     for hi = n - 1 downto lo do
-      let c = t.cells.((lo * n) + hi) in
+      let c = row.(hi) in
       if c lsr src_shift <> 0 then acc := f t.names.(lo) t.names.(hi) c !acc
     done
   done;

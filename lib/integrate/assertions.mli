@@ -15,7 +15,13 @@
 
     A new assertion that would empty a cell is rejected with a
     {!conflict} carrying the derivation basis — the data shown on the
-    Assertion Conflict Resolution screen (Screen 9). *)
+    Assertion Conflict Resolution screen (Screen 9).
+
+    A matrix is an immutable value.  It keeps one array per row, and
+    {!add} copies only the rows its closure writes to: the matrix it
+    returns shares every other row with the one it was given.  No row
+    is written after a matrix is returned, so any number of domains may
+    read one matrix, or {!add} to it, at once. *)
 
 type source =
   | Asserted  (** stated by the DDA *)
@@ -60,7 +66,9 @@ val add :
   Ecr.Qname.t -> Assertion.t -> Ecr.Qname.t -> t -> (t, conflict) result
 (** [add left a right t] records "left ⟨a⟩ right" and re-closes the
     matrix.  On conflict the original matrix is returned unchanged
-    inside the error.  [t] itself never changes.
+    inside the error.  [t] itself never changes.  Costs a copy of the
+    row spine (one word per node) and of each row the closure tightens;
+    a fact that tightens nothing returns [t] itself.
     @raise Unknown_class naming [left] (else [right]) when it is not
     one of {!nodes}; nothing is recorded. *)
 

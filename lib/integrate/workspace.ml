@@ -61,26 +61,25 @@ let rebuild_matrices t =
   in
   { t with obj_matrix; rel_matrix; object_facts; relationship_facts }
 
-let add_schema s t =
-  let n = Schema.name s in
-  let replaced = ref false in
-  let schemas =
-    List.map
-      (fun s' ->
-        if Name.equal (Schema.name s') n then begin
-          replaced := true;
-          s
-        end
-        else s')
-      t.schemas
-  in
-  let schemas = if !replaced then schemas else schemas @ [ s ] in
-  rebuild_matrices
-    {
-      t with
-      schemas;
-      equivalence = Equivalence.register_schema s t.equivalence;
-    }
+(* Registers [s] (replace by name, else append) without touching the
+   matrices. *)
+let register_schema t s =
+  let same s' = Name.equal (Schema.name s') (Schema.name s) in
+  {
+    t with
+    schemas =
+      (if List.exists same t.schemas then
+         List.map (fun s' -> if same s' then s else s') t.schemas
+       else t.schemas @ [ s ]);
+    equivalence = Equivalence.register_schema s t.equivalence;
+  }
+
+let add_schemas ss t =
+  match ss with
+  | [] -> t
+  | _ -> rebuild_matrices (List.fold_left register_schema t ss)
+
+let add_schema s t = add_schemas [ s ] t
 
 let remove_schema n t =
   let keeps_schema q = not (Name.equal q.Qname.schema n) in

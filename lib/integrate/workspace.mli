@@ -19,7 +19,22 @@ val empty : t
 
 val add_schema : Ecr.Schema.t -> t -> t
 (** Adds or replaces (by name).  Replacing forgets the recorded facts
-    the new version no longer admits. *)
+    the new version no longer admits.  [add_schema s] is
+    [add_schemas [s]]. *)
+
+val add_schemas : Ecr.Schema.t list -> t -> t
+(** Adds or replaces each schema of the list in order, as {!add_schema}
+    does, then rebuilds the matrices once: one structural seed over the
+    final schema list instead of one per schema.
+
+    The result is what folding {!add_schema} over the list gives,
+    except that the recorded facts are checked against the final schema
+    list only.  A fact that a schema list on the way would have refused
+    is kept when the final list admits it: say one naming a class that
+    the list's first version of a schema lacks and its second version
+    defines.  The two agree exactly when the workspace records no
+    facts, or when at most one entry of the list shares its name with a
+    schema the workspace holds. *)
 
 val remove_schema : Ecr.Name.t -> t -> t
 (** Also drops equivalences and assertions that mention the schema. *)

@@ -178,10 +178,25 @@ let rewrite_pred_back reverse p =
   in
   walk p
 
+(* A global query names structures of the integrated schema; one it
+   lacks is refused by name, whatever the select list. *)
+let require_integrated integrated q =
+  let require what find n =
+    if find n integrated = None then
+      unmapped "%s %s is not in the integrated schema" what (Name.to_string n)
+  in
+  require "object class" Schema.find_object q.Ast.from_class;
+  Option.iter
+    (fun j ->
+      require "relationship set" Schema.find_relationship j.Ast.rel;
+      require "object class" Schema.find_object j.Ast.target)
+    q.Ast.via
+
 let to_components mapping ~integrated q =
   Obs.Span.run "query.unfold" @@ fun () ->
   Obs.Histogram.time h_unfold @@ fun () ->
   Obs.Counter.incr c_unfolds;
+  require_integrated integrated q;
   let wanted = expand_select integrated q.Ast.from_class q.Ast.select in
   let entries = contributing_entries mapping integrated q.Ast.from_class in
   List.filter_map

@@ -53,7 +53,9 @@ val to_components :
     integrated schema into one query per component class whose extent
     contributes to the queried class (including classes mapped to its
     descendants).  Joined queries keep only components where both the
-    relationship and the target class are mapped. *)
+    relationship and the target class are mapped.
+    @raise Unmapped naming the queried class, the joined relationship
+    or the joined target class when the integrated schema lacks it. *)
 
 val run_components :
   component_query list ->
@@ -74,7 +76,8 @@ val run_global :
 (** Unfolds, evaluates each component query on its store, and returns
     the outer-union of the answers (exact duplicate rows removed — the
     same real-world entity reported by two components appears once when
-    the components agree on the projected attributes). *)
+    the components agree on the projected attributes).
+    @raise Unmapped as {!to_components} does. *)
 
 val covers : Eval.row list -> Eval.row list -> bool
 (** [covers supers subs]: every row of [subs] is matched by some row of

@@ -109,11 +109,7 @@ let load_session setup =
             setup_fail "%s" (Integrate.Script.parse_error_to_string e))
     in
     (* always rebuilt from the inputs, so a restart picks up an edit *)
-    let ws =
-      List.fold_left
-        (fun ws s -> Integrate.Workspace.add_schema s ws)
-        Integrate.Workspace.empty schemas
-    in
+    let ws = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
     let ws =
       match Integrate.Script.apply directives ws with
       | Ok ws -> ws

@@ -466,10 +466,7 @@ let generate (p : params) =
   (* pre-validate: a directive the workspace rejects (or that raises on
      a structure a rendering dropped) is skipped, so the rendered script
      always applies cleanly end to end *)
-  let ws0 =
-    List.fold_left (fun ws s -> Integrate.Workspace.add_schema s ws)
-      Integrate.Workspace.empty schemas
-  in
+  let ws0 = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
   let ws, kept =
     List.fold_left
       (fun (ws, kept) d ->

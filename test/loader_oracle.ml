@@ -102,6 +102,16 @@ let tokenize ~file src =
       | c when (c >= '0' && c <= '9') || c = '-' ->
           let rec stop j = if j < n && is_num src.[j] then stop (j + 1) else j in
           let j = stop i in
+          (* an exponent after a digit: e or E, an optional sign, digits *)
+          let is_digit k = k < n && src.[k] >= '0' && src.[k] <= '9' in
+          let j =
+            let k = if j + 1 < n && (src.[j + 1] = '+' || src.[j + 1] = '-') then j + 2 else j + 1 in
+            if is_digit (j - 1) && j < n && (src.[j] = 'e' || src.[j] = 'E') && is_digit k
+            then
+              let rec digits k = if is_digit k then digits (k + 1) else k in
+              digits k
+            else j
+          in
           let word = String.sub src i (j - i) in
           (match String.split_on_char '-' word with
           | [ y; m; d ]
@@ -150,7 +160,7 @@ let value st =
   match t.token with
   | Number s -> (
       advance st;
-      if String.contains s '.' then
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
         match float_of_string_opt s with
         | Some x when Float.is_finite x -> Value.Real x
         | Some _ -> fail_at st t "number '%s' is out of range" s

@@ -552,6 +552,113 @@ let refusal_tests =
           (List.length (Assertions.explain m nowhere nowhere)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write rows: what an [add] copies, and who may read a matrix. *)
+
+(* The inputs of "the scenario federation matches the oracle": the
+   8-schema federation the benchmark serves and its script's object
+   facts. *)
+let federation () =
+  let scn =
+    Workload.Scenario.generate
+      {
+        Workload.Scenario.default_params with
+        seed = 42;
+        schemas = 8;
+        concepts = 16;
+        population = 200;
+        views = 6;
+      }
+  in
+  ( scn.Workload.Scenario.schemas,
+    List.filter_map
+      (function Script.Object_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+      scn.Workload.Scenario.directives )
+
+(* [add] that keeps the matrix it was given on a conflict or a refusal *)
+let add_or_keep m (l, a, r) =
+  match Assertions.add l a r m with
+  | Ok m -> m
+  | Error _ | (exception Assertions.Unknown_class _) -> m
+
+let sharing_tests =
+  [
+    tc "folding the federation's facts copies no whole matrix" (fun () ->
+        let schemas, objects = federation () in
+        let base = Assertions.create schemas in
+        let n = List.length (Assertions.nodes base) in
+        check Alcotest.bool "a federation-sized matrix" true (n >= 80);
+        (* the default minor heap: a row of n words is a minor-heap
+           block and dies there unless the fold's result keeps it,
+           while a whole n*n array goes to the major heap at once *)
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = 262_144 };
+        let before = (Gc.quick_stat ()).Gc.major_words in
+        let m = List.fold_left add_or_keep base objects in
+        let words = (Gc.quick_stat ()).Gc.major_words -. before in
+        (* about 87 of the facts tighten a cell: copying the matrix for
+           each of them costs 87 n^2 words, an eighth of that is the
+           budget *)
+        let budget = 87 * n * n / 8 in
+        check Alcotest.bool
+          (Printf.sprintf "%.0f major-heap words for %d facts (budget %d)"
+             words (List.length objects) budget)
+          true
+          (words < float_of_int budget);
+        check Alcotest.bool "the facts were recorded" true
+          (Assertions.asserted_count m > 0));
+    tc "parallel adds to one shared matrix match sequential ones" (fun () ->
+        let schemas, objects = federation () in
+        (* the facts that tighten a cell, in script order; the base
+           takes half of them and shares rows with the matrices it came
+           from, and four fact lists over it add the other half: the
+           negations make some adds fail half-way through their closure *)
+        let tightening =
+          List.rev
+            (snd
+               (List.fold_left
+                  (fun (m, acc) f ->
+                    let m' = add_or_keep m f in
+                    (m', if m' == m then acc else f :: acc))
+                  (Assertions.create schemas, [])
+                  objects))
+        in
+        let half = List.length tightening / 2 in
+        let first = List.filteri (fun i _ -> i < half) tightening
+        and second = List.filteri (fun i _ -> i >= half) tightening in
+        check Alcotest.bool "facts left to tighten the base" true
+          (List.length second >= 20);
+        let base = List.fold_left add_or_keep (Assertions.create schemas) first in
+        let negate (l, a, r) =
+          match a with
+          | Assertion.Disjoint_nonintegrable | Assertion.Disjoint_integrable ->
+              (l, Assertion.Equal, r)
+          | _ -> (l, Assertion.Disjoint_nonintegrable, r)
+        in
+        let lists =
+          [
+            second;
+            List.rev second;
+            List.concat_map (fun f -> [ negate f; f ]) second;
+            List.filteri (fun i _ -> i mod 2 = 1) second @ List.map negate first;
+          ]
+        in
+        let apply facts = List.fold_left add_or_keep base facts in
+        let before = render dense ~explain:false base in
+        let sequential = List.map apply lists in
+        let parallel =
+          Par.For_testing.with_domains 4 (fun () -> Par.map apply lists)
+        in
+        List.iteri
+          (fun i (s, p) ->
+            check Alcotest.string
+              (Printf.sprintf "list %d" i)
+              (render dense ~explain:false s)
+              (render dense ~explain:false p))
+          (List.combine sequential parallel);
+        check Alcotest.string "the base is unchanged" before
+          (render dense ~explain:false base));
+  ]
+
 let () =
   Alcotest.run "assertions"
     [
@@ -561,4 +668,5 @@ let () =
       ("refusals", refusal_tests);
       ("integration-edges", integration_edge_tests);
       ("oracle", oracle_tests);
+      ("sharing", sharing_tests);
     ]

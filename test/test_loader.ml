@@ -344,6 +344,80 @@ let gc_tests =
           true (per_byte <= 1.0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Values written by [to_string] read back exactly.                    *)
+
+(* Reals a 6-digit printer loses or writes with an exponent, and
+   strings that hold one kind of quote (neither lexer has escapes, so
+   no value holds both). *)
+let awkward_reals = [ 1234567.5; 3.14159265; 1e-7; 1e300; 5e-324; -0.0; 1e22; 0.1 ]
+let awkward_names = [ "A\"nn"; "O'Hara"; "say \"hi\", {x}"; "tab\tand\nnewline"; "" ]
+
+let students rows =
+  List.fold_left
+    (fun st (name, gpa) ->
+      fst
+        (S.insert (Name.v "Student")
+           (S.tuple [ ("Name", V.str name); ("GPA", V.real gpa) ])
+           st))
+    (S.create Workload.Paper.sc1) rows
+
+(* Each student's name and the bits of its GPA, in store order. *)
+let read_back st =
+  let text = Instance.Loader.to_string Workload.Paper.sc1 st in
+  match Instance.Loader.load_string ~schemas:[ Workload.Paper.sc1 ] text with
+  | [ (_, st') ] ->
+      List.map
+        (fun oid ->
+          match (S.value oid (Name.v "Name") st', S.value oid (Name.v "GPA") st') with
+          | V.Str name, V.Real gpa -> (name, Int64.bits_of_float gpa)
+          | _ -> Alcotest.fail ("a value changed type in:\n" ^ text))
+        (S.entities st')
+  | _ -> Alcotest.fail "expected one store"
+
+let expected rows = List.map (fun (name, gpa) -> (name, Int64.bits_of_float gpa)) rows
+let bits = Alcotest.(list (pair string int64))
+
+let round_trip_tests =
+  let name_gen =
+    QCheck.Gen.(
+      let* quote = oneofl [ '"'; '\'' ] in
+      string_size
+        ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '\t'; '\n'; '\\'; ','; '{'; '}'; '-'; 'e'; quote ])
+        (int_range 0 8))
+  in
+  let real_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl awkward_reals;
+          map Int64.float_of_bits int64 |> map (fun x -> if Float.is_finite x then x else 0.5);
+        ])
+  in
+  [
+    tc "awkward reals and quoted names read back exactly" (fun () ->
+        let rows =
+          List.mapi
+            (fun i gpa -> (List.nth awkward_names (i mod List.length awkward_names), gpa))
+            awkward_reals
+        in
+        check bits "values" (expected rows) (read_back (students rows)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"to_string then load_string is the identity on values"
+         QCheck.(
+           make
+             ~print:(fun rows ->
+               String.concat "; "
+                 (List.map (fun (n, g) -> Printf.sprintf "%S %h" n g) rows))
+             Gen.(list_size (int_range 1 6) (pair name_gen real_gen)))
+         (fun rows -> expected rows = read_back (students rows)));
+  ]
+
 let () =
   Alcotest.run "loader"
-    [ ("loader", tests); ("oracle", oracle_tests); ("gc", gc_tests) ]
+    [
+      ("loader", tests);
+      ("oracle", oracle_tests);
+      ("gc", gc_tests);
+      ("values", round_trip_tests);
+    ]

@@ -388,18 +388,26 @@ let misc_props =
 (* ------------------------------------------------------------------ *)
 (* Persistence round-trips on generated workloads.                     *)
 
-(* Random DDA sessions over the paper's sc1 and sc2, as Op.t sequences:
-   whole schemas, schema edits that delete up to two structures (a
-   deleted class that a relationship or category still names makes the
-   edit invalid), object and relationship facts between the two
-   schemas (some naming a deleted structure), and schema removals. *)
-let session_ops =
-  let sc1, sc2 = (Workload.Paper.sc1, Workload.Paper.sc2) in
-  let schemas = [ sc1; sc2 ] in
+(* sc1 or sc2 with up to two structures deleted (a deleted class that
+   a relationship or category still names makes the edit invalid). *)
+let edited_paper_schema =
   let structure_name = function
     | Schema.Obj oc -> oc.Object_class.name
     | Schema.Rel r -> r.Relationship.name
   in
+  QCheck.Gen.(
+    oneofl [ Workload.Paper.sc1; Workload.Paper.sc2 ] >>= fun s ->
+    list_size (int_bound 2) (oneofl (List.map structure_name (Schema.structures s)))
+    >|= fun dropped ->
+    List.fold_left (fun s n -> Schema.remove_structure n s) s dropped)
+
+(* Random DDA sessions over the paper's sc1 and sc2, as Op.t sequences:
+   whole schemas, schema edits, object and relationship facts between
+   the two schemas (some naming a deleted structure), and schema
+   removals. *)
+let session_ops =
+  let sc1, sc2 = (Workload.Paper.sc1, Workload.Paper.sc2) in
+  let schemas = [ sc1; sc2 ] in
   let objects s =
     List.map (fun oc -> Schema.qname s oc.Object_class.name) (Schema.objects s)
   in
@@ -414,12 +422,7 @@ let session_ops =
       (pair (oneofl pool1) (oneofl pool2))
       assertion bool
   in
-  let edit =
-    oneofl schemas >>= fun s ->
-    list_size (int_bound 2) (oneofl (List.map structure_name (Schema.structures s)))
-    >|= fun dropped ->
-    Op.Add_schema (List.fold_left (fun s n -> Schema.remove_structure n s) s dropped)
-  in
+  let edit = map (fun s -> Op.Add_schema s) edited_paper_schema in
   let op =
     frequency
       [
@@ -648,6 +651,146 @@ let update_props =
         | [] -> true);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Adding a schema list at once.                                       *)
+
+(* Everything Phases 1-3 of a workspace hold, as text: the schemas, the
+   recorded facts, every known cell of both matrices with its source,
+   and each attribute's equivalence class. *)
+let render_workspace ws =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun s -> Buffer.add_string b (Ddl.Printer.to_string s))
+    (Workspace.schemas ws);
+  let facts what =
+    List.iter (fun (l, a, r) ->
+        Printf.bprintf b "%s %s %s %s\n" what (Qname.to_string l)
+          (Assertion.to_string a) (Qname.to_string r))
+  in
+  facts "object" (Workspace.object_facts ws);
+  facts "rel" (Workspace.relationship_facts ws);
+  let cells what m =
+    List.iter
+      (fun (l, r, rel, src) ->
+        Printf.bprintf b "%s (%s %s) %s %s\n" what (Qname.to_string l)
+          (Qname.to_string r) (Rel.to_string rel)
+          (Assertions.source_to_string src))
+      (Assertions.constrained_pairs m)
+  in
+  cells "objects" (Workspace.object_matrix ws);
+  cells "relationships" (Workspace.relationship_matrix ws);
+  let eq = Workspace.equivalence ws in
+  List.iter
+    (fun a ->
+      Printf.bprintf b "%s #%d\n" (Qname.Attr.to_string a)
+        (Equivalence.class_number a eq))
+    (Equivalence.members eq);
+  Buffer.contents b
+
+let session_of ops = List.fold_left (fun ws op -> Op.apply op ws) Workspace.empty ops
+let fold_add ss ws = List.fold_left (fun ws s -> Workspace.add_schema s ws) ws ss
+
+(* Valid versions of sc1 and sc2, so a list repeats a name often. *)
+let schema_list =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (oneof [ oneofl [ Workload.Paper.sc1; Workload.Paper.sc2 ]; edited_paper_schema ])
+    >|= List.filter (fun s -> Schema.validate s = []))
+
+let with_schema_list =
+  QCheck.make
+    ~print:(fun (ops, ss) ->
+      String.concat "; " (List.map Op.describe ops)
+      ^ "\nthen add_schemas:\n"
+      ^ String.concat "\n" (List.map Ddl.Printer.to_string ss))
+    QCheck.Gen.(pair (QCheck.gen session_ops) schema_list)
+
+let add_schemas_props =
+  [
+    qtest ~count:150 "add_schemas is the fold of add_schema without facts"
+      with_schema_list
+      (fun (ops, ss) ->
+        (* the session's schemas and equivalences, none of its facts *)
+        let ws =
+          session_of
+            (List.filter
+               (function
+                 | Op.Add_schema _ | Op.Remove_schema _ -> true | _ -> false)
+               ops)
+        in
+        render_workspace (Workspace.add_schemas ss ws)
+        = render_workspace (fold_add ss ws));
+    qtest ~count:150
+      "add_schemas is the fold of add_schema when one entry replaces a held schema"
+      with_schema_list
+      (fun (ops, ss) ->
+        let ws = session_of ops in
+        (* at most one entry shares a name with a held schema (the
+           sessions hold only sc1 and sc2); sc4 twice repeats a name no
+           fact mentions *)
+        let ss =
+          (match ss with s :: _ -> [ s ] | [] -> [])
+          @ [ Workload.Paper.sc4; Workload.Paper.sc3; Workload.Paper.sc4 ]
+        in
+        render_workspace (Workspace.add_schemas ss ws)
+        = render_workspace (fold_add ss ws));
+    qtest ~count:150
+      "add_schemas replays the recorded facts over the final schema list"
+      with_schema_list
+      (fun (ops, ss) ->
+        let ws = session_of ops in
+        let forget ws =
+          let ws =
+            List.fold_left
+              (fun ws (a, _, b) -> Workspace.retract_object a b ws)
+              ws (Workspace.object_facts ws)
+          in
+          List.fold_left
+            (fun ws (a, _, b) -> Workspace.retract_relationship a b ws)
+            ws (Workspace.relationship_facts ws)
+        in
+        let replay assert_ facts ws =
+          List.fold_left
+            (fun ws (a, c, b) ->
+              match assert_ a c b ws with
+              | Ok ws -> ws
+              | Error _ | (exception Assertions.Unknown_class _) -> ws)
+            ws facts
+        in
+        let expected =
+          fold_add ss (forget ws)
+          |> replay Workspace.assert_object (Workspace.object_facts ws)
+          |> replay Workspace.assert_relationship (Workspace.relationship_facts ws)
+        in
+        render_workspace (Workspace.add_schemas ss ws) = render_workspace expected);
+  ]
+
+let add_schemas_tests =
+  let tc name f = Alcotest.test_case name `Quick f in
+  [
+    tc "a fact the list's first version would drop is kept" (fun () ->
+        let sc1, sc2 = (Workload.Paper.sc1, Workload.Paper.sc2) in
+        let ws =
+          match
+            Workspace.assert_object (Qname.v "sc1" "Department") Assertion.Equal
+              (Qname.v "sc2" "Department")
+              (Workspace.add_schemas [ sc1; sc2 ] Workspace.empty)
+          with
+          | Ok ws -> ws
+          | Error c -> Alcotest.fail (Assertions.conflict_to_string c)
+        in
+        (* sc1 without Majors and Department, then sc1 again *)
+        let without =
+          Schema.remove_structure (Name.v "Department")
+            (Schema.remove_structure (Name.v "Majors") sc1)
+        in
+        Alcotest.(check int) "the fold forgets it" 0
+          (List.length (Workspace.object_facts (fold_add [ without; sc1 ] ws)));
+        Alcotest.(check int) "add_schemas keeps it" 1
+          (List.length
+             (Workspace.object_facts (Workspace.add_schemas [ without; sc1 ] ws))));
+  ]
+
 let () =
   Alcotest.run "properties"
     [
@@ -657,4 +800,5 @@ let () =
       ("misc", misc_props);
       ("persistence", persistence_props);
       ("updates", update_props);
+      ("add_schemas", add_schemas_props @ add_schemas_tests);
     ]

@@ -335,6 +335,36 @@ let server_tests =
                 Alcotest.fail "server still accepting after stop");
             (* idempotent: a second stop is a no-op *)
             Server.stop t);
+    tc "a global query naming a class the integrated schema lacks is unmapped"
+      (fun () ->
+        (* the integrated schema calls the merged class E_Department;
+           sc1's Majors is merged too, and sc2's Works is not *)
+        with_server (fun _t addr ->
+            with_client addr (fun c ->
+                List.iter
+                  (fun (op, text, missing) ->
+                    let resp =
+                      Server.Client.roundtrip c
+                        (Server.Wire.request_to_line ~text op)
+                    in
+                    match Json.of_string resp with
+                    | Ok v ->
+                        check Alcotest.(option string) (op ^ " " ^ text)
+                          (Some "unmapped") (Server.Client.error_code v);
+                        check Alcotest.bool ("names " ^ missing ^ ": " ^ resp) true
+                          (Util.contains ~needle:missing resp)
+                    | Error e -> Alcotest.fail ("unparseable response: " ^ e))
+                  [
+                    ("query", "select * from Department", "object class Department");
+                    ("rewrite", "select * from Department", "object class Department");
+                    ("query", "select Name from Department", "object class Department");
+                    ( "query",
+                      "select Name from Student via Majors to E_Department",
+                      "relationship set Majors" );
+                    ( "query",
+                      "select Name from Faculty via Works to Department",
+                      "object class Department" );
+                  ])));
   ]
 
 (* ---- the retired binary magic ------------------------------------ *)
@@ -696,6 +726,28 @@ let sit_batch_tests =
         (* ... and the later good directive still ran *)
         has "view query   : [sc1] select Name from Student";
         has "(2 rows)");
+    tc "a global query naming a missing class is reported and skipped"
+      (fun () ->
+        let rc, text =
+          sit_batch
+            [
+              "-s"; example "paper_session.sit";
+              "--data"; example "paper_instances.ecd";
+              "-g"; "select * from Department";
+              "-g"; "select Name from E_Department";
+            ]
+        in
+        check Alcotest.int "exit status" 1 rc;
+        check Alcotest.bool "reported as unmapped" true
+          (Util.contains
+             ~needle:
+               "error: --global select * from Department: unmapped: object \
+                class Department is not in the integrated schema"
+             text);
+        check Alcotest.bool "no internal error" false
+          (Util.contains ~needle:"internal error" text);
+        check Alcotest.bool "the next directive still ran" true
+          (Util.contains ~needle:"global query : select Name from E_Department" text));
     tc "many scripts print in script order, each as its own run" (fun () ->
         (* 16 copies of the paper session, copy i naming the merged
            relationship Majors_i so that the order shows *)
@@ -899,6 +951,66 @@ let restart_tests =
           (List.mem "E_Stud_Majo" second);
         check Alcotest.(list string) "the journal directory holds no setup copy"
           [] (Array.to_list (Sys.readdir journal)));
+    tc "a compacted snapshot restores reals and quoted strings exactly"
+      (fun () ->
+        (* the snapshot's store is loader text, so each value must read
+           back exactly: reals past 6 significant digits or with an
+           exponent, and a string holding a double quote *)
+        List.iter
+          (fun updates ->
+            let dir = Filename.temp_file "sit_snapshot" "" in
+            Sys.remove dir;
+            Fun.protect
+              ~finally:(fun () ->
+                ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+            @@ fun () ->
+            let start () =
+              match
+                Server.load_session
+                  {
+                    Server.schema_files = [ example "sc1.ecr"; example "sc2.ecr" ];
+                    script = Some (example "paper_session.sit");
+                    data = Some (example "paper_instances.ecd");
+                    journal = Some dir;
+                    name = None;
+                  }
+              with
+              | Error e -> Alcotest.fail e
+              | Ok session -> (
+                  match Server.create session (Server.default_config local) with
+                  | Error e -> Alcotest.fail ("restart refused: " ^ e)
+                  | Ok t -> t)
+            in
+            let select t =
+              Server.exec t
+                (Server.Wire.request_to_line ~view:"sc1"
+                   ~text:"select Name, GPA from Student" "query")
+            in
+            let t = start () in
+            List.iter
+              (fun text ->
+                let resp =
+                  Server.exec t
+                    (Server.Wire.request_to_line ~view:"sc1" ~text "update")
+                in
+                check Alcotest.bool (text ^ ": " ^ resp) true
+                  (Util.contains ~needle:"\"ok\":true" resp))
+              updates;
+            let before = select t in
+            let compacted = Server.exec t (Server.Wire.request_to_line "repl_compact") in
+            check Alcotest.bool ("compacted: " ^ compacted) true
+              (Util.contains ~needle:"\"ok\":true" compacted);
+            Server.stop t;
+            let t = start () in
+            Fun.protect ~finally:(fun () -> Server.stop t) @@ fun () ->
+            check Alcotest.string "the values read back" before (select t))
+          [
+            [
+              "update Student set GPA = 1234567.5 where Name = 'Ann'";
+              "update Student set GPA = 3.14159265 where Name = 'Ben'";
+            ];
+            [ "update Student set Name = 'A\"nn' where Name = 'Ann'" ];
+          ]);
   ]
 
 let () =
