@@ -7,24 +7,20 @@
    equivalence specification, assertion specification with conflict
    resolution, and browsing of the integrated schema. *)
 
-let load_file ws file =
-  if Filename.check_suffix file ".sitd" then
-    (* a data dictionary: schemas plus a recorded session *)
-    Dictionary.merge ws (Dictionary.load file)
-  else
-    let schemas = Ddl.Parser.schemas_of_file file in
-    List.iter
-      (fun s ->
-        match Ecr.Schema.validate s with
-        | [] -> ()
-        | errors ->
-            List.iter
-              (fun e ->
-                Printf.eprintf "%s: %s\n" file (Ecr.Schema.error_to_string e))
-              errors;
-            exit 2)
-      schemas;
-    Integrate.Workspace.add_schemas schemas ws
+(* What [file] adds to a workspace: a data dictionary (schemas plus a
+   recorded session) merges in, DDL adds its schemas.  A file that
+   cannot be loaded stops the tool with its message. *)
+let load_file file =
+  let loaded =
+    if Filename.check_suffix file ".sitd" then
+      Result.map (fun d ws -> Dictionary.merge ws d) (Load.dictionary file)
+    else Result.map Integrate.Workspace.add_schemas (Load.schemas [ file ])
+  in
+  match loaded with
+  | Ok add -> add
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
 
 (* With --journal, the whole session is write-ahead logged: a snapshot
    of the starting workspace (recovered session plus any files given on
@@ -33,9 +29,9 @@ let load_file ws file =
    valid prefix, so a crash — even mid-write — costs at most the last
    keystroke.  See lib/journal and docs/ROBUSTNESS.md. *)
 let run files save analyse journal_path =
-  let workspace =
-    List.fold_left load_file Integrate.Workspace.empty files
-  in
+  let adds = List.map load_file files in
+  let load ws = List.fold_left (fun ws add -> add ws) ws adds in
+  let workspace = load Integrate.Workspace.empty in
   let workspace, journal =
     match journal_path with
     | None -> (workspace, None)
@@ -55,7 +51,7 @@ let run files save analyse journal_path =
             let answer = try input_line stdin with End_of_file -> "" in
             if String.lowercase_ascii (String.trim answer) = "y" then
               (* recovered session first, command-line files on top *)
-              List.fold_left load_file recovery.Journal.workspace files
+              load recovery.Journal.workspace
             else begin
               Journal.reset j;
               workspace

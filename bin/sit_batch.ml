@@ -12,14 +12,6 @@ exception Session_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Session_error s)) fmt
 
-(* [f ()] reads the input file [path]; a failure to read it names the
-   file ([Sys_error] carries the path only when opening fails). *)
-let reading path f =
-  try f ()
-  with Sys_error msg ->
-    let prefix = path ^ ": " in
-    fail "%s" (if String.starts_with ~prefix msg then msg else prefix ^ msg)
-
 (* One integration session: replay [directives] against [schemas] and
    return everything the session prints.  Pure apart from the optional
    file outputs, which the driver only allows in single-script runs.
@@ -31,7 +23,7 @@ let reading path f =
    inputs must be unchanged between the runs — ops are skipped by
    position. *)
 let run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
-    ~save_dict ~save_result ~data ~updates ~queries ~global_queries
+    ~save_dict ~save_result ~stores ~updates ~queries ~global_queries
     ?journal () =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.bprintf buf fmt in
@@ -132,14 +124,13 @@ let run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
   | Some path -> Dictionary.save_result path ws result
   | None -> ());
   (* ---- optional: operational data and translated requests ---------- *)
-  if data <> None || updates <> [] || queries <> [] || global_queries <> []
+  if
+    Option.is_some stores || updates <> [] || queries <> []
+    || global_queries <> []
   then begin
     let stores =
-      match data with
-      | Some path -> (
-          try reading path (fun () -> Instance.Loader.load_file ~schemas path)
-          with Instance.Loader.Error _ as e ->
-            fail "%s" (Instance.Loader.error_to_string e))
+      match stores with
+      | Some stores -> stores
       | None -> List.map (fun s -> (s, Instance.Store.create s)) schemas
     in
     let merged, report =
@@ -263,46 +254,21 @@ let run files scripts out_ddl out_dot name analyse save_dict save_result
     Obs.enable ();
     Obs.reset ()
   end;
-  let schemas =
-    try
-      List.concat_map
-        (fun f -> reading f (fun () -> Ddl.Parser.schemas_of_file f))
-        files
-    with Session_error msg -> hard_fail "%s" msg
-  in
-  List.iter
-    (fun s ->
-      match Ecr.Schema.validate s with
-      | [] -> ()
-      | errors ->
-          List.iter
-            (fun e -> prerr_endline (Ecr.Schema.error_to_string e))
-            errors;
-          exit 2)
-    schemas;
+  (* every input is read once, in order, before any session runs;
+     the jobs share the stores, which are immutable *)
+  let input = function Ok v -> v | Error msg -> hard_fail "%s" msg in
+  let schemas = input (Load.schemas files) in
   let jobs_of_scripts =
-    (* parse every script up front, sequentially: parse errors are
-       reported in script order, before any session runs *)
     match scripts with
     | [] -> [ [] ]
-    | paths -> (
-        try
-          List.map
-            (fun p -> reading p (fun () -> Integrate.Script.parse_file p))
-            paths
-        with
-        | Integrate.Script.Parse_error _ as e ->
-            hard_fail "%s" (Integrate.Script.parse_error_to_string e)
-        | Session_error msg -> hard_fail "%s" msg)
+    | paths -> List.map (fun p -> input (Load.script p)) paths
   in
+  let stores = Option.map (fun p -> input (Load.data ~schemas p)) data in
   let journal =
     match journal_dir with
     | None -> None
     | Some dir ->
-        (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-         with Unix.Unix_error (e, _, _) ->
-           hard_fail "cannot create journal directory %s: %s" dir
-             (Unix.error_message e));
+        input (Load.directory dir);
         let path = Filename.concat dir "session.journal" in
         let recovery, j = Journal.open_ path in
         if (not resume) && recovery.Journal.seq > 0 then
@@ -317,7 +283,7 @@ let run files scripts out_ddl out_dot name analyse save_dict save_result
       Par.map
         (fun directives ->
           run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
-            ~save_dict ~save_result ~data ~updates ~queries ~global_queries
+            ~save_dict ~save_result ~stores ~updates ~queries ~global_queries
             ?journal ())
         jobs_of_scripts
     with Session_error msg -> hard_fail "%s" msg

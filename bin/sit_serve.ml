@@ -185,9 +185,6 @@ let parse_view_def spec =
 let serve files script data name journal listen queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every schedule phases_spec
     transcript_out =
-  (match files with
-  | [] -> hard_fail "no DDL files given (pass at least one schema file)"
-  | _ -> ());
   if metrics <> None then begin
     Obs.enable ();
     Obs.reset ()

@@ -74,7 +74,7 @@ let parse_code lineno s =
   | Some a -> a
   | None -> error "line %d: unknown assertion code %s" lineno s
 
-let apply_directive ~strict ws lineno line =
+let apply_directive ws lineno line =
   let line =
     match String.index_opt line '#' with
     | Some i -> String.sub line 0 i
@@ -93,7 +93,6 @@ let apply_directive ~strict ws lineno line =
           (parse_code lineno code) (parse_qname lineno b) ws
       with
       | Ok ws -> ws
-      | Error _ when not strict -> ws
       | Error c ->
           error "line %d: assertion conflicts with earlier ones (%s vs %s)"
             lineno
@@ -106,7 +105,6 @@ let apply_directive ~strict ws lineno line =
           (parse_code lineno code) (parse_qname lineno b) ws
       with
       | Ok ws -> ws
-      | Error _ when not strict -> ws
       | Error _ -> error "line %d: relationship assertion conflicts" lineno
       | exception Integrate.Assertions.Unknown_class _ -> ws)
   | [ "name"; a; b; forced ] ->
@@ -151,7 +149,7 @@ let of_string text =
     | l :: rest -> until_marker (l :: acc) rest
   in
   List.fold_left
-    (fun (ws, lineno) line -> (apply_directive ~strict:true ws lineno line, lineno + 1))
+    (fun (ws, lineno) line -> (apply_directive ws lineno line, lineno + 1))
     (ws, offset + 1)
     (until_marker [] session_lines)
   |> fst

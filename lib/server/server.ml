@@ -66,73 +66,24 @@ type setup = {
   name : string option;
 }
 
-exception Setup of string
-
-let setup_fail fmt = Printf.ksprintf (fun s -> raise (Setup s)) fmt
-
-(* [f ()] reads the input file [path]; a failure to read it names the
-   file ([Sys_error] carries the path only when opening fails). *)
-let reading path f =
-  try f ()
-  with Sys_error msg ->
-    let prefix = path ^ ": " in
-    setup_fail "%s"
-      (if String.starts_with ~prefix msg then msg else prefix ^ msg)
-
 let load_session setup =
-  try
-    let schemas =
-      match setup.schema_files with
-      | [] -> setup_fail "no schema files given"
-      | files ->
-          List.concat_map
-            (fun file ->
-              try reading file (fun () -> Ddl.Parser.schemas_of_file file)
-              with Ddl.Parser.Error (msg, line, col) ->
-                setup_fail "%s:%d:%d: %s" file line col msg)
-            files
-    in
-    List.iter
-      (fun s ->
-        match Ecr.Schema.validate s with
-        | [] -> ()
-        | errors ->
-            setup_fail "%s"
-              (String.concat "\n" (List.map Ecr.Schema.error_to_string errors)))
-      schemas;
-    let directives =
-      match setup.script with
-      | None -> []
-      | Some path -> (
-          try reading path (fun () -> Integrate.Script.parse_file path)
-          with Integrate.Script.Parse_error _ as e ->
-            setup_fail "%s" (Integrate.Script.parse_error_to_string e))
-    in
-    (* always rebuilt from the inputs, so a restart picks up an edit *)
-    let ws = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
-    let ws =
-      match Integrate.Script.apply directives ws with
-      | Ok ws -> ws
-      | Error e -> setup_fail "%s" (Integrate.Script.apply_error_to_string e)
-    in
-    (match setup.journal with
-    | Some dir when not (Sys.file_exists dir) -> (
-        try Unix.mkdir dir 0o755
-        with Unix.Unix_error (e, _, _) ->
-          setup_fail "cannot create journal directory %s: %s" dir
-            (Unix.error_message e))
-    | _ -> ());
-    let result = Integrate.Workspace.integrate ?name:setup.name ws in
-    let stores =
-      match setup.data with
-      | Some path -> (
-          try reading path (fun () -> Instance.Loader.load_file ~schemas path)
-          with Instance.Loader.Error _ as e ->
-            setup_fail "%s" (Instance.Loader.error_to_string e))
-      | None -> List.map (fun s -> (s, Instance.Store.create s)) schemas
-    in
-    Ok (make_session ?journal_dir:setup.journal ~result ~stores ())
-  with Setup msg -> Error msg
+  let ( let* ) = Result.bind in
+  let* schemas = Load.schemas setup.schema_files in
+  let* directives = Option.fold ~none:(Ok []) ~some:Load.script setup.script in
+  (* always rebuilt from the inputs, so a restart picks up an edit *)
+  let ws = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
+  let* ws =
+    Integrate.Script.apply directives ws
+    |> Result.map_error Integrate.Script.apply_error_to_string
+  in
+  let* () = Option.fold ~none:(Ok ()) ~some:Load.directory setup.journal in
+  let result = Integrate.Workspace.integrate ?name:setup.name ws in
+  let* stores =
+    match setup.data with
+    | Some path -> Load.data ~schemas path
+    | None -> Ok (List.map (fun s -> (s, Instance.Store.create s)) schemas)
+  in
+  Ok (make_session ?journal_dir:setup.journal ~result ~stores ())
 
 (* ---- server state ------------------------------------------------- *)
 
@@ -212,7 +163,8 @@ type t = {
   bound_port : int option;
   mutable merged : Instance.Store.t;  (** under [state_mu] *)
   state_mu : Mutex.t;
-  cache : (string, plan) Lru.t;  (** under [cache_mu] *)
+  cache : (int * Ecr.Name.t option * Query.Ast.t, plan) Lru.t;
+      (** under [cache_mu] *)
   cache_mu : Mutex.t;
   cache_epoch : int Atomic.t;
       (** bumped by every mutation; part of every plan key, so cached
@@ -258,6 +210,10 @@ let stats t =
 let port t = t.bound_port
 
 (* ---- socket setup ------------------------------------------------- *)
+
+exception Setup of string
+
+let setup_fail fmt = Printf.ksprintf (fun s -> raise (Setup s)) fmt
 
 let bind_listen addr =
   match addr with
@@ -353,30 +309,26 @@ let cached_plan t key compute =
         | None -> ());
         plan
 
-(* Plans are keyed by (cache epoch, view class, query shape), the shape
-   being the canonical printing of the parsed query.  Printing
-   normalises whitespace, keyword case and predicate parenthesisation,
-   so textually different spellings of one query share a plan.  The
-   epoch is bumped by every mutation ([update], [migrate] and the
-   view-catalog ops — on a follower too, via the replicated-apply
-   path), which structurally prevents a plan computed against
-   pre-mutation state from being served afterwards: entries from an
-   older epoch can never be looked up again and simply age out of the
-   LRU.  Today's plans happen to depend only on the session mapping,
-   but that is an accident of the current rewrite engine, not a
-   contract — a stale-plan bug here surfaces as silently wrong answer
-   bytes after [migrate], which is the worst possible failure mode for
-   a differential tool. *)
+(* Plans are keyed by (cache epoch, view class, parsed query), the
+   view class [None] for a global query.  Spellings of one query that
+   differ only in whitespace or keyword case parse alike and share a
+   plan; queries whose constants differ do not, to the last bit of a
+   real (except [0.] and [-0.], which compare equal).  The epoch is
+   bumped by every mutation ([update], [migrate] and the view-catalog
+   ops — on a follower too, via the replicated-apply path), which
+   structurally prevents a plan computed against pre-mutation state
+   from being served afterwards: entries from an older epoch can never
+   be looked up again and simply age out of the LRU.  Today's plans
+   happen to depend only on the session mapping, but that is an
+   accident of the current rewrite engine, not a contract — a
+   stale-plan bug here surfaces as silently wrong answer bytes after
+   [migrate], which is the worst possible failure mode for a
+   differential tool. *)
 let plan_epoch t = Atomic.get t.cache_epoch
 
 let view_plan t view q =
-  let key =
-    Printf.sprintf "e%d:view:%s\x00%s" (plan_epoch t)
-      (Ecr.Name.to_string (Ecr.Schema.name view))
-      (Query.Ast.to_string q)
-  in
   match
-    cached_plan t key (fun () ->
+    cached_plan t (plan_epoch t, Some (Ecr.Schema.name view), q) (fun () ->
         let q', back =
           Query.Rewrite.to_integrated t.session.result.Integrate.Result.mapping
             ~view q
@@ -384,14 +336,11 @@ let view_plan t view q =
         View_plan (q', back))
   with
   | View_plan (q', back) -> (q', back)
-  | Global_plan _ -> assert false (* keys are namespaced by "view:"/"global:" *)
+  | Global_plan _ -> assert false (* a global key's view class is [None] *)
 
 let global_plan t q =
-  let key =
-    Printf.sprintf "e%d:global:\x00%s" (plan_epoch t) (Query.Ast.to_string q)
-  in
   match
-    cached_plan t key (fun () ->
+    cached_plan t (plan_epoch t, None, q) (fun () ->
         Global_plan
           (Query.Rewrite.to_components t.session.result.Integrate.Result.mapping
              ~integrated:t.session.result.Integrate.Result.schema q))

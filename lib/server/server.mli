@@ -9,9 +9,10 @@
     JSON protocol ({!Wire}, reference in [docs/SERVING.md]) on a Unix
     or TCP socket.
 
-    This module is transport, dispatch, the data operations, session
-    load and the snapshot codec; a leader's replication is
-    {!Replicate.Leader}'s, a follower's {!Replicate.Follower}'s.
+    This module is transport, dispatch, the data operations and the
+    snapshot codec; reading the session's input files is {!Load}'s, a
+    leader's replication {!Replicate.Leader}'s, a follower's
+    {!Replicate.Follower}'s.
 
     Concurrency model: one thread per connection, bounded admission,
     one write lock.  Each connection's thread reads a frame, runs the
@@ -30,9 +31,10 @@
     it after.
 
     Rewrite plans (view and global unfoldings) are cached in an LRU
-    keyed by (view class, query shape) — the canonical printing of the
-    parsed query — with hits/misses/evictions on [server.cache_*]
-    counters and in {!stats}.
+    keyed by (view class, parsed query): spellings that differ only in
+    whitespace or keyword case share a plan, queries whose constants
+    differ get their own; hits/misses/evictions are on
+    [server.cache_*] counters and in {!stats}.
 
     Every protocol failure is a typed error {e response}; no exception
     of the query layer ([Query.Parser.Error], [Query.Rewrite.Unmapped],
@@ -87,9 +89,10 @@ type setup = {
 }
 
 val load_session : setup -> (session, string) result
-(** The [bin/sit_serve] entry point: everything from files, every
-    failure (DDL/script/instance syntax, assertion conflicts, an
-    uncreatable journal directory) as a printable [Error]. *)
+(** The [bin/sit_serve] entry point: the input files read through
+    {!Load}, then integrated and migrated.  Every failure is a
+    printable [Error]: {!Load}'s refusal of a file, or the script's
+    first rejected assertion. *)
 
 (** {1 Server} *)
 

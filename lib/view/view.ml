@@ -51,7 +51,7 @@ type entry = {
 
 type t = {
   entries : (string, entry) Hashtbl.t;
-  shapes : (string, string) Hashtbl.t;  (* query shape -> view name *)
+  shapes : (Query.Ast.t, string) Hashtbl.t;  (* parsed query -> view name *)
   mutable order : string list;  (* definition order *)
 }
 
@@ -72,8 +72,6 @@ let h_refresh_ms = Obs.Histogram.make "view.refresh_ms"
 
 let create () =
   { entries = Hashtbl.create 8; shapes = Hashtbl.create 8; order = [] }
-
-let shape_key q = Query.Ast.to_string q
 
 let find t name = Hashtbl.find_opt t.entries name
 
@@ -126,8 +124,7 @@ let define t ~name ?base ~policy ~source ~query ~post store =
   if name = "" then Error "view name must be non-empty"
   else if mem t name then Error (Printf.sprintf "view %s already exists" name)
   else
-    let key = shape_key query in
-    match Hashtbl.find_opt t.shapes key with
+    match Hashtbl.find_opt t.shapes query with
     | Some other ->
         Error
           (Printf.sprintf "view %s already materializes this query shape"
@@ -154,7 +151,7 @@ let define t ~name ?base ~policy ~source ~query ~post store =
               }
             in
             Hashtbl.replace t.entries name e;
-            Hashtbl.replace t.shapes key name;
+            Hashtbl.replace t.shapes query name;
             t.order <- t.order @ [ name ];
             Obs.Counter.incr c_defines;
             Ok ())
@@ -168,8 +165,7 @@ let install t ~name ?base ~policy ~source ~query ~post ~rows ~fresh () =
   if name = "" then Error "view name must be non-empty"
   else if mem t name then Error (Printf.sprintf "view %s already exists" name)
   else
-    let key = shape_key query in
-    match Hashtbl.find_opt t.shapes key with
+    match Hashtbl.find_opt t.shapes query with
     | Some other ->
         Error
           (Printf.sprintf "view %s already materializes this query shape"
@@ -193,7 +189,7 @@ let install t ~name ?base ~policy ~source ~query ~post ~rows ~fresh () =
           }
         in
         Hashtbl.replace t.entries name e;
-        Hashtbl.replace t.shapes key name;
+        Hashtbl.replace t.shapes query name;
         t.order <- t.order @ [ name ];
         Obs.Counter.incr c_defines;
         Ok ()
@@ -208,7 +204,7 @@ let drop t name =
   | None -> false
   | Some e ->
       Hashtbl.remove t.entries name;
-      Hashtbl.remove t.shapes (shape_key e.query);
+      Hashtbl.remove t.shapes e.query;
       t.order <- List.filter (fun n -> n <> name) t.order;
       Obs.Counter.incr c_drops;
       true
@@ -231,7 +227,7 @@ let read t name store =
       Ok (e.post e.rows, e.fresh)
 
 let lookup_shape t q store =
-  match Hashtbl.find_opt t.shapes (shape_key q) with
+  match Hashtbl.find_opt t.shapes q with
   | None -> None
   | Some name -> (
       match find t name with

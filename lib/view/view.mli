@@ -90,8 +90,10 @@ val define :
     integrated form (already rewritten if the client defined it against
     a component view); [post] maps raw integrated-form rows back to the
     client's column names and is applied by {!read}.  Fails on a
-    duplicate name, a duplicate query shape (keyed on
-    {!Query.Ast.to_string} of [query]) or an ill-typed [query]. *)
+    duplicate name, a duplicate query shape (the parsed [query], so
+    spellings that differ only in whitespace or keyword case are one
+    shape, and queries whose constants differ are two) or an ill-typed
+    [query]. *)
 
 val install :
   t ->

@@ -3,8 +3,9 @@
 # sit_serve on the paper's worked example, load it with the drive
 # client (4 connections, 1000 requests, byte-identity checked), verify
 # the health op and error-path resilience, confirm SIGTERM drains and
-# exits cleanly, check that scripts it cannot load stop it at start-up
-# with a message, then restart a --journal daemon with a startup --view
+# exits cleanly, check that inputs it cannot load stop it at start-up
+# with a message and stop sit_batch (and sit, for DDL) with the same
+# one, then restart a --journal daemon with a startup --view
 # twice and require the view to answer byte-identically across each
 # restart, and last send SIGTERM to a --journal daemon in the middle of
 # a stream of writes.  Run via `make serve-test` (part of `make check`).
@@ -12,6 +13,8 @@ set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 SERVE="$ROOT/_build/default/bin/sit_serve.exe"
+BATCH="$ROOT/_build/default/bin/sit_batch.exe"
+SIT="$ROOT/_build/default/bin/sit.exe"
 DATA="$ROOT/examples/data"
 SOCK="${TMPDIR:-/tmp}/sit_serve_test_$$.sock"
 LOG="${TMPDIR:-/tmp}/sit_serve_test_$$.log"
@@ -128,11 +131,18 @@ grep -q "drained" "$LOG" || { echo "serve-test: no drain line in log"; cat "$LOG
 
 mkdir -p "$JWORK"
 
-# Start-up refusals: a script or data file the daemon cannot load must
-# stop it within a second with exit 2 and its message on stderr, never
-# with an uncaught exception.
-# refuse NAME MESSAGE ARGS... — start on the paper schemas with ARGS,
-# expect MESSAGE
+# Start-up refusals: a DDL, script or data file the daemon cannot load
+# must stop it within a second with exit 2 and its message on stderr,
+# never with an uncaught exception.  sit_batch, and sit for DDL, read
+# their inputs through the same module and must refuse them alike.
+# refused NAME RC MESSAGE — check a run's exit status and $JWORK/NAME.err
+refused() {
+  [ "$2" -eq 2 ] || { echo "serve-test: $1: exit $2, expected 2 (137: still running after 1 s)"; cat "$JWORK/$1.err"; exit 1; }
+  grep -qF "$3" "$JWORK/$1.err" || { echo "serve-test: $1: no \"$3\" on stderr"; cat "$JWORK/$1.err"; exit 1; }
+  ! grep -q "internal error" "$JWORK/$1.err" || { echo "serve-test: $1: internal error"; cat "$JWORK/$1.err"; exit 1; }
+}
+# refuse NAME MESSAGE ARGS... — start the daemon, then run sit_batch, on
+# the paper schemas with ARGS; expect MESSAGE from both
 refuse() {
   NAME=$1 MESSAGE=$2
   shift 2
@@ -144,10 +154,20 @@ refuse() {
   RC=0
   wait "$RPID" || RC=$?
   kill "$WATCHDOG" 2>/dev/null || true
-  [ "$RC" -eq 2 ] || { echo "serve-test: $NAME: exit $RC, expected 2 (137: still running after 1 s)"; cat "$JWORK/$NAME.err"; exit 1; }
-  grep -qF "$MESSAGE" "$JWORK/$NAME.err" || { echo "serve-test: $NAME: no \"$MESSAGE\" on stderr"; cat "$JWORK/$NAME.err"; exit 1; }
-  ! grep -q "internal error" "$JWORK/$NAME.err" || { echo "serve-test: $NAME: internal error"; cat "$JWORK/$NAME.err"; exit 1; }
+  refused "$NAME" "$RC" "$MESSAGE"
+  RC=0
+  "$BATCH" "$DATA/sc1.ecr" "$DATA/sc2.ecr" "$@" >/dev/null \
+    2>"$JWORK/$NAME.batch.err" || RC=$?
+  refused "$NAME.batch" "$RC" "$MESSAGE"
 }
+# a schema missing its closing brace
+printf 'schema bad {\n  entity X {\n    A : nosuchtype;\n  }\n' >"$JWORK/bad.ecr"
+BAD_DDL="$JWORK/bad.ecr:5:1: expected a structure or '}' closing the schema but found end of input"
+refuse bad_ddl "$BAD_DDL" "$JWORK/bad.ecr"
+RC=0
+"$SIT" "$DATA/sc1.ecr" "$DATA/sc2.ecr" "$JWORK/bad.ecr" </dev/null >/dev/null \
+  2>"$JWORK/bad_ddl.sit.err" || RC=$?
+refused bad_ddl.sit "$RC" "$BAD_DDL"
 printf '# a typo\nequiv sc1.Stu-dent.Name sc2.Student.Name\n' >"$JWORK/bad_name.sit"
 refuse bad_name "$JWORK/bad_name.sit:2: malformed qualified attribute" \
   --script "$JWORK/bad_name.sit"

@@ -399,10 +399,162 @@ let text_fuzz_tests =
         done);
   ]
 
+(* ---- binary-level fuzzing ---------------------------------------- *)
+
+(* The binaries read their input files through one front door
+   (lib/load), so an edited input either runs or is refused with exit 2
+   and a message naming the file, never exit 125 with an uncaught
+   exception.  Each input gets seeded single edits: a truncation, one
+   character inserted or deleted, or a span cut.  The children run one
+   at a time; [sit_serve] is sent SIGTERM once it listens, and [sit]
+   reads an empty stdin. *)
+
+let here = Filename.dirname Sys.executable_name
+let example f = Filename.concat here ("../../../examples/data/" ^ f)
+let binary name = Filename.concat here ("../bin/" ^ name ^ ".exe")
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let single_edit g kind src =
+  let n = String.length src in
+  let at = Workload.Prng.int g (n + 1) in
+  let cut len =
+    String.sub src 0 at ^ String.sub src (at + len) (n - at - len)
+  in
+  match kind with
+  | `Truncate -> String.sub src 0 at
+  | `Insert ->
+      String.sub src 0 at ^ String.make 1 (random_byte g)
+      ^ String.sub src at (n - at)
+  | `Delete -> cut (min 1 (n - at))
+  | `Cut -> cut (min (n - at) (1 + Workload.Prng.int g 64))
+
+(* Runs [exe args] with stdin and stdout on /dev/null and returns its
+   exit status and stderr.  A [~serve] child is stopped once it says it
+   listens, which it says after installing its signal handlers. *)
+let spawn ?(serve = false) exe args =
+  let err = Filename.temp_file "binfuzz" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let fd = Unix.openfile err [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) null null fd
+  in
+  Unix.close null;
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () > deadline ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "%s %s: still running after 10 s" exe
+          (String.concat " " args)
+    | 0, _ ->
+        if serve && Util.contains ~needle:"listening on" (read_file err) then
+          Unix.kill pid Sys.sigterm
+        else Unix.sleepf 0.002;
+        wait ()
+    | _, status -> status
+  in
+  let status = wait () in
+  (status, read_file err)
+
+let apply_refusal err =
+  List.exists
+    (fun needle -> Util.contains ~needle err)
+    [ "conflicting assertion between"; "conflicting relationship assertion";
+      "names an unknown object class"; "names an unknown relationship set" ]
+
+(* The contract for one run on the edited file [path]: exit 0, or exit
+   2 with a message that opens on [path:] ([path:LINE:] with [~line]),
+   or with [~apply] a script-apply refusal, which names no file. *)
+let check_run ~path ~line ~apply (exe, args) (status, err) =
+  let fail why =
+    Alcotest.failf "%s %s: %s\n%s" (Filename.basename exe)
+      (String.concat " " args) why err
+  in
+  if Util.contains ~needle:"internal error" err
+     || Util.contains ~needle:"uncaught exception" err
+  then fail "an exception escaped";
+  let prefix = path ^ ":" in
+  let after = String.length prefix in
+  let named =
+    String.starts_with ~prefix err
+    && ((not line)
+       || (String.length err > after && err.[after] >= '0' && err.[after] <= '9'))
+  in
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED 2 when named || (apply && apply_refusal err) -> ()
+  | Unix.WEXITED 2 -> fail "the refusal does not name the edited file"
+  | Unix.WEXITED n -> fail (Printf.sprintf "exit %d" n)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "killed by a signal"
+
+(* Twenty edits of each kind of [file], each run through every [runs]
+   command line (a function of the edited file's path).  Each edit is
+   written to a new file: ext4 flushes a file truncated in place when
+   it is closed, which costs tens of milliseconds an edit. *)
+let fuzz_binaries ~seed ~line ~apply file runs =
+  let src = read_file file in
+  let g = Workload.Prng.create seed in
+  let dir = Filename.temp_dir "binfuzz" "" in
+  let path = Filename.concat dir ("edited" ^ Filename.extension file) in
+  let sock = Filename.concat dir "s.sock" in
+  let remove f = if Sys.file_exists f then Sys.remove f in
+  Fun.protect ~finally:(fun () ->
+      remove path;
+      remove sock;
+      Unix.rmdir dir)
+  @@ fun () ->
+  List.iter
+    (fun kind ->
+      for _ = 1 to 20 do
+        remove path;
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (single_edit g kind src));
+        List.iter
+          (fun (name, args) ->
+            let serve = name = "sit_serve" in
+            let args =
+              args path @ if serve then [ "--listen"; "unix:" ^ sock ] else []
+            in
+            check_run ~path ~line ~apply (binary name, args)
+              (spawn ~serve (binary name) args))
+          runs
+      done)
+    [ `Truncate; `Insert; `Delete; `Cut ]
+
+let binary_fuzz_tests =
+  let sc1 = example "sc1.ecr" and sc2 = example "sc2.ecr" in
+  let script = example "paper_session.sit" in
+  let data = example "paper_instances.ecd" in
+  [
+    tc "edited DDL: sit_batch, sit_serve and sit exit 0 or 2" (fun () ->
+        let args p = [ p; sc2; "-s"; script ] in
+        fuzz_binaries ~seed:0xB1DD1 ~line:false ~apply:true sc1
+          [ ("sit_batch", args); ("sit_serve", args);
+            ("sit", fun p -> [ p; sc2 ]) ]);
+    tc "edited script: sit_batch and sit_serve exit 0 or 2" (fun () ->
+        let args p = [ sc1; sc2; "-s"; p ] in
+        fuzz_binaries ~seed:0xB15C7 ~line:true ~apply:true script
+          [ ("sit_batch", args); ("sit_serve", args) ]);
+    tc "edited data: sit_batch and sit_serve exit 0 or 2" (fun () ->
+        let args p = [ sc1; sc2; "-s"; script; "--data"; p ] in
+        fuzz_binaries ~seed:0xB1DA7 ~line:true ~apply:false data
+          [ ("sit_batch", args); ("sit_serve", args) ]);
+    tc "edited dictionary: sit exits 0 or 2" (fun () ->
+        let saved = Filename.temp_file "binfuzz" ".sitd" in
+        Fun.protect ~finally:(fun () -> Sys.remove saved) @@ fun () ->
+        Dictionary.save saved paper_workspace;
+        fuzz_binaries ~seed:0xB1D1C ~line:false ~apply:false saved
+          [ ("sit", fun p -> [ p ]) ]);
+  ]
+
 let () =
   Alcotest.run "fuzz"
     [
       ("ddl-fuzz", fuzz_tests);
       ("wire-fuzz", line_fuzz_tests);
       ("text-fuzz", text_fuzz_tests);
+      ("bin-fuzz", binary_fuzz_tests);
     ]

@@ -365,6 +365,23 @@ let server_tests =
                       "select Name from Faculty via Works to Department",
                       "object class Department" );
                   ])));
+    tc "reals that agree in 6 significant digits get their own plans"
+      (fun () ->
+        let query text = Server.Wire.request_to_line ~view:"sc1" ~text "query" in
+        let above = query "select Name from Student where GPA > 3.9000001"
+        and below = query "select Name from Student where GPA > 3.8999999" in
+        let fresh line = with_server (fun t _ -> Server.exec t line) in
+        with_server (fun t _ ->
+            check Alcotest.string "above Ann's GPA" (fresh above)
+              (Server.exec t above);
+            check Alcotest.string "below it, as a fresh daemon answers"
+              (fresh below) (Server.exec t below);
+            let hits = (Server.stats t).Server.cache_hits in
+            ignore
+              (Server.exec t
+                 (query "SELECT Name  FROM Student\tWHERE GPA >  3.8999999"));
+            check Alcotest.int "a re-spelling hits the cache" (hits + 1)
+              (Server.stats t).Server.cache_hits));
   ]
 
 (* ---- the retired binary magic ------------------------------------ *)

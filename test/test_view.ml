@@ -264,6 +264,29 @@ let catalog_tests =
         with
         | Ok () -> Alcotest.fail "ill-typed definition accepted"
         | Error _ -> ());
+    tc "a real past the 6th significant digit makes another shape"
+      (fun () ->
+        let session = Lazy.force session in
+        let store = session.Server.initial_merged in
+        let cat = View.create () in
+        let source = "select * from Student where D_GPA > 3.2" in
+        let q = Query.Parser.query_of_string in
+        (match
+           View.define cat ~name:"v" ~policy:View.Eager ~source
+             ~query:(q source) ~post:(fun r -> r) store
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        check Alcotest.bool "a re-spelling is served from the view" true
+          (View.lookup_shape cat
+             (q "SELECT *  FROM Student WHERE D_GPA > 3.2")
+             store
+          <> None);
+        check Alcotest.bool "3.1999999 is not 3.2" true
+          (View.lookup_shape cat
+             (q "select * from Student where D_GPA > 3.1999999")
+             store
+          = None));
   ]
 
 (* ---- wholesale store rebuild (migrate) ---------------------------- *)
