@@ -158,10 +158,18 @@ let tuple_of oid store =
       | Some v -> Name.Map.add (Name.of_id aid) v acc)
     store.cols Name.Map.empty
 
-let value oid attr store =
-  match Imap.find_opt (Name.id attr) store.cols with
-  | None -> Value.Null
-  | Some col -> Option.value ~default:Value.Null (Oid.Map.find_opt oid col)
+type column = Value.t Oid.Map.t
+
+(* [find] rather than [find_opt]: a read allocates no option. *)
+let column attr store =
+  match Imap.find (Name.id attr) store.cols with
+  | col -> col
+  | exception Not_found -> Oid.Map.empty
+
+let get col oid =
+  match Oid.Map.find oid col with v -> v | exception Not_found -> Value.Null
+
+let value oid attr store = get (column attr store) oid
 
 let links rel store =
   if Schema.find_relationship rel store.schema = None then

@@ -82,6 +82,17 @@ val tuple_of : Oid.t -> t -> tuple
 val value : Oid.t -> Ecr.Name.t -> t -> Value.t
 (** [value oid attr store] is the stored value or [Null]. *)
 
+type column
+(** The stored values of one attribute. *)
+
+val column : Ecr.Name.t -> t -> column
+(** [column attr store] looks the attribute up once, so that reading it
+    for many entities ({!get}) costs one int-keyed search each. *)
+
+val get : column -> Oid.t -> Value.t
+(** [get (column attr store) oid] is [value oid attr store]; it
+    allocates nothing. *)
+
 val links : Ecr.Name.t -> t -> link list
 (** Instances of a relationship set. @raise Violation on unknown name. *)
 

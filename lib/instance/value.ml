@@ -64,12 +64,39 @@ let coerce v dom =
         Some (Int (int_of_float x))
     | _ -> None
 
+(* The primitive behind [Printf]'s [%g]: the same bytes, without the
+   format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [n] as [Printf]'s ["%0*d"] pads it to [width]. *)
+let add_padded buf width n =
+  let s = string_of_int n in
+  let zeros = width - String.length s in
+  if zeros <= 0 then Buffer.add_string buf s
+  else begin
+    let sign = if n < 0 then 1 else 0 in
+    Buffer.add_substring buf s 0 sign;
+    for _ = 1 to zeros do
+      Buffer.add_char buf '0'
+    done;
+    Buffer.add_substring buf s sign (String.length s - sign)
+  end
+
+let date_to_string y m d =
+  let buf = Buffer.create 10 in
+  add_padded buf 4 y;
+  Buffer.add_char buf '-';
+  add_padded buf 2 m;
+  Buffer.add_char buf '-';
+  add_padded buf 2 d;
+  Buffer.contents buf
+
 let to_string = function
   | Str s -> "\"" ^ s ^ "\""
   | Int n -> string_of_int n
-  | Real x -> Printf.sprintf "%g" x
+  | Real x -> format_float "%g" x
   | Bool b -> string_of_bool b
-  | Date (y, m, d) -> Printf.sprintf "%04d-%02d-%02d" y m d
+  | Date (y, m, d) -> date_to_string y m d
   | Null -> "null"
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -24,6 +24,11 @@ val coerce : t -> Ecr.Domain.t -> t option
     exists (e.g. [Int 3] to [Real] becomes [Real 3.]). *)
 
 val to_string : t -> string
+
+val date_to_string : int -> int -> int -> string
+(** [date_to_string y m d] prints a date as [Printf]'s
+    ["%04d-%02d-%02d"] does, without its format interpreter. *)
+
 val pp : Format.formatter -> t -> unit
 
 val str : string -> t

@@ -123,8 +123,10 @@ let open_ ?(fsync = Every 8) ?(validate = fun _ -> true) ~magic path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let t = { path; magic; fd; fsync; unsynced = 0; closed = false } in
   if valid_end = 0 then begin
-    (* missing, empty or headerless file: start clean *)
-    Unix.ftruncate fd 0;
+    (* missing, empty or headerless file: start clean.  An empty file
+       is not truncated: on some file systems truncating costs tens of
+       milliseconds even when there is nothing to cut. *)
+    if file_len > 0 then Unix.ftruncate fd 0;
     write_all fd magic
   end
   else if valid_end < file_len then

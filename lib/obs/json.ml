@@ -10,29 +10,45 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing.                                                           *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of bytes that need no escape are copied in one piece, and the
+   loop allocates nothing. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digits.[Char.code c land 15]
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+(* The C primitive behind [Printf]'s float conversions: calling it
+   directly prints the same bytes without running Printf's format
+   interpreter, which allocates an order of magnitude more. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* JSON has no token for an infinity or a NaN, so those print as null. *)
 let float_to_string f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
     (* keep a decimal point so the value round-trips as a float *)
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+    format_float "%.1f" f
+  else format_float "%.9g" f
 
 let to_buffer ?indent buf v =
   let nl level =

@@ -57,6 +57,39 @@ let attrs_of_pred p =
   in
   List.sort_uniq Name.compare (walk [] p)
 
+let same_value a b =
+  match (a, b) with
+  | Instance.Value.Real x, Instance.Value.Real y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let rec equal_pred p q =
+  match (p, q) with
+  | Atom (a, c, v), Atom (b, d, w) -> Name.equal a b && c = d && same_value v w
+  | And (p1, p2), And (q1, q2) | Or (p1, p2), Or (q1, q2) ->
+      equal_pred p1 q1 && equal_pred p2 q2
+  | Not p, Not q -> equal_pred p q
+  | Const b, Const c -> b = c
+  | (Atom _ | And _ | Or _ | Not _ | Const _), _ -> false
+
+let equal_names = List.equal Name.equal
+
+let equal a b =
+  Name.equal a.from_class b.from_class
+  && equal_names a.select b.select
+  && Option.equal equal_pred a.where b.where
+  && Option.equal
+       (fun j k ->
+         Name.equal j.rel k.rel
+         && equal_names j.rel_select k.rel_select
+         && Name.equal j.target k.target
+         && Option.equal equal_pred j.target_where k.target_where
+         && equal_names j.target_select k.target_select)
+       a.via b.via
+
+(* [Hashtbl.hash] hashes [0.] and [-0.] alike, which {!equal} allows. *)
+let hash (q : t) = Hashtbl.hash q
+
 let cmp_to_string = function
   | Eq -> "="
   | Ne -> "<>"
@@ -65,39 +98,74 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let rec pp_pred fmt = function
+(* One printer, into a buffer: the queries a rewrite answer echoes are
+   printed without Format's formatter state. *)
+let rec add_pred buf = function
   | Atom (a, cmp, v) ->
-      Format.fprintf fmt "%a %s %a" Name.pp a (cmp_to_string cmp)
-        Instance.Value.pp v
-  | And (p, q) -> Format.fprintf fmt "(%a and %a)" pp_pred p pp_pred q
-  | Or (p, q) -> Format.fprintf fmt "(%a or %a)" pp_pred p pp_pred q
-  | Not p -> Format.fprintf fmt "(not %a)" pp_pred p
-  | Const b -> Format.pp_print_bool fmt b
+      Buffer.add_string buf (Name.to_string a);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (cmp_to_string cmp);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Instance.Value.to_string v)
+  | And (p, q) -> add_binary buf p " and " q
+  | Or (p, q) -> add_binary buf p " or " q
+  | Not p ->
+      Buffer.add_string buf "(not ";
+      add_pred buf p;
+      Buffer.add_char buf ')'
+  | Const b -> Buffer.add_string buf (string_of_bool b)
 
-let pp fmt q =
-  Format.fprintf fmt "select %s from %a"
-    (match q.select with
-    | [] -> "*"
-    | names -> String.concat ", " (List.map Name.to_string names))
-    Name.pp q.from_class;
+and add_binary buf p op q =
+  Buffer.add_char buf '(';
+  add_pred buf p;
+  Buffer.add_string buf op;
+  add_pred buf q;
+  Buffer.add_char buf ')'
+
+let add_names buf names =
+  List.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_string buf (Name.to_string n))
+    names
+
+let to_string q =
+  let buf = Buffer.create 64 in
+  let add = Buffer.add_string buf in
+  add "select ";
+  (match q.select with [] -> add "*" | names -> add_names buf names);
+  add " from ";
+  add (Name.to_string q.from_class);
   (match q.via with
   | Some j ->
-      Format.fprintf fmt " via %a" Name.pp j.rel;
-      (match j.rel_select with
-      | [] -> ()
-      | names ->
-          Format.fprintf fmt " with %s"
-            (String.concat ", " (List.map Name.to_string names)));
-      Format.fprintf fmt " to %a" Name.pp j.target;
-      (match j.target_select with
-      | [] -> ()
-      | names ->
-          Format.fprintf fmt " select %s"
-            (String.concat ", " (List.map Name.to_string names)));
-      Option.iter (fun p -> Format.fprintf fmt " target_where %a" pp_pred p) j.target_where
+      add " via ";
+      add (Name.to_string j.rel);
+      if j.rel_select <> [] then begin
+        add " with ";
+        add_names buf j.rel_select
+      end;
+      add " to ";
+      add (Name.to_string j.target);
+      if j.target_select <> [] then begin
+        add " select ";
+        add_names buf j.target_select
+      end;
+      Option.iter
+        (fun p ->
+          add " target_where ";
+          add_pred buf p)
+        j.target_where
   | None -> ());
-  match q.where with
-  | Some p -> Format.fprintf fmt " where %a" pp_pred p
-  | None -> ()
+  Option.iter
+    (fun p ->
+      add " where ";
+      add_pred buf p)
+    q.where;
+  Buffer.contents buf
 
-let to_string q = Format.asprintf "%a" pp q
+let pp_pred fmt p =
+  let buf = Buffer.create 32 in
+  add_pred buf p;
+  Format.pp_print_string fmt (Buffer.contents buf)
+
+let pp fmt q = Format.pp_print_string fmt (to_string q)

@@ -70,6 +70,14 @@ val rename_pred : (Ecr.Name.t -> Ecr.Name.t) -> pred -> pred
 val attrs_of_pred : pred -> Ecr.Name.t list
 (** Attributes a predicate mentions (with duplicates removed). *)
 
+val equal : t -> t -> bool
+(** Structural equality in which reals are equal only when their bit
+    patterns are, so [0.] and [-0.] differ (a query on either prints
+    differently) where [( = )] would make them one. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}. *)
+
 val cmp_to_string : cmp -> string
 val pp_pred : Format.formatter -> pred -> unit
 val pp : Format.formatter -> t -> unit

@@ -58,15 +58,72 @@ let position_for schema rel cls ~exclude =
   in
   look 0 rel.Relationship.participants
 
-let project schema cls oid store select =
-  let attrs =
-    match select with
-    | [] -> Attribute.names (Schema.all_attributes schema cls)
-    | names -> names
-  in
+(* ---- answer columns ---------------------------------------------- *)
+
+type source = Entity of Name.t | Target of Name.t | Link of Name.t | Absent
+type columns = source Name.Map.t
+
+let prefixed cls a = Name.v (Name.to_string cls ^ "_" ^ Name.to_string a)
+
+let select_or_all schema cls = function
+  | [] -> Attribute.names (Schema.all_attributes schema cls)
+  | names -> names
+
+let entity_columns schema cls select =
   List.fold_left
-    (fun row a -> Name.Map.add a (Instance.Store.value oid a store) row)
-    Name.Map.empty attrs
+    (fun acc a -> Name.Map.add a (Entity a) acc)
+    Name.Map.empty
+    (select_or_all schema cls select)
+
+(* Later columns win a name clash: the target's over the from-class's,
+   the relationship's over both. *)
+let columns schema q =
+  let base = entity_columns schema q.Ast.from_class q.Ast.select in
+  match q.Ast.via with
+  | None -> base
+  | Some j ->
+      let with_target =
+        List.fold_left
+          (fun acc a -> Name.Map.add (prefixed j.Ast.target a) (Target a) acc)
+          base
+          (select_or_all schema j.Ast.target j.Ast.target_select)
+      in
+      List.fold_left
+        (fun acc a -> Name.Map.add (prefixed j.Ast.rel a) (Link a) acc)
+        with_target j.Ast.rel_select
+
+(* A column with its store column looked up, once per evaluation. *)
+type resolved =
+  | R_entity of Instance.Store.column
+  | R_target of Instance.Store.column
+  | R_link of Name.t
+  | R_absent
+
+let resolve store cols =
+  Name.Map.map
+    (function
+      | Entity a -> R_entity (Instance.Store.column a store)
+      | Target a -> R_target (Instance.Store.column a store)
+      | Link a -> R_link a
+      | Absent -> R_absent)
+    cols
+
+(* [Name.Map.map] copies the plan's tree: one node per column, no
+   rebalancing, no option per cell. *)
+let build plan oid target values =
+  Name.Map.map
+    (function
+      | R_entity col -> Instance.Store.get col oid
+      | R_target col -> Instance.Store.get col target
+      | R_link a -> (
+          match Name.Map.find a values with
+          | v -> v
+          | exception Not_found -> Instance.Value.Null)
+      | R_absent -> Instance.Value.Null)
+    plan
+
+let project schema cls oid store select =
+  build (resolve store (entity_columns schema cls select)) oid oid Name.Map.empty
 
 (* Observability: per-query latency and answer volume — the numbers a
    serving deployment watches first. *)
@@ -74,7 +131,9 @@ let h_eval = Obs.Histogram.make "query.eval_seconds"
 let c_evaluated = Obs.Counter.make "query.evaluated"
 let c_rows = Obs.Counter.make "query.rows_returned"
 
-let run_unobserved q store =
+(* Checks [q] against the store's schema, then folds [f] over the
+   answer rows in answer order, each built from [cols schema]. *)
+let fold_unobserved cols q store f init =
   let schema = Instance.Store.schema store in
   require_class schema q.Ast.from_class;
   check_attrs schema q.Ast.from_class q.Ast.select "select";
@@ -82,22 +141,18 @@ let run_unobserved q store =
     (fun p -> check_attrs schema q.Ast.from_class (Ast.attrs_of_pred p) "where")
     q.Ast.where;
   let extent = Instance.Store.extent q.Ast.from_class store in
-  let passes cls oid pred =
-    match pred with
+  let passes oid = function
     | None -> true
-    | Some p ->
-        ignore cls;
-        eval_pred (fun a -> Instance.Store.value oid a store) p
+    | Some p -> eval_pred (fun a -> Instance.Store.value oid a store) p
   in
   match q.Ast.via with
   | None ->
+      let plan = resolve store (cols schema) in
       Instance.Store.Oid.Set.fold
         (fun oid acc ->
-          if passes q.Ast.from_class oid q.Ast.where then
-            project schema q.Ast.from_class oid store q.Ast.select :: acc
+          if passes oid q.Ast.where then f acc (build plan oid oid Name.Map.empty)
           else acc)
-        extent []
-      |> List.rev
+        extent init
   | Some j ->
       let rel =
         match Schema.find_relationship j.Ast.rel schema with
@@ -133,50 +188,43 @@ let run_unobserved q store =
               (Name.to_string j.Ast.rel) (Name.to_string n))
         j.Ast.rel_select;
       let target_extent = Instance.Store.extent j.Ast.target store in
-      let prefix a =
-        Name.v (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a)
-      in
-      let rel_prefix a =
-        Name.v (Name.to_string j.Ast.rel ^ "_" ^ Name.to_string a)
-      in
-      List.filter_map
-        (fun { Instance.Store.participants; values } ->
+      let plan = resolve store (cols schema) in
+      List.fold_left
+        (fun acc { Instance.Store.participants; values } ->
           let oid_f = List.nth participants from_pos
           and oid_t = List.nth participants target_pos in
           if
             Instance.Store.Oid.Set.mem oid_f extent
             && Instance.Store.Oid.Set.mem oid_t target_extent
-            && passes q.Ast.from_class oid_f q.Ast.where
-            && passes j.Ast.target oid_t j.Ast.target_where
-          then begin
-            let base = project schema q.Ast.from_class oid_f store q.Ast.select in
-            let trow =
-              project schema j.Ast.target oid_t store j.Ast.target_select
-            in
-            let with_target =
-              Name.Map.fold
-                (fun a v acc -> Name.Map.add (prefix a) v acc)
-                trow base
-            in
-            Some
-              (List.fold_left
-                 (fun acc a ->
-                   Name.Map.add (rel_prefix a)
-                     (Option.value ~default:Instance.Value.Null
-                        (Name.Map.find_opt a values))
-                     acc)
-                 with_target j.Ast.rel_select)
-          end
-          else None)
+            && passes oid_f q.Ast.where
+            && passes oid_t j.Ast.target_where
+          then f acc (build plan oid_f oid_t values)
+          else acc)
+        init
         (Instance.Store.links j.Ast.rel store)
 
-let run q store =
+let fold_observed cols q store f init =
   Obs.Span.run "query.eval" @@ fun () ->
   Obs.Histogram.time h_eval @@ fun () ->
   Obs.Counter.incr c_evaluated;
-  let rows = run_unobserved q store in
-  Obs.Counter.add c_rows (List.length rows);
-  rows
+  let n = ref 0 in
+  let acc =
+    fold_unobserved cols q store
+      (fun acc row ->
+        incr n;
+        f acc row)
+      init
+  in
+  Obs.Counter.add c_rows !n;
+  acc
+
+let run q store =
+  List.rev
+    (fold_observed (fun schema -> columns schema q) q store
+       (fun acc row -> row :: acc)
+       [])
+
+let fold cols q store f init = fold_observed (fun _ -> cols) q store f init
 
 let row bindings =
   List.fold_left
@@ -196,16 +244,5 @@ let same_answers a b =
   let sort rows = List.sort compare (List.map Name.Map.bindings rows) in
   sort a = sort b
 
-let project_rows cols rows =
-  List.map
-    (fun r ->
-      Name.Map.filter (fun k _ -> List.exists (Name.equal k) cols) r)
-    rows
-
 let matches = eval_pred
 let project_entity = project
-
-let rename_columns f rows =
-  List.map
-    (fun r -> Name.Map.fold (fun k v acc -> Name.Map.add (f k) v acc) r Name.Map.empty)
-    rows

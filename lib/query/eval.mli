@@ -21,6 +21,36 @@ val run : Ast.t -> Instance.Store.t -> row list
     to guarantee byte-identity with from-scratch evaluation.
     @raise Error on ill-typed queries. *)
 
+(** {1 Answer columns}
+
+    Each answer row is built in one pass from a per-query column list:
+    a map from column name to where the column's value comes from.  A
+    row is that map with each source replaced by its value, so building
+    one allocates a tree node per column and nothing per cell. *)
+
+type source =
+  | Entity of Ecr.Name.t  (** an attribute of the from-class entity *)
+  | Target of Ecr.Name.t  (** an attribute of the joined target entity *)
+  | Link of Ecr.Name.t  (** an attribute of the relationship instance *)
+  | Absent  (** always [Null] *)
+
+type columns = source Ecr.Name.Map.t
+
+val prefixed : Ecr.Name.t -> Ecr.Name.t -> Ecr.Name.t
+(** [prefixed cls a] is [cls_a]: the column by which a joined answer
+    names the attribute [a] of the target class or relationship
+    [cls]. *)
+
+val fold :
+  columns -> Ast.t -> Instance.Store.t -> ('a -> row -> 'a) -> 'a -> 'a
+(** [fold cols q store f init] checks and evaluates [q] as {!run} does,
+    but builds each answer row from [cols] instead of [q]'s select
+    lists, and folds [f] over the rows in {!run}'s order.  ({!run}'s
+    own columns are the select list, the class's full attribute list
+    when empty, then the target's and the relationship's prefixed
+    ones; a later column wins a name clash.)
+    @raise Error on ill-typed queries, as {!run}. *)
+
 val matches : (Ecr.Name.t -> Instance.Value.t) -> Ast.pred -> bool
 (** [matches lookup p] is the predicate semantics {!run} uses ([Null]
     compares false except [Null = Null]), over any value source.
@@ -46,8 +76,3 @@ val pp_row : Format.formatter -> row -> unit
 
 val same_answers : row list -> row list -> bool
 (** Multiset equality of answers. *)
-
-val project_rows : Ecr.Name.t list -> row list -> row list
-(** Keeps only the given columns in each row. *)
-
-val rename_columns : (Ecr.Name.t -> Ecr.Name.t) -> row list -> row list

@@ -48,6 +48,23 @@ let c_rewrites = Obs.Counter.make "query.rewrites"
 let c_unfolds = Obs.Counter.make "query.unfolds"
 let c_global = Obs.Counter.make "query.global_queries"
 
+(* The rows of one answer all have the same columns, so the first row
+   gives the column list once: each of the caller's columns is bound to
+   the answer column it renames, and every row is built from that list
+   in one pass.  When no column is renamed the rows are returned as
+   they are. *)
+let rename_rows back rows =
+  match rows with
+  | [] -> []
+  | first :: _ ->
+      let plan =
+        Name.Map.fold (fun n _ acc -> Name.Map.add (back n) n acc) first
+          Name.Map.empty
+      in
+      if Name.Map.for_all Name.equal plan then rows
+      else
+        List.map (fun row -> Name.Map.map (fun n -> Name.Map.find n row) plan) rows
+
 let to_integrated mapping ~view q =
   Obs.Span.run "query.rewrite" @@ fun () ->
   Obs.Histogram.time h_rewrite @@ fun () ->
@@ -79,32 +96,20 @@ let to_integrated mapping ~view q =
           | None -> a
         in
         let rel_select' = List.map rel_rename j.Ast.rel_select in
-        let old_prefix a =
-          Name.v (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a)
-        in
-        let new_prefix a =
-          Name.v
-            (Name.to_string target_entry.Integrate.Mapping.target
-            ^ "_" ^ Name.to_string a)
-        in
-        let old_rel_prefix a =
-          Name.v (Name.to_string j.Ast.rel ^ "_" ^ Name.to_string a)
-        in
-        let new_rel_prefix a =
-          Name.v
-            (Name.to_string rel_entry.Integrate.Mapping.target
-            ^ "_" ^ Name.to_string a)
-        in
         let back =
           List.fold_left
             (fun acc a ->
-              Name.Map.add (new_prefix (trename a)) (old_prefix a) acc)
+              Name.Map.add
+                (Eval.prefixed target_entry.Integrate.Mapping.target (trename a))
+                (Eval.prefixed j.Ast.target a) acc)
             Name.Map.empty tselect
         in
         let back =
           List.fold_left
             (fun acc a ->
-              Name.Map.add (new_rel_prefix (rel_rename a)) (old_rel_prefix a) acc)
+              Name.Map.add
+                (Eval.prefixed rel_entry.Integrate.Mapping.target (rel_rename a))
+                (Eval.prefixed j.Ast.rel a) acc)
             back j.Ast.rel_select
         in
         ( Some
@@ -136,7 +141,7 @@ let to_integrated mapping ~view q =
       via = via';
     }
   in
-  (q', Eval.rename_columns back)
+  (q', rename_rows back)
 
 (* ------------------------------------------------------------------ *)
 (* Integrated -> components.                                           *)
@@ -144,7 +149,7 @@ let to_integrated mapping ~view q =
 type component_query = {
   component : Name.t;
   query : Ast.t;
-  post : Eval.row list -> Eval.row list;
+  columns : Eval.columns;
 }
 
 (* Component object classes whose extent contributes to [cls]: mapped to
@@ -179,7 +184,9 @@ let rewrite_pred_back reverse p =
   walk p
 
 (* A global query names structures of the integrated schema; one it
-   lacks is refused by name, whatever the select list. *)
+   lacks is refused by name, whatever the select list.  An object
+   class's attributes are those of the classes whose extents its answer
+   reads: the class, its ancestors and its descendants. *)
 let require_integrated integrated q =
   let require what find n =
     if find n integrated = None then
@@ -190,7 +197,54 @@ let require_integrated integrated q =
     (fun j ->
       require "relationship set" Schema.find_relationship j.Ast.rel;
       require "object class" Schema.find_object j.Ast.target)
+    q.Ast.via;
+  let require_attrs what owner attrs names =
+    List.iter
+      (fun a ->
+        if not (List.exists (Name.equal a) attrs) then
+          unmapped "attribute %s is not in the integrated %s %s"
+            (Name.to_string a) what (Name.to_string owner))
+      names
+  in
+  let class_attrs cls =
+    List.concat_map
+      (fun c -> Attribute.names (Schema.all_attributes integrated c))
+      (cls :: Schema.descendants integrated cls)
+  in
+  let pred_attrs = Option.fold ~none:[] ~some:Ast.attrs_of_pred in
+  let from_attrs = class_attrs q.Ast.from_class in
+  require_attrs "object class" q.Ast.from_class from_attrs q.Ast.select;
+  require_attrs "object class" q.Ast.from_class from_attrs (pred_attrs q.Ast.where);
+  Option.iter
+    (fun j ->
+      let target_attrs = class_attrs j.Ast.target in
+      require_attrs "object class" j.Ast.target target_attrs j.Ast.target_select;
+      require_attrs "object class" j.Ast.target target_attrs
+        (pred_attrs j.Ast.target_where);
+      let rel_attrs =
+        match Schema.find_relationship j.Ast.rel integrated with
+        | Some r -> Attribute.names r.Relationship.attributes
+        | None -> []
+      in
+      require_attrs "relationship set" j.Ast.rel rel_attrs j.Ast.rel_select)
     q.Ast.via
+
+(* Binds the answer column [name] (the integrated attribute [a], or a
+   prefixed one) to the component attribute [a] maps from, or to Null. *)
+let bind reverse source ~name a cols =
+  Name.Map.add name
+    (match Name.Map.find_opt a reverse with
+    | Some comp -> source comp
+    | None -> Eval.Absent)
+    cols
+
+let mapped reverse names = List.filter_map (fun a -> Name.Map.find_opt a reverse) names
+
+let from_schema schema_name entries =
+  List.filter
+    (fun (e : Integrate.Mapping.entry) ->
+      Name.equal e.Integrate.Mapping.source.Qname.schema schema_name)
+    entries
 
 let to_components mapping ~integrated q =
   Obs.Span.run "query.unfold" @@ fun () ->
@@ -202,168 +256,101 @@ let to_components mapping ~integrated q =
   List.filter_map
     (fun (entry : Integrate.Mapping.entry) ->
       let reverse = reverse_attr_map entry in
-      let available, missing =
-        List.partition (fun a -> Name.Map.mem a reverse) wanted
+      let entity_columns =
+        List.fold_left
+          (fun cols a -> bind reverse (fun c -> Eval.Entity c) ~name:a a cols)
+          Name.Map.empty wanted
       in
-      let comp_select =
-        List.map (fun a -> Name.Map.find a reverse) available
-      in
-      let comp_where = Option.map (rewrite_pred_back reverse) q.Ast.where in
-      let via_result =
+      let joined =
         match q.Ast.via with
-        | None -> Some (None, fun rows -> rows)
+        | None -> Some (None, entity_columns)
         | Some j -> (
             (* both the relationship and the target class must be mapped
                from this same component schema *)
             let schema_name = entry.Integrate.Mapping.source.Qname.schema in
-            let rel_sources =
-              Integrate.Mapping.relationships_into j.Ast.rel mapping
-              |> List.filter (fun (e : Integrate.Mapping.entry) ->
-                     Name.equal e.Integrate.Mapping.source.Qname.schema
-                       schema_name)
-            in
-            let target_sources =
-              contributing_entries mapping integrated j.Ast.target
-              |> List.filter (fun (e : Integrate.Mapping.entry) ->
-                     Name.equal e.Integrate.Mapping.source.Qname.schema
-                       schema_name)
-            in
-            match (rel_sources, target_sources) with
+            match
+              ( from_schema schema_name
+                  (Integrate.Mapping.relationships_into j.Ast.rel mapping),
+                from_schema schema_name
+                  (contributing_entries mapping integrated j.Ast.target) )
+            with
             | rel_e :: _, tgt_e :: _ ->
-                let treverse = reverse_attr_map tgt_e in
+                let treverse = reverse_attr_map tgt_e
+                and rreverse = reverse_attr_map rel_e in
                 let twanted =
                   expand_select integrated j.Ast.target j.Ast.target_select
                 in
-                let tavailable, tmissing =
-                  List.partition (fun a -> Name.Map.mem a treverse) twanted
+                let with_target =
+                  List.fold_left
+                    (fun cols a ->
+                      bind treverse
+                        (fun c -> Eval.Target c)
+                        ~name:(Eval.prefixed j.Ast.target a) a cols)
+                    entity_columns twanted
                 in
-                let tselect =
-                  List.map (fun a -> Name.Map.find a treverse) tavailable
-                in
-                let comp_target = tgt_e.Integrate.Mapping.source.Qname.obj in
-                let int_prefix a =
-                  Name.v
-                    (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a)
-                in
-                let comp_prefix a =
-                  Name.v (Name.to_string comp_target ^ "_" ^ Name.to_string a)
-                in
-                let rename_back =
-                  List.fold_left2
-                    (fun acc int_a comp_a ->
-                      Name.Map.add (comp_prefix comp_a) (int_prefix int_a) acc)
-                    Name.Map.empty tavailable tselect
-                in
-                let post rows =
-                  rows
-                  |> Eval.rename_columns (fun n ->
-                         Option.value ~default:n (Name.Map.find_opt n rename_back))
-                  |> List.map (fun r ->
-                         List.fold_left
-                           (fun r a ->
-                             Name.Map.add (int_prefix a) Instance.Value.Null r)
-                           r tmissing)
-                in
-                let rreverse = reverse_attr_map rel_e in
-                let ravailable, rmissing =
-                  List.partition
-                    (fun a -> Name.Map.mem a rreverse)
-                    j.Ast.rel_select
-                in
-                let rselect =
-                  List.map (fun a -> Name.Map.find a rreverse) ravailable
-                in
-                let int_rel_prefix a =
-                  Name.v (Name.to_string j.Ast.rel ^ "_" ^ Name.to_string a)
-                in
-                let comp_rel_prefix a =
-                  Name.v
-                    (Name.to_string rel_e.Integrate.Mapping.source.Qname.obj
-                    ^ "_" ^ Name.to_string a)
-                in
-                let rel_rename_back =
-                  List.fold_left2
-                    (fun acc int_a comp_a ->
-                      Name.Map.add (comp_rel_prefix comp_a)
-                        (int_rel_prefix int_a) acc)
-                    Name.Map.empty ravailable rselect
-                in
-                let post rows =
-                  rows |> post
-                  |> Eval.rename_columns (fun n ->
-                         Option.value ~default:n
-                           (Name.Map.find_opt n rel_rename_back))
-                  |> List.map (fun r ->
-                         List.fold_left
-                           (fun r a ->
-                             Name.Map.add (int_rel_prefix a)
-                               Instance.Value.Null r)
-                           r rmissing)
+                let columns =
+                  List.fold_left
+                    (fun cols a ->
+                      bind rreverse
+                        (fun c -> Eval.Link c)
+                        ~name:(Eval.prefixed j.Ast.rel a) a cols)
+                    with_target j.Ast.rel_select
                 in
                 Some
                   ( Some
                       {
                         Ast.rel = rel_e.Integrate.Mapping.source.Qname.obj;
-                        rel_select = rselect;
-                        target = comp_target;
+                        rel_select = mapped rreverse j.Ast.rel_select;
+                        target = tgt_e.Integrate.Mapping.source.Qname.obj;
                         target_where =
                           Option.map (rewrite_pred_back treverse)
                             j.Ast.target_where;
-                        target_select = tselect;
+                        target_select = mapped treverse twanted;
                       },
-                    post )
+                    columns )
             | _ -> None)
       in
-      match via_result with
-      | None -> None
-      | Some (via, via_post) ->
-          let rename_back =
-            List.fold_left2
-              (fun acc int_a comp_a -> Name.Map.add comp_a int_a acc)
-              Name.Map.empty available comp_select
-          in
-          (* the columns the caller expects: the wanted attributes plus,
-             for joined queries, the prefixed target/relationship ones *)
-          let expected =
-            wanted
-            @ (match q.Ast.via with
-              | None -> []
-              | Some j ->
-                  let twanted =
-                    expand_select integrated j.Ast.target j.Ast.target_select
-                  in
-                  List.map
-                    (fun a ->
-                      Name.v (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a))
-                    twanted
-                  @ List.map
-                      (fun a ->
-                        Name.v (Name.to_string j.Ast.rel ^ "_" ^ Name.to_string a))
-                      j.Ast.rel_select)
-          in
-          let post rows =
-            rows |> via_post
-            |> Eval.rename_columns (fun n ->
-                   Option.value ~default:n (Name.Map.find_opt n rename_back))
-            |> List.map (fun r ->
-                   List.fold_left
-                     (fun r a -> Name.Map.add a Instance.Value.Null r)
-                     r missing)
-            |> Eval.project_rows expected
-          in
-          Some
-            {
-              component = entry.Integrate.Mapping.source.Qname.schema;
-              query =
-                {
-                  Ast.from_class = entry.Integrate.Mapping.source.Qname.obj;
-                  where = comp_where;
-                  select = comp_select;
-                  via;
-                };
-              post;
-            })
+      Option.map
+        (fun (via, columns) ->
+          {
+            component = entry.Integrate.Mapping.source.Qname.schema;
+            query =
+              {
+                Ast.from_class = entry.Integrate.Mapping.source.Qname.obj;
+                where = Option.map (rewrite_pred_back reverse) q.Ast.where;
+                select = mapped reverse wanted;
+                via;
+              };
+            columns;
+          })
+        joined)
     entries
+
+(* The outer union drops a row equal to one already kept: the same
+   columns, with [Instance.Value.equal] values (an [Int] and an equal
+   [Real] are one value).  The hash agrees with that equality. *)
+module Answer_set = Hashtbl.Make (struct
+  type t = Eval.row
+
+  let hash_value = function
+    | Instance.Value.Null -> 0
+    | Instance.Value.Bool b -> if b then 1 else 2
+    | Instance.Value.Int i -> int_of_float (float_of_int i)
+    | Instance.Value.Real f -> int_of_float f
+    | Instance.Value.Str s -> Hashtbl.hash s
+    | Instance.Value.Date (y, m, d) -> (((y * 16) + m) * 32) + d
+
+  let hash row = Name.Map.fold (fun _ v h -> (h * 31) + hash_value v) row 0
+
+  let equal a b =
+    Name.Map.cardinal a = Name.Map.cardinal b
+    && Name.Map.for_all
+         (fun n v ->
+           match Name.Map.find n b with
+           | v' -> Instance.Value.equal v v'
+           | exception Not_found -> false)
+         a
+end)
 
 let run_components parts ~stores =
   (* Within one component, a class whose extent is already covered by a
@@ -384,27 +371,23 @@ let run_components parts ~stores =
                  part.query.Ast.from_class)
           parts
   in
-  let all =
-    List.concat_map
-      (fun part ->
-        if redundant part then []
-        else
-          match List.assoc_opt part.component stores with
-          | None -> []
-          | Some store -> part.post (Eval.run part.query store))
-      parts
+  let seen = Answer_set.create 64 in
+  let keep rows row =
+    if Answer_set.mem seen row then rows
+    else begin
+      Answer_set.add seen row ();
+      row :: rows
+    end
   in
-  (* outer-union: exact duplicates collapse *)
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun r ->
-      let key = Eval.row_to_string r in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    all
+  List.fold_left
+    (fun rows part ->
+      if redundant part then rows
+      else
+        match List.assoc_opt part.component stores with
+        | None -> rows
+        | Some store -> Eval.fold part.columns part.query store keep rows)
+    [] parts
+  |> List.rev
 
 let run_global mapping ~integrated ~stores q =
   Obs.Counter.incr c_global;

@@ -10,9 +10,16 @@
       schema is unfolded {e to} the component schemas
       ({!to_components}, {!run_global}).
 
-    Both directions return post-processors that restore the caller's
-    column names, so answers are directly comparable — the property the
-    test suite and experiment E16 check on migrated instances. *)
+    Both directions answer in the caller's column names, so answers are
+    directly comparable — the property the test suite and experiment
+    E16 check on migrated instances.
+
+    The unfolding is a data plan, not code: each {!component_query}
+    carries the component query and its answer's columns, in output
+    order, each bound to the component attribute it reads or to [Null]
+    ({!Eval.columns}).  Evaluation builds every answer row once from
+    that plan, and being data, a plan can also be printed as the
+    mapping entries and component extents a query unfolds to. *)
 
 exception Unmapped of string
 (** The mapping has no entry for a structure the query mentions. *)
@@ -32,16 +39,18 @@ val to_integrated :
     query against the integrated schema.  Empty selects are expanded to
     the view class's attribute list first, so the answer shape is the
     view's.  The returned function renames answer columns back to the
-    view's attribute names.
+    view's attribute names, building each row once from the answer's
+    column list.
     @raise Unmapped when the view class or relationship has no mapping
     entry. *)
 
 type component_query = {
   component : Ecr.Name.t;  (** the component schema's name *)
-  query : Ast.t;
-  post : Eval.row list -> Eval.row list;
-      (** renames columns to the integrated names and pads attributes
-          the component lacks with [Null] *)
+  query : Ast.t;  (** what the component store is asked *)
+  columns : Eval.columns;
+      (** the answer's columns, under their integrated names, each bound
+          to the component attribute it reads, or to [Null] where the
+          component lacks the attribute *)
 }
 
 val to_components :
@@ -55,7 +64,10 @@ val to_components :
     descendants).  Joined queries keep only components where both the
     relationship and the target class are mapped.
     @raise Unmapped naming the queried class, the joined relationship
-    or the joined target class when the integrated schema lacks it. *)
+    or the joined target class when the integrated schema lacks it, and
+    naming an attribute of the select lists or the predicates with its
+    class or relationship set when that lacks it.  A class's attributes
+    here are its own, its ancestors' and its descendants'. *)
 
 val run_components :
   component_query list ->
@@ -64,8 +76,10 @@ val run_components :
 (** The evaluation half of {!run_global}: runs an already-unfolded plan
     against the component stores (skipping components whose extent a
     broader contributing class of the same schema already covers) and
-    outer-unions the answers.  Lets a caller cache the unfolding and
-    still share this exact evaluation path. *)
+    outer-unions the answers, in part order, each row built once from
+    its part's columns.  A row equal to one already kept (same columns,
+    {!Instance.Value.equal} values) is dropped.  Lets a caller cache
+    the unfolding and still share this exact evaluation path. *)
 
 val run_global :
   Integrate.Mapping.t ->

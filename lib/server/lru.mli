@@ -5,21 +5,24 @@
     server serialises access under its own cache mutex, so the
     structure stays free of locking policy. *)
 
-type ('k, 'v) t
+module Make (K : Hashtbl.HashedType) : sig
+  type 'v t
 
-val create : capacity:int -> ('k, 'v) t
-(** [capacity <= 0] creates a disabled cache: {!add} is a no-op and
-    {!find} always misses. *)
+  val create : capacity:int -> 'v t
+  (** [capacity <= 0] creates a disabled cache: {!add} is a no-op and
+      {!find} always misses. *)
 
-val capacity : ('k, 'v) t -> int
-val size : ('k, 'v) t -> int
+  val capacity : 'v t -> int
+  val size : 'v t -> int
 
-val find : ('k, 'v) t -> 'k -> 'v option
-(** On a hit the entry becomes most-recently used. *)
+  val find : 'v t -> K.t -> 'v option
+  (** On a hit the entry becomes most-recently used. *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
-(** Inserts (or replaces) the binding as most-recently used and returns
-    the evicted least-recently-used binding, if the insertion pushed
-    the cache over capacity. *)
+  val add : 'v t -> K.t -> 'v -> (K.t * 'v) option
+  (** Inserts (or replaces) the binding as most-recently used and
+      returns the evicted least-recently-used binding, if the insertion
+      pushed the cache over capacity. *)
 
-val clear : ('k, 'v) t -> unit
+  val clear : 'v t -> unit
+end
+(** An LRU map whose keys are equal and hashed as [K] says. *)

@@ -147,6 +147,17 @@ type plan =
   | View_plan of Query.Ast.t * (Query.Eval.row list -> Query.Eval.row list)
   | Global_plan of Query.Rewrite.component_query list
 
+(* A plan's key: cache epoch, view class ([None] for a global query)
+   and the parsed query, its reals compared bit for bit. *)
+module Plans = Lru.Make (struct
+  type t = int * Ecr.Name.t option * Query.Ast.t
+
+  let equal (e, v, q) (e', v', q') =
+    e = e' && Option.equal Ecr.Name.equal v v' && Query.Ast.equal q q'
+
+  let hash (e, v, q) = Hashtbl.hash (e, v, Query.Ast.hash q)
+end)
+
 (* The node's role with the state only that role has. *)
 type replica =
   | Leading of Replicate.Leader.t
@@ -163,7 +174,7 @@ type t = {
   bound_port : int option;
   mutable merged : Instance.Store.t;  (** under [state_mu] *)
   state_mu : Mutex.t;
-  cache : (int * Ecr.Name.t option * Query.Ast.t, plan) Lru.t;
+  cache : plan Plans.t;
       (** under [cache_mu] *)
   cache_mu : Mutex.t;
   cache_epoch : int Atomic.t;
@@ -287,9 +298,9 @@ let require_text op req =
               (if op = "update" then "u" else "q")))
 
 let cached_plan t key compute =
-  if Lru.capacity t.cache = 0 then compute ()
+  if Plans.capacity t.cache = 0 then compute ()
   else
-    let hit = Mutex.protect t.cache_mu (fun () -> Lru.find t.cache key) in
+    let hit = Mutex.protect t.cache_mu (fun () -> Plans.find t.cache key) in
     match hit with
     | Some plan ->
         Atomic.incr t.s_hits;
@@ -300,7 +311,7 @@ let cached_plan t key compute =
         Obs.Counter.incr c_cache_misses;
         let plan = compute () in
         let evicted =
-          Mutex.protect t.cache_mu (fun () -> Lru.add t.cache key plan)
+          Mutex.protect t.cache_mu (fun () -> Plans.add t.cache key plan)
         in
         (match evicted with
         | Some _ ->
@@ -313,7 +324,7 @@ let cached_plan t key compute =
    view class [None] for a global query.  Spellings of one query that
    differ only in whitespace or keyword case parse alike and share a
    plan; queries whose constants differ do not, to the last bit of a
-   real (except [0.] and [-0.], which compare equal).  The epoch is
+   real ([0.] and [-0.] included).  The epoch is
    bumped by every mutation ([update], [migrate] and the view-catalog
    ops — on a follower too, via the replicated-apply path), which
    structurally prevents a plan computed against pre-mutation state
@@ -927,8 +938,8 @@ let health_payload t =
     ( "cache",
       Json.Obj
         [
-          ("capacity", Json.Int (Lru.capacity t.cache));
-          ("size", Json.Int (Mutex.protect t.cache_mu (fun () -> Lru.size t.cache)));
+          ("capacity", Json.Int (Plans.capacity t.cache));
+          ("size", Json.Int (Mutex.protect t.cache_mu (fun () -> Plans.size t.cache)));
           ("hits", Json.Int s.cache_hits);
           ("misses", Json.Int s.cache_misses);
           ("evictions", Json.Int s.cache_evictions);
@@ -1156,7 +1167,7 @@ let create ?(views = []) session cfg =
           bound_port;
           merged = session.initial_merged;
           state_mu = Mutex.create ();
-          cache = Lru.create ~capacity:(max 0 cfg.cache);
+          cache = Plans.create ~capacity:(max 0 cfg.cache);
           cache_mu = Mutex.create ();
           cache_epoch = Atomic.make 0;
           views = View.create ();

@@ -245,7 +245,7 @@ let value_to_json = function
   | Instance.Value.Real r -> Json.Float r
   | Instance.Value.Bool b -> Json.Bool b
   | Instance.Value.Date (y, m, d) ->
-      Json.String (Printf.sprintf "%04d-%02d-%02d" y m d)
+      Json.String (Instance.Value.date_to_string y m d)
   | Instance.Value.Null -> Json.Null
 
 let row_to_json row =

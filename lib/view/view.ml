@@ -49,9 +49,17 @@ type entry = {
   mutable last_refresh_ms : float;
 }
 
+(* Parsed queries, their reals compared bit for bit. *)
+module Shapes = Hashtbl.Make (struct
+  type t = Query.Ast.t
+
+  let equal = Query.Ast.equal
+  let hash = Query.Ast.hash
+end)
+
 type t = {
   entries : (string, entry) Hashtbl.t;
-  shapes : (Query.Ast.t, string) Hashtbl.t;  (* parsed query -> view name *)
+  shapes : string Shapes.t;  (* parsed query -> view name *)
   mutable order : string list;  (* definition order *)
 }
 
@@ -71,7 +79,7 @@ let c_skipped = Obs.Counter.make "view.skipped_updates"
 let h_refresh_ms = Obs.Histogram.make "view.refresh_ms"
 
 let create () =
-  { entries = Hashtbl.create 8; shapes = Hashtbl.create 8; order = [] }
+  { entries = Hashtbl.create 8; shapes = Shapes.create 8; order = [] }
 
 let find t name = Hashtbl.find_opt t.entries name
 
@@ -124,7 +132,7 @@ let define t ~name ?base ~policy ~source ~query ~post store =
   if name = "" then Error "view name must be non-empty"
   else if mem t name then Error (Printf.sprintf "view %s already exists" name)
   else
-    match Hashtbl.find_opt t.shapes query with
+    match Shapes.find_opt t.shapes query with
     | Some other ->
         Error
           (Printf.sprintf "view %s already materializes this query shape"
@@ -151,7 +159,7 @@ let define t ~name ?base ~policy ~source ~query ~post store =
               }
             in
             Hashtbl.replace t.entries name e;
-            Hashtbl.replace t.shapes query name;
+            Shapes.replace t.shapes query name;
             t.order <- t.order @ [ name ];
             Obs.Counter.incr c_defines;
             Ok ())
@@ -165,7 +173,7 @@ let install t ~name ?base ~policy ~source ~query ~post ~rows ~fresh () =
   if name = "" then Error "view name must be non-empty"
   else if mem t name then Error (Printf.sprintf "view %s already exists" name)
   else
-    match Hashtbl.find_opt t.shapes query with
+    match Shapes.find_opt t.shapes query with
     | Some other ->
         Error
           (Printf.sprintf "view %s already materializes this query shape"
@@ -189,7 +197,7 @@ let install t ~name ?base ~policy ~source ~query ~post ~rows ~fresh () =
           }
         in
         Hashtbl.replace t.entries name e;
-        Hashtbl.replace t.shapes query name;
+        Shapes.replace t.shapes query name;
         t.order <- t.order @ [ name ];
         Obs.Counter.incr c_defines;
         Ok ()
@@ -204,7 +212,7 @@ let drop t name =
   | None -> false
   | Some e ->
       Hashtbl.remove t.entries name;
-      Hashtbl.remove t.shapes e.query;
+      Shapes.remove t.shapes e.query;
       t.order <- List.filter (fun n -> n <> name) t.order;
       Obs.Counter.incr c_drops;
       true
@@ -227,7 +235,7 @@ let read t name store =
       Ok (e.post e.rows, e.fresh)
 
 let lookup_shape t q store =
-  match Hashtbl.find_opt t.shapes q with
+  match Shapes.find_opt t.shapes q with
   | None -> None
   | Some name -> (
       match find t name with

@@ -92,8 +92,8 @@ val define :
     client's column names and is applied by {!read}.  Fails on a
     duplicate name, a duplicate query shape (the parsed [query], so
     spellings that differ only in whitespace or keyword case are one
-    shape, and queries whose constants differ are two) or an ill-typed
-    [query]. *)
+    shape, and queries whose constants differ are two, to the last bit
+    of a real) or an ill-typed [query]. *)
 
 val install :
   t ->

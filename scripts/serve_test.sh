@@ -53,7 +53,7 @@ done
   --query "sc1: select Name, GPA from Student where GPA > 3.0" \
   --query "sc1: select Name from Department" \
   --query "sc2: select Name from Faculty" \
-  --global "select Name from Student" \
+  --global "select D_Name from Student" \
   --mat honors \
   || { RC=$?; echo "serve-test: unix-socket leg failed (exit $RC)"; cat "$LOG"; exit "$RC"; }
 
@@ -77,7 +77,7 @@ while [ -z "$PORT" ]; do
 done
 "$SERVE" --drive "127.0.0.1:$PORT" --conns 4 --requests 200 \
   --query "sc1: select Name, GPA from Student where GPA > 3.0" \
-  --global "select Name from Student" \
+  --global "select D_Name from Student" \
   || { RC=$?; echo "serve-test: TCP ephemeral-port leg failed (exit $RC)"; cat "$TCPLOG"; exit "$RC"; }
 kill -TERM "$TCPPID"
 wait "$TCPPID" || { echo "serve-test: TCP daemon exited non-zero"; cat "$TCPLOG"; exit 1; }

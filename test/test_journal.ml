@@ -198,6 +198,31 @@ let truncation_tests =
             Sys.remove path;
             let r = Journal.recover path in
             check Alcotest.int "missing file" 0 r.Journal.seq));
+    tc "open_ starts an empty or headerless file clean" (fun () ->
+        with_path (fun path ->
+            List.iter
+              (fun data ->
+                write_file path data;
+                let r, frames =
+                  Journal.Frames.open_ ~fsync:Journal.Never ~magic:"SITJRNL1" path
+                in
+                check Alcotest.int
+                  (Printf.sprintf "%S: whole file dropped" data)
+                  (String.length data) r.Journal.Frames.truncated_bytes;
+                Journal.Frames.append frames "payload";
+                Journal.Frames.close frames;
+                (* header, then one record: nothing of the old bytes *)
+                check Alcotest.int
+                  (Printf.sprintf "%S: header and one record" data)
+                  (8 + 8 + String.length "payload")
+                  (file_size path);
+                check Alcotest.string (Printf.sprintf "%S: header" data)
+                  "SITJRNL1" (String.sub (read_file path) 0 8);
+                let back = Journal.Frames.recover ~magic:"SITJRNL1" path in
+                check (Alcotest.list Alcotest.string)
+                  (Printf.sprintf "%S: the record" data)
+                  [ "payload" ] back.Journal.Frames.payloads)
+              [ ""; "garbage"; "SITJRNL0" ^ String.make 100 'x'; "SITJRN" ]));
   ]
 
 (* ------------------------------------------------------------------ *)

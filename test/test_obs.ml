@@ -341,6 +341,52 @@ let encoder_tests =
             check Alcotest.bool "parses" true
               (Result.is_ok (Obs.Json.of_string text)))
           [ Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ]);
+    tc "-0., the 1e15 switch and subnormals print as the reference prints"
+      (fun () ->
+        List.iter
+          (fun (f, text) ->
+            let v = Obs.Json.(List [ Float f; Obj [ ("x", Float f) ] ]) in
+            check Alcotest.string (Printf.sprintf "%h" f) (Json_oracle.to_string v)
+              (Obs.Json.to_string v);
+            check Alcotest.string (Printf.sprintf "%h alone" f) text
+              (Obs.Json.to_string (Obs.Json.Float f)))
+          [
+            (-0.0, "-0.0");
+            (0.0, "0.0");
+            (Float.pred 1e15, "1e+15");
+            (999_999_999_999_999.0, "999999999999999.0");
+            (-999_999_999_999_999.0, "-999999999999999.0");
+            (1e15, "1e+15");
+            (-1e15, "-1e+15");
+            (Float.succ 1e15, "1e+15");
+            (4.9e-324, "4.94065646e-324");
+            (-4.9e-324, "-4.94065646e-324");
+            (Float.pred Float.min_float, "2.22507386e-308");
+            (Float.min_float, "2.22507386e-308");
+          ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000 ~name:"dates print as Printf's %04d-%02d-%02d"
+         QCheck.(
+           triple
+             (oneof [ int_range 0 9999; int_range (-20) 20; int ])
+             (oneof [ int_range 1 12; int_range (-120) 120 ])
+             (oneof [ int_range 1 31; int ]))
+         (fun (y, m, d) ->
+           let expected = Printf.sprintf "%04d-%02d-%02d" y m d in
+           Instance.Value.date_to_string y m d = expected
+           && Obs.Json.to_string (Server.Wire.value_to_json (Instance.Value.Date (y, m, d)))
+              = "\"" ^ expected ^ "\""));
+    tc "one-digit months and days are zero-padded" (fun () ->
+        List.iter
+          (fun ((y, m, d), text) ->
+            check Alcotest.string text ("\"" ^ text ^ "\"")
+              (Obs.Json.to_string (Server.Wire.value_to_json (Instance.Value.Date (y, m, d)))))
+          [
+            ((2020, 9, 1), "2020-09-01");
+            ((1999, 12, 31), "1999-12-31");
+            ((7, 1, 9), "0007-01-09");
+            ((12345, 6, 7), "12345-06-07");
+          ]);
   ]
 
 let () =

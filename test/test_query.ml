@@ -490,6 +490,243 @@ let query_differential_tests =
            = report.Query.Migrate.entities_in - report.Query.Migrate.fused);
   ]
 
+(* ---- column plans against the map pipeline ------------------------ *)
+
+(* Rows printed exactly: a real by its bits, so rows that [%g] would
+   print alike still differ. *)
+let exact_row r =
+  Name.Map.bindings r
+  |> List.map (fun (k, v) ->
+         Name.to_string k ^ "="
+         ^ match v with V.Real f -> Printf.sprintf "%h" f | v -> V.to_string v)
+  |> String.concat ", "
+
+(* A global query answered through the column plans and through the map
+   pipeline of test/rewrite_oracle.ml: the component queries and the
+   rows, or the evaluation error. *)
+let global_outcomes mapping integrated stores q =
+  let outcome queries run =
+    match run () with
+    | rows -> Ok (queries, List.map exact_row rows)
+    | exception Query.Eval.Error msg -> Error msg
+  in
+  let text component q = Name.to_string component ^ ": " ^ Query.Ast.to_string q in
+  let parts = Query.Rewrite.to_components mapping ~integrated q in
+  let oracle = Rewrite_oracle.to_components mapping ~integrated q in
+  ( outcome
+      (List.map (fun p -> text p.Query.Rewrite.component p.Query.Rewrite.query) parts)
+      (fun () -> Query.Rewrite.run_components parts ~stores),
+    outcome
+      (List.map (fun p -> text p.Rewrite_oracle.component p.Rewrite_oracle.query) oracle)
+      (fun () -> Rewrite_oracle.run_components oracle ~stores) )
+
+(* Random global queries over an integrated schema: any class, a random
+   part of the attributes its answer can read, predicates over values
+   that occur in the stores, and joins over relationship sets the class
+   takes part in. *)
+let random_global_query st integrated values =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let some l = List.filter (fun _ -> Random.State.int st 3 = 0) l in
+  let class_attrs cls =
+    List.sort_uniq Name.compare
+      (List.concat_map
+         (fun c -> Attribute.names (Schema.all_attributes integrated c))
+         (cls :: Schema.descendants integrated cls))
+  in
+  let rec pred attrs depth =
+    match Random.State.int st (if depth = 0 then 1 else 6) with
+    | 0 | 1 | 2 when attrs <> [] ->
+        Query.Ast.Atom
+          ( pick attrs,
+            pick Query.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ],
+            pick values )
+    | 3 -> Query.Ast.And (pred attrs (depth - 1), pred attrs (depth - 1))
+    | 4 -> Query.Ast.Or (pred attrs (depth - 1), pred attrs (depth - 1))
+    | 5 -> Query.Ast.Not (pred attrs (depth - 1))
+    | _ -> Query.Ast.Const (Random.State.bool st)
+  in
+  let where attrs = if Random.State.bool st then Some (pred attrs 2) else None in
+  let cls = (pick (Schema.objects integrated)).Object_class.name in
+  let attrs = class_attrs cls in
+  let via =
+    match
+      List.filter
+        (fun r ->
+          List.exists (fun p -> Name.equal p.Relationship.obj cls) r.Relationship.participants)
+        (Schema.relationships integrated)
+    with
+    | [] -> None
+    | rels when Random.State.int st 3 > 0 ->
+        let r = pick rels in
+        let others =
+          List.filter
+            (fun p -> not (Name.equal p.Relationship.obj cls))
+            r.Relationship.participants
+        in
+        let target =
+          match others with [] -> cls | others -> (pick others).Relationship.obj
+        in
+        let tattrs = class_attrs target in
+        Some
+          {
+            Query.Ast.rel = r.Relationship.name;
+            rel_select = some (Attribute.names r.Relationship.attributes);
+            target;
+            target_where = where tattrs;
+            target_select = some tattrs;
+          }
+    | _ -> None
+  in
+  { Query.Ast.from_class = cls; where = where attrs; select = some attrs; via }
+
+let store_values stores =
+  V.Null
+  :: List.concat_map
+       (fun (_, st) ->
+         List.concat_map
+           (fun oid -> List.map snd (Name.Map.bindings (S.tuple_of oid st)))
+           (S.entities st))
+       stores
+  |> List.sort_uniq compare
+
+(* Every query answered alike both ways, or a report of the first that
+   is not. *)
+let plans_agree ~what mapping integrated stores queries =
+  let stores = List.map (fun (s, st) -> (Schema.name s, st)) stores in
+  List.for_all
+    (fun q ->
+      let plans, oracle = global_outcomes mapping integrated stores q in
+      plans = oracle
+      || QCheck.Test.fail_reportf "%s: %s answers differently through its plan" what
+           (Query.Ast.to_string q))
+    queries
+
+let random_queries ~seed ~n integrated stores =
+  let st = Random.State.make [| seed |] in
+  let values = Array.of_list (store_values stores) in
+  let values =
+    List.init (min 24 (Array.length values)) (fun _ ->
+        values.(Random.State.int st (Array.length values)))
+  in
+  List.init n (fun _ -> random_global_query st integrated values)
+
+(* A scenario federation as sit_scenario renders it by default: the
+   integrated session and the global frames of its read deck. *)
+let scenario_federation seed =
+  let scn, session = Util.scenario_session (Util.default_scenario seed) in
+  let globals =
+    List.filter_map
+      (fun line ->
+        match Server.Wire.request_of_line line with
+        | Ok { Server.Wire.op = "query"; view = None; text = Some q; _ } ->
+            Some (Query.Parser.query_of_string q)
+        | _ -> None)
+      (Workload.Scenario.read_frames scn)
+  in
+  (session, globals)
+
+(* The paper's instances (examples/data/paper_instances.ecd): Ann and
+   Ben in sc1, Ann again in sc2, with Ann's GPA given per component. *)
+let close_gpas sc1_gpa sc2_gpa =
+  let student name gpa = S.tuple [ ("Name", V.str name); ("GPA", gpa) ] in
+  let st1 = S.create Workload.Paper.sc1 in
+  let st1, _ = S.insert (Name.v "Student") (student "Ann" sc1_gpa) st1 in
+  let st1, _ = S.insert (Name.v "Student") (student "Ben" (V.real 2.5)) st1 in
+  let st2 = S.create Workload.Paper.sc2 in
+  let st2, _ =
+    S.insert (Name.v "Grad_student")
+      (S.tuple [ ("Name", V.str "Ann"); ("GPA", sc2_gpa); ("Support_type", V.str "RA") ])
+      st2
+  in
+  [ (Name.v "sc1", st1); (Name.v "sc2", st2) ]
+
+let global_rows stores text =
+  let r = Lazy.force paper in
+  Query.Rewrite.run_global r.Integrate.Result.mapping
+    ~integrated:r.Integrate.Result.schema ~stores
+    (Query.Parser.query_of_string text)
+
+let unmapped_message text =
+  let r = Lazy.force paper in
+  match
+    Query.Rewrite.to_components r.Integrate.Result.mapping
+      ~integrated:r.Integrate.Result.schema
+      (Query.Parser.query_of_string text)
+  with
+  | exception Query.Rewrite.Unmapped msg -> msg
+  | _ -> Alcotest.failf "%s: expected Unmapped" text
+
+let plan_tests =
+  [
+    qtest ~count:30 "column plans answer as the map pipeline on random sessions"
+      (wl_params ~flat:false) (fun p ->
+        let r, stores, _, _ = integrate_and_migrate p in
+        plans_agree ~what:"random session" r.Integrate.Result.mapping
+          r.Integrate.Result.schema stores
+          (random_queries ~seed:p.Workload.Generator.seed ~n:12
+             r.Integrate.Result.schema stores));
+    tc "column plans answer as the map pipeline on the scenario federations"
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let session, globals = scenario_federation seed in
+            let integrated = session.Server.result.Integrate.Result.schema in
+            let stores = session.Server.component_stores in
+            check Alcotest.bool
+              (Printf.sprintf "seed %d: the deck has global frames" seed)
+              true (globals <> []);
+            check Alcotest.bool (Printf.sprintf "seed %d" seed) true
+              (plans_agree ~what:(Printf.sprintf "seed %d" seed)
+                 session.Server.result.Integrate.Result.mapping integrated stores
+                 (globals @ random_queries ~seed ~n:40 integrated stores)))
+          [ 7; 11; 23; 42 ]);
+    tc "the outer union keeps rows whose reals agree to six digits" (fun () ->
+        let rows =
+          global_rows (close_gpas (V.real 3.1234561) (V.real 3.1234569))
+            "select * from Student"
+        in
+        let student name gpa =
+          exact_row (Query.Eval.row [ ("D_GPA", V.real gpa); ("D_Name", V.str name) ])
+        in
+        check (Alcotest.list Alcotest.string) "three distinct rows"
+          [ student "Ann" 3.1234561; student "Ben" 2.5; student "Ann" 3.1234569 ]
+          (List.map exact_row rows));
+    tc "the outer union keeps one of rows whose values are equal" (fun () ->
+        (* an Int and an equal Real are one value, as Value.equal says *)
+        let rows =
+          global_rows (close_gpas (V.int 3) (V.real 3.)) "select * from Student"
+        in
+        check (Alcotest.list Alcotest.string) "sc1's Ann and Ben; sc2's Ann dropped"
+          [ "D_GPA=3, D_Name=\"Ann\""; "D_GPA=0x1.4p+1, D_Name=\"Ben\"" ]
+          (List.map exact_row rows));
+    tc "a global query naming an attribute its class lacks is unmapped"
+      (fun () ->
+        List.iter
+          (fun (text, expected) ->
+            check Alcotest.string text expected (unmapped_message text))
+          [
+            ( "select Name from Student",
+              "attribute Name is not in the integrated object class Student" );
+            ( "select * from Student where GPA > 1",
+              "attribute GPA is not in the integrated object class Student" );
+            ( "select D_Name from Student via E_Stud_Majo to E_Department select Name",
+              "attribute Name is not in the integrated object class E_Department" );
+            ( "select D_Name from Student via E_Stud_Majo to E_Department select \
+               D_Name target where Name = 'CS'",
+              "attribute Name is not in the integrated object class E_Department" );
+            ( "select D_Name from Student via E_Stud_Majo with Since to E_Department",
+              "attribute Since is not in the integrated relationship set E_Stud_Majo" );
+          ];
+        (* a descendant's attribute is in its ancestor's answer *)
+        let r = Lazy.force paper in
+        check Alcotest.int "Support_type on Student unfolds" 2
+          (List.length
+             (Query.Rewrite.to_components r.Integrate.Result.mapping
+                ~integrated:r.Integrate.Result.schema
+                (Query.Parser.query_of_string
+                   "select Support_type from Student where Support_type = 'RA'"))));
+  ]
+
 let () =
   Alcotest.run "query"
     [
@@ -497,4 +734,5 @@ let () =
       ("rewrite", rewrite_tests);
       ("migrate", migrate_tests);
       ("differential", query_differential_tests);
+      ("plans", plan_tests);
     ]
