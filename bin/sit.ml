@@ -7,20 +7,20 @@
    equivalence specification, assertion specification with conflict
    resolution, and browsing of the integrated schema. *)
 
-(* What [file] adds to a workspace: a data dictionary (schemas plus a
-   recorded session) merges in, DDL adds its schemas.  A file that
-   cannot be loaded stops the tool with its message. *)
-let load_file file =
-  let loaded =
-    if Filename.check_suffix file ".sitd" then
-      Result.map (fun d ws -> Dictionary.merge ws d) (Load.dictionary file)
-    else Result.map Integrate.Workspace.add_schemas (Load.schemas [ file ])
-  in
-  match loaded with
-  | Ok add -> add
+(* An input that cannot be loaded stops the tool with its message. *)
+let input = function
+  | Ok v -> v
   | Error msg ->
       prerr_endline msg;
       exit 2
+
+(* What [file] adds to a workspace: a data dictionary (schemas plus a
+   recorded session) merges in, DDL adds its schemas. *)
+let load_file file =
+  input
+    (if Filename.check_suffix file ".sitd" then
+       Result.map (fun d ws -> Dictionary.merge ws d) (Load.dictionary file)
+     else Result.map Integrate.Workspace.add_schemas (Load.schemas [ file ]))
 
 (* With --journal, the whole session is write-ahead logged: a snapshot
    of the starting workspace (recovered session plus any files given on
@@ -36,7 +36,7 @@ let run files save analyse journal_path =
     match journal_path with
     | None -> (workspace, None)
     | Some path ->
-        let recovery, j = Journal.open_ path in
+        let recovery, j = input (Load.read (fun p -> Journal.open_ p) path) in
         let workspace =
           if recovery.Journal.seq > 0 then begin
             Printf.printf

@@ -106,7 +106,10 @@ let drive addr endpoints timeout_ms conns requests queries global_queries
    replays the suffix. *)
 
 let load_phases file phases_spec =
-  let text = In_channel.with_open_bin file In_channel.input_all in
+  let read_all path = In_channel.with_open_bin path In_channel.input_all in
+  let text =
+    match Load.read read_all file with Ok t -> t | Error e -> hard_fail "%s" e
+  in
   match Workload.Scenario.parse_schedule text with
   | Error e -> hard_fail "%s: %s" file e
   | Ok (phases, _checkpoint) ->

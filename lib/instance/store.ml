@@ -169,6 +169,8 @@ let column attr store =
 let get col oid =
   match Oid.Map.find oid col with v -> v | exception Not_found -> Value.Null
 
+let find col oid = Oid.Map.find_opt oid col
+
 let value oid attr store = get (column attr store) oid
 
 let links rel store =
@@ -184,6 +186,19 @@ let classes_of oid store =
       if Oid.Set.mem oid members then Name.of_id cid :: acc else acc)
     store.members []
   |> List.sort Name.compare
+
+(* One pass over the class extents instead of one per entity.  Classes
+   go in descending name order, so each entity's list ends ascending, as
+   [classes_of] sorts it. *)
+let placements store =
+  let classes = Array.make store.next_oid [] in
+  let add cls oid = classes.(oid) <- cls :: classes.(oid) in
+  Imap.bindings store.members
+  |> List.map (fun (cid, oids) -> (Name.of_id cid, oids))
+  |> List.sort (fun (a, _) (b, _) -> Name.compare b a)
+  |> List.iter (fun (cls, oids) -> Oid.Set.iter (add cls) oids);
+  List.map (fun oid -> (oid, classes.(oid))) (Oid.Set.elements store.present)
+
 let cardinality_of cls store = Oid.Set.cardinal (extent cls store)
 
 type violation =
@@ -210,6 +225,8 @@ let check_domains store =
         [])
     (Schema.objects store.schema)
 
+module Values = Hashtbl.Make (Value)
+
 let check_keys store =
   List.concat_map
     (fun oc ->
@@ -218,19 +235,16 @@ let check_keys store =
       List.concat_map
         (fun key ->
           let attr = key.Attribute.name in
-          let seen = Hashtbl.create 16 in
+          let seen = Values.create 16 in
           Oid.Set.fold
             (fun oid acc ->
               let v = value oid attr store in
               if Value.equal v Value.Null then acc
-              else
-                let repr = Value.to_string v in
-                if Hashtbl.mem seen repr then
-                  Duplicate_key (cls, attr, v) :: acc
-                else begin
-                  Hashtbl.add seen repr ();
-                  acc
-                end)
+              else if Values.mem seen v then Duplicate_key (cls, attr, v) :: acc
+              else begin
+                Values.add seen v ();
+                acc
+              end)
             (extent cls store) [])
         keys)
     (Schema.entities store.schema)

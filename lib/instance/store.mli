@@ -93,6 +93,10 @@ val get : column -> Oid.t -> Value.t
 (** [get (column attr store) oid] is [value oid attr store]; it
     allocates nothing. *)
 
+val find : column -> Oid.t -> Value.t option
+(** [find col oid] is the value stored for [oid], or [None] when there
+    is none: unlike {!get}, it tells a stored [Null] from no value. *)
+
 val links : Ecr.Name.t -> t -> link list
 (** Instances of a relationship set. @raise Violation on unknown name. *)
 
@@ -103,6 +107,9 @@ val classes_of : Oid.t -> t -> Ecr.Name.t list
 (** The classes an entity was directly placed in (by {!insert} or
     {!classify}), most specific placements included; ancestors reached
     only through propagation are included too. *)
+
+val placements : t -> (Oid.t * Ecr.Name.t list) list
+(** Every entity, in {!entities} order, with its {!classes_of}. *)
 
 val cardinality_of : Ecr.Name.t -> t -> int
 (** [cardinality_of cls store] is the extent size. *)

@@ -17,6 +17,17 @@ let equal a b =
   | Null, Null -> true
   | (Str _ | Int _ | Real _ | Bool _ | Date _ | Null), _ -> false
 
+(* [equal] values hash alike: a whole number hashes as the [int] it
+   truncates to, whether it is an [Int] or a [Real], and [Hashtbl.hash]
+   hashes every NaN alike.  Neither number case allocates. *)
+let hash = function
+  | Null -> 0
+  | Bool b -> Bool.to_int b + 1
+  | Int x -> int_of_float (float_of_int x)
+  | Real x -> if Float.is_integer x then int_of_float x else Hashtbl.hash x
+  | Str s -> Hashtbl.hash s
+  | Date (y, m, d) -> (((y * 16) + m) * 32) + d
+
 let rank = function
   | Null -> 0
   | Bool _ -> 1

@@ -13,6 +13,11 @@ type t =
   | Null
 
 val equal : t -> t -> bool
+(** [Int 3] equals [Real 3.]; [0.] equals [-0.]. *)
+
+val hash : t -> int
+(** A hash that agrees with {!equal}. *)
+
 val compare : t -> t -> int
 
 val conforms : t -> Ecr.Domain.t -> bool

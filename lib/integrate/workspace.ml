@@ -6,7 +6,8 @@ type t = {
   schemas : Schema.t list;
   equivalence : Equivalence.t;
   object_facts : fact list;
-      (** in entry order; exactly the facts [obj_matrix] was built from *)
+      (** newest first, so an assertion appends in O(1); exactly the
+          facts [obj_matrix] was built from *)
   relationship_facts : fact list;
   obj_matrix : Assertions.t;
       (** in lockstep with [schemas]+[object_facts]: each accepted
@@ -33,20 +34,19 @@ let empty =
 let schemas t = t.schemas
 let find_schema n t = List.find_opt (fun s -> Name.equal (Schema.name s) n) t.schemas
 
-(* Replays [facts] over a fresh matrix, keeping the ones it accepts. *)
+(* Replays [facts] (newest first) over a fresh matrix in entry order,
+   keeping the ones it accepts, newest first. *)
 let replay create facts schemas =
-  let m, kept =
-    List.fold_left
-      (fun (m, kept) ((a, assertion, b) as fact) ->
-        match Assertions.add a assertion b m with
-        | Ok m -> (m, fact :: kept)
-        | Error _ | (exception Assertions.Unknown_class _) ->
-            (* Recorded facts were consistent when entered; a schema edit
-               may have invalidated one, or removed a class it names. *)
-            (m, kept))
-      (create schemas, []) facts
-  in
-  (m, List.rev kept)
+  List.fold_left
+    (fun (m, kept) ((a, assertion, b) as fact) ->
+      match Assertions.add a assertion b m with
+      | Ok m -> (m, fact :: kept)
+      | Error _ | (exception Assertions.Unknown_class _) ->
+          (* Recorded facts were consistent when entered; a schema edit
+             may have invalidated one, or removed a class it names. *)
+          (m, kept))
+    (create schemas, [])
+    (List.rev facts)
 
 (* After a structural edit the matrices' structure universe changed:
    replay the recorded facts against it and forget the ones it refuses,
@@ -111,7 +111,7 @@ let assert_object a assertion b t =
       Ok
         {
           t with
-          object_facts = t.object_facts @ [ (a, assertion, b) ];
+          object_facts = (a, assertion, b) :: t.object_facts;
           obj_matrix = m;
         }
   | Error c -> Error c
@@ -122,7 +122,7 @@ let assert_relationship a assertion b t =
       Ok
         {
           t with
-          relationship_facts = t.relationship_facts @ [ (a, assertion, b) ];
+          relationship_facts = (a, assertion, b) :: t.relationship_facts;
           rel_matrix = m;
         }
   | Error c -> Error c
@@ -145,8 +145,8 @@ let retract_relationship a b t =
         List.filter (fun f -> not (same_pair a b f)) t.relationship_facts;
     }
 
-let object_facts t = t.object_facts
-let relationship_facts t = t.relationship_facts
+let object_facts t = List.rev t.object_facts
+let relationship_facts t = List.rev t.relationship_facts
 
 let require_schema n t =
   match find_schema n t with Some s -> s | None -> raise Not_found

@@ -2,13 +2,20 @@ let ( let* ) = Result.bind
 
 (* [parse path], or the refusal that names [path].  A parser's error
    already carries its position; [Sys_error] carries the path only
-   when opening fails. *)
+   when opening fails.  A directory is refused before it is opened:
+   reading one fails differently by reader and file system. *)
 let read parse path =
-  match parse path with
+  match
+    if Sys.file_exists path && Sys.is_directory path then
+      raise (Sys_error "Is a directory")
+    else parse path
+  with
   | v -> Ok v
   | exception Sys_error msg ->
       let prefix = path ^ ": " in
       Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (path ^ ": " ^ Unix.error_message e)
   | exception Ddl.Parser.Error (msg, line, col) ->
       Error (Printf.sprintf "%s:%d:%d: %s" path line col msg)
   | exception (Integrate.Script.Parse_error _ as e) ->

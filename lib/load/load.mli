@@ -20,5 +20,11 @@ val data :
 
 val dictionary : string -> (Integrate.Workspace.t, string) result
 
+val read : (string -> 'a) -> string -> ('a, string) result
+(** [read reader path] is [reader path], refused as the readers above
+    refuse: a directory, an unreadable file, or a parse error, each
+    named by its path.  For the files other libraries read (a journal,
+    a scenario schedule). *)
+
 val directory : string -> (unit, string) result
 (** Creates the journal directory unless a directory is there. *)

@@ -152,7 +152,7 @@ let to_string q =
       end;
       Option.iter
         (fun p ->
-          add " target_where ";
+          add " target where ";
           add_pred buf p)
         j.target_where
   | None -> ());

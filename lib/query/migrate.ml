@@ -1,6 +1,7 @@
 open Ecr
 module Store = Instance.Store
 module Value = Instance.Value
+module Mapping = Integrate.Mapping
 
 type report = {
   entities_in : int;
@@ -10,43 +11,69 @@ type report = {
   links_out : int;
 }
 
-(* Rename a component tuple into integrated attribute names. *)
-let rename_tuple (entry : Integrate.Mapping.entry) tuple =
+(* Rename a component tuple into integrated attribute names.  An
+   attribute the entry does not map is dropped: no integrated class
+   declares it, so no query, update or view could read it. *)
+let rename (entry : Mapping.entry) tuple =
   Name.Map.fold
     (fun attr v acc ->
-      match Name.Map.find_opt attr entry.Integrate.Mapping.attrs with
-      | Some t -> Name.Map.add t.Integrate.Mapping.as_attr v acc
-      | None -> Name.Map.add attr v acc)
+      match Name.Map.find_opt attr entry.Mapping.attrs with
+      | Some t -> Name.Map.add t.Mapping.as_attr v acc
+      | None -> acc)
     tuple Name.Map.empty
 
-(* What migrating an entity needs besides its tuple.  It depends only
-   on the component schema and the classes the entity was placed in,
-   so [run] resolves it once per distinct class set. *)
+(* The component columns that feed one integrated attribute, in
+   precedence order: the first that holds a value for an entity gives
+   the entity's value (which may be a stored [Null]). *)
+type feed = { attr : Name.t; sources : Store.column list }
+
+let rec read oid = function
+  | [] -> Value.Null
+  | col :: cols -> (
+      match Store.find col oid with Some v -> v | None -> read oid cols)
+
+(* What migrating an entity of one component store needs.  It depends
+   only on the classes the entity was placed in, so [run] compiles it
+   once per component store and class set. *)
 type plan = {
-  entries : Integrate.Mapping.entry list;  (** one per mapped class *)
-  targets : Name.t list;  (** their integrated classes, sorted *)
+  targets : Name.t list;  (** the mapped classes' integrated classes *)
   insertion : Name.t;
       (** the most specific target (one that no other target is a
           descendant of) *)
-  keys : (Name.t * string) list;
-      (** each key attribute visible on [insertion], with its fusion-key
-          prefix *)
+  root : Name.t;  (** the root of [insertion]'s IS-A chain *)
+  feeds : feed list;  (** one per integrated attribute the classes map *)
+  keys : feed list;
+      (** each key attribute visible on [insertion] that some class
+          maps, in declaration order *)
 }
 
-(* Fusion keys: every key attribute visible on the insertion class with
-   a non-null value on the tuple.  Two incoming entities fuse when they
-   agree on any one of these, scoped by the root of the insertion
-   class's IS-A chain so unrelated classes can never cross-fuse. *)
-let resolve mapping ~integrated sname classes =
+(* Which component attributes feed each integrated attribute.  Of two
+   mapping entries the first wins; within one entry, of two attributes
+   mapped to one name the later in name order wins. *)
+let sources entries =
+  let of_entry (e : Mapping.entry) =
+    Name.Map.fold
+      (fun a (t : Mapping.attr_target) m ->
+        Name.Map.update t.Mapping.as_attr
+          (fun later -> Some (a :: Option.value ~default:[] later))
+          m)
+      e.Mapping.attrs Name.Map.empty
+  in
+  let first_wins _ first later = Some (first @ later) in
+  List.fold_left
+    (fun acc e -> Name.Map.union first_wins acc (of_entry e))
+    Name.Map.empty entries
+
+let compile mapping ~integrated sname comp_store classes =
   match
     List.filter_map
-      (fun c -> Integrate.Mapping.object_entry (Qname.make sname c) mapping)
+      (fun c -> Mapping.object_entry (Qname.make sname c) mapping)
       classes
   with
   | [] -> None
   | first :: _ as entries ->
       let targets =
-        List.map (fun (e : Integrate.Mapping.entry) -> e.target) entries
+        List.map (fun (e : Mapping.entry) -> e.target) entries
         |> List.sort_uniq Name.compare
       in
       let insertion =
@@ -62,165 +89,192 @@ let resolve mapping ~integrated sname classes =
             targets
         with
         | t :: _ -> t
-        | [] -> first.Integrate.Mapping.target
+        | [] -> first.Mapping.target
       in
       let root =
         match Schema.ancestors integrated insertion with
         | [] -> insertion
         | ancestors -> List.nth ancestors (List.length ancestors - 1)
       in
+      let sources = sources entries in
+      let feed attr attrs =
+        { attr; sources = List.map (fun a -> Store.column a comp_store) attrs }
+      in
       let keys =
         Attribute.keys (Schema.all_attributes integrated insertion)
         |> Attribute.names
-        |> List.map (fun k ->
-               (k, Name.to_string root ^ "|" ^ Name.to_string k ^ "="))
+        |> List.filter_map (fun k ->
+               Option.map (feed k) (Name.Map.find_opt k sources))
       in
-      Some { entries; targets; insertion; keys }
+      let feeds =
+        Name.Map.fold (fun a attrs acc -> feed a attrs :: acc) sources []
+      in
+      Some { targets; insertion; root; feeds; keys }
 
-let key_pairs plan tuple =
-  List.filter_map
-    (fun (k, prefix) ->
-      match Name.Map.find_opt k tuple with
-      | Some v when not (Value.equal v Value.Null) ->
-          Some (prefix ^ Value.to_string v)
-      | _ -> None)
-    plan.keys
+(* A fusion key: a key attribute's value, scoped by the root of the
+   insertion class's IS-A chain so unrelated classes never cross-fuse.
+   Values compare as [Value.equal] does. *)
+module Fusion_key = Hashtbl.Make (struct
+  type t = Name.t * Name.t * Value.t
+
+  let equal (r, k, v) (r', k', v') =
+    Name.equal r r' && Name.equal k k' && Value.equal v v'
+
+  let hash (r, k, v) =
+    (((Name.hash r * 31) + Name.hash k) * 31) + Value.hash v
+end)
+
+(* A link of the merged store: its relationship set, participants and
+   values.  Exact duplicates collapse. *)
+module Link_key = Hashtbl.Make (struct
+  type t = Name.t * Store.Oid.t list * Store.tuple
+
+  let equal (r, ps, vs) (r', ps', vs') =
+    Name.equal r r'
+    && List.equal Store.Oid.equal ps ps'
+    && Name.Map.equal Value.equal vs vs'
+
+  let hash (r, ps, vs) =
+    let mix h x = (h * 31) + x in
+    let h =
+      List.fold_left (fun h p -> mix h (Store.Oid.to_int p)) (Name.hash r) ps
+    in
+    Name.Map.fold (fun a v h -> mix (mix h (Name.hash a)) (Value.hash v)) vs h
+end)
+
+(* One entity of the merged store, gathered from the component entities
+   that fuse into it before it is written. *)
+type slot = {
+  index : int;  (** its position in the merged store's insertion order *)
+  insertion : Name.t;  (** its first constituent's insertion class *)
+  mutable targets : Name.t list list;  (** each constituent plan's targets *)
+  mutable values : Store.tuple;  (** each attribute's first non-null value *)
+}
 
 let run mapping ~integrated components =
   Obs.Span.run "migrate" @@ fun () ->
-  let store = ref (Store.create integrated) in
-  let entities_in = ref 0
-  and fused = ref 0
-  and links_in = ref 0
-  and links_out = ref 0 in
-  (* (component schema, old oid) -> new oid *)
-  let correspondence = Hashtbl.create 256 in
-  (* (integrated class, key signature) -> oid, for fusion *)
-  let by_key = Hashtbl.create 256 in
+  let entities_in = ref 0 and fused = ref 0 in
+  let by_key = Fusion_key.create 256 in
+  let slots = ref [] and n_slots = ref 0 in
 
-  (* ---- entities -------------------------------------------------- *)
-  List.iter
-    (fun (schema, comp_store) ->
-      let sname = Schema.name schema in
-      let plans = Hashtbl.create 16 in
-      List.iter
-        (fun old_oid ->
-          incr entities_in;
-          let classes = Store.classes_of old_oid comp_store in
-          let plan =
-            match Hashtbl.find_opt plans classes with
-            | Some p -> p
-            | None ->
-                let p = resolve mapping ~integrated sname classes in
-                Hashtbl.add plans classes p;
-                p
-          in
-          match plan with
-          | None -> ()
-          | Some plan ->
-              let comp_tuple = Store.tuple_of old_oid comp_store in
-              let tuple =
-                List.fold_left
-                  (fun acc e ->
-                    Name.Map.union
-                      (fun _ v _ -> Some v)
-                      acc (rename_tuple e comp_tuple))
-                  Name.Map.empty plan.entries
-              in
-              let pairs = key_pairs plan tuple in
-              let existing =
-                List.find_map (Hashtbl.find_opt by_key) pairs
-              in
-              let new_oid =
-                match existing with
-                | Some oid ->
-                    incr fused;
-                    (* add class memberships and missing values *)
-                    List.iter
-                      (fun t -> store := Store.classify oid t !store)
-                      plan.targets;
-                    Name.Map.iter
-                      (fun a v ->
-                        if
-                          Value.equal (Store.value oid a !store) Value.Null
-                          && not (Value.equal v Value.Null)
-                        then store := Store.set_value oid a v !store)
-                      tuple;
-                    List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
-                    oid
-                | None ->
-                    let st, oid = Store.insert plan.insertion tuple !store in
-                    store := st;
-                    List.iter
-                      (fun t ->
-                        if not (Name.equal t plan.insertion) then
-                          store := Store.classify oid t !store)
-                      plan.targets;
-                    List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
-                    oid
-              in
-              Hashtbl.replace correspondence
-                (Name.to_string sname, Store.Oid.to_int old_oid)
-                new_oid)
-        (Store.entities comp_store))
-    components;
-
-  (* ---- relationship instances ------------------------------------ *)
-  let seen_links = Hashtbl.create 256 in
-  List.iter
-    (fun (schema, comp_store) ->
-      let sname = Schema.name schema in
-      List.iter
-        (fun r ->
-          let rel = r.Relationship.name in
-          match
-            Integrate.Mapping.relationship_entry (Qname.make sname rel) mapping
-          with
-          | None -> ()
-          | Some entry ->
-              List.iter
-                (fun { Store.participants; values } ->
-                  incr links_in;
-                  let translated =
-                    List.filter_map
-                      (fun oid ->
-                        Hashtbl.find_opt correspondence
-                          (Name.to_string sname, Store.Oid.to_int oid))
-                      participants
+  (* ---- each entity's merged slot, in one pass ---------------------- *)
+  let place entries (schema, comp_store) =
+    let sname = Schema.name schema in
+    let plans = Hashtbl.create 16 in
+    (* component oid -> slot index *)
+    let placed = Hashtbl.create 256 in
+    List.iter
+      (fun (oid, classes) ->
+        incr entities_in;
+        let plan =
+          match Hashtbl.find_opt plans classes with
+          | Some p -> p
+          | None ->
+              let p = compile mapping ~integrated sname comp_store classes in
+              Hashtbl.add plans classes p;
+              p
+        in
+        match plan with
+        | None -> ()
+        | Some plan ->
+            let keys =
+              List.filter_map
+                (fun { attr; sources } ->
+                  match read oid sources with
+                  | Value.Null -> None
+                  | v -> Some (plan.root, attr, v))
+                plan.keys
+            in
+            let slot =
+              match List.find_map (Fusion_key.find_opt by_key) keys with
+              | Some slot ->
+                  incr fused;
+                  if not (List.memq plan.targets slot.targets) then
+                    slot.targets <- plan.targets :: slot.targets;
+                  slot
+              | None ->
+                  let slot =
+                    {
+                      index = !n_slots;
+                      insertion = plan.insertion;
+                      targets = [ plan.targets ];
+                      values = Name.Map.empty;
+                    }
                   in
-                  if List.length translated = List.length participants then begin
-                    let values' = rename_tuple entry values in
-                    let key =
-                      Name.to_string entry.Integrate.Mapping.target
-                      ^ "|"
-                      ^ String.concat ","
-                          (List.map
-                             (fun o -> string_of_int (Store.Oid.to_int o))
-                             translated)
-                      ^ "|"
-                      ^ String.concat ","
-                          (List.map
-                             (fun (k, v) ->
-                               Name.to_string k ^ "=" ^ Value.to_string v)
-                             (Name.Map.bindings values'))
-                    in
-                    if not (Hashtbl.mem seen_links key) then begin
-                      Hashtbl.add seen_links key ();
-                      incr links_out;
-                      store :=
-                        Store.relate entry.Integrate.Mapping.target translated
-                          values' !store
-                    end
-                  end)
-                (Store.links rel comp_store))
-        (Schema.relationships schema))
-    components;
+                  incr n_slots;
+                  slots := slot :: !slots;
+                  slot
+            in
+            List.iter
+              (fun { attr; sources } ->
+                if not (Name.Map.mem attr slot.values) then
+                  match read oid sources with
+                  | Value.Null -> ()
+                  | v -> slot.values <- Name.Map.add attr v slot.values)
+              plan.feeds;
+            List.iter (fun k -> Fusion_key.replace by_key k slot) keys;
+            Hashtbl.replace placed oid slot.index)
+      (Store.placements comp_store);
+    placed :: entries
+  in
+  let placed = List.rev (List.fold_left place [] components) in
 
-  ( !store,
+  (* ---- each merged entity, written once ---------------------------- *)
+  let store, oids =
+    List.fold_left
+      (fun (store, oids) slot ->
+        let store, oid = Store.insert slot.insertion slot.values store in
+        let store =
+          List.fold_left
+            (fun store t ->
+              if Name.equal t slot.insertion then store
+              else Store.classify oid t store)
+            store
+            (List.sort_uniq Name.compare (List.concat slot.targets))
+        in
+        (store, oid :: oids))
+      (Store.create integrated, [])
+      (List.rev !slots)
+  in
+  let oids = Array.of_list (List.rev oids) in
+
+  (* ---- relationship instances -------------------------------------- *)
+  let links_in = ref 0 in
+  let seen = Link_key.create 64 in
+  let relate_all store (schema, comp_store) placed =
+    let sname = Schema.name schema in
+    List.fold_left
+      (fun store r ->
+        let rel = r.Relationship.name in
+        match Mapping.relationship_entry (Qname.make sname rel) mapping with
+        | None -> store
+        | Some entry ->
+            List.fold_left
+              (fun store { Store.participants; values } ->
+                incr links_in;
+                match
+                  List.map (fun p -> oids.(Hashtbl.find placed p)) participants
+                with
+                | exception Not_found -> store
+                | translated ->
+                    let target = entry.Mapping.target in
+                    let values = rename entry values in
+                    let link = (target, translated, values) in
+                    if Link_key.mem seen link then store
+                    else begin
+                      Link_key.add seen link ();
+                      Store.relate target translated values store
+                    end)
+              store (Store.links rel comp_store))
+      store
+      (Schema.relationships schema)
+  in
+  let store = List.fold_left2 relate_all store components placed in
+  ( store,
     {
       entities_in = !entities_in;
-      entities_out = List.length (Store.entities !store);
+      entities_out = !n_slots;
       fused = !fused;
       links_in = !links_in;
-      links_out = !links_out;
+      links_out = Link_key.length seen;
     } )

@@ -7,14 +7,19 @@
       component class maps to (category placements follow the component
       store's own placements);
     - entities from classes merged by "equals" are deduplicated on the
-      integrated class's key attributes: when an incoming entity agrees
-      on all non-null keys with an existing one, the two are fused
-      (extra class memberships and attribute values are added to the
-      existing entity);
-    - attribute values are stored under their integrated names;
+      integrated class's key attributes: an incoming entity fuses with
+      an existing one when any one of its non-null keys equals that
+      entity's value for the key ({!Instance.Value.equal}: [Int 3]
+      equals [Real 3.], and reals are compared exactly).  A fused
+      entity belongs to every class of its constituents and takes each
+      attribute's first non-null value, in component order and then
+      component oid order;
+    - only mapped attributes are written, under their integrated names;
+      a component attribute with no integrated home is dropped, since
+      no query could read it;
     - relationship instances follow their relationship set's mapping,
       with participants translated through the entity correspondence;
-      exact duplicate links (same participants and values) collapse. *)
+      exact duplicate links (same participants, equal values) collapse. *)
 
 type report = {
   entities_in : int;  (** component entities processed *)
@@ -29,10 +34,11 @@ val run :
   integrated:Ecr.Schema.t ->
   (Ecr.Schema.t * Instance.Store.t) list ->
   Instance.Store.t * report
-(** Timed as the [migrate] span.  What an entity's migration depends on
-    besides its tuple (mapping entries, target and insertion classes,
-    fusion keys) is resolved once per component schema and set of
-    classes the entity was placed in.
+(** Timed as the [migrate] span.  Works by columns: the component
+    columns that feed each integrated attribute and fusion key are
+    resolved once per component schema and set of classes an entity
+    was placed in; one pass over the entities decides each one's merged
+    entity, and each merged entity is then written once.
     @raise Instance.Store.Violation when a component store references
     structures absent from its schema (i.e. the component store is
     corrupt). *)

@@ -332,15 +332,8 @@ let to_components mapping ~integrated q =
 module Answer_set = Hashtbl.Make (struct
   type t = Eval.row
 
-  let hash_value = function
-    | Instance.Value.Null -> 0
-    | Instance.Value.Bool b -> if b then 1 else 2
-    | Instance.Value.Int i -> int_of_float (float_of_int i)
-    | Instance.Value.Real f -> int_of_float f
-    | Instance.Value.Str s -> Hashtbl.hash s
-    | Instance.Value.Date (y, m, d) -> (((y * 16) + m) * 32) + d
-
-  let hash row = Name.Map.fold (fun _ v h -> (h * 31) + hash_value v) row 0
+  let hash row =
+    Name.Map.fold (fun _ v h -> (h * 31) + Instance.Value.hash v) row 0
 
   let equal a b =
     Name.Map.cardinal a = Name.Map.cardinal b

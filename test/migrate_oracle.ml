@@ -15,7 +15,7 @@ let rename_tuple (entry : Integrate.Mapping.entry) tuple =
     (fun attr v acc ->
       match Name.Map.find_opt attr entry.Integrate.Mapping.attrs with
       | Some t -> Name.Map.add t.Integrate.Mapping.as_attr v acc
-      | None -> Name.Map.add attr v acc)
+      | None -> acc)
     tuple Name.Map.empty
 
 let key_pairs integrated insertion tuple =
@@ -28,11 +28,21 @@ let key_pairs integrated insertion tuple =
   |> Attribute.names
   |> List.filter_map (fun k ->
          match Name.Map.find_opt k tuple with
-         | Some v when not (Value.equal v Value.Null) ->
-             Some
-               (Name.to_string root ^ "|" ^ Name.to_string k ^ "="
-              ^ Value.to_string v)
+         | Some v when not (Value.equal v Value.Null) -> Some (root, k, v)
          | _ -> None)
+
+(* Keys and links are found by a linear search that compares values as
+   [Value.equal] does. *)
+let same_key (r, k, v) (r', k', v') =
+  Name.equal r r' && Name.equal k k' && Value.equal v v'
+
+let same_link (r, ps, vs) (r', ps', vs') =
+  Name.equal r r'
+  && List.equal Store.Oid.equal ps ps'
+  && Name.Map.equal Value.equal vs vs'
+
+let find_assoc same k l =
+  List.find_map (fun (k', v) -> if same k k' then Some v else None) l
 
 let run mapping ~integrated components =
   let store = ref (Store.create integrated) in
@@ -41,7 +51,7 @@ let run mapping ~integrated components =
   and links_in = ref 0
   and links_out = ref 0 in
   let correspondence = Hashtbl.create 256 in
-  let by_key = Hashtbl.create 256 in
+  let by_key = ref [] in
   List.iter
     (fun (schema, comp_store) ->
       let sname = Schema.name schema in
@@ -89,7 +99,9 @@ let run mapping ~integrated components =
                 | [] -> first.Integrate.Mapping.target
               in
               let pairs = key_pairs integrated insertion tuple in
-              let existing = List.find_map (Hashtbl.find_opt by_key) pairs in
+              let existing =
+                List.find_map (fun p -> find_assoc same_key p !by_key) pairs
+              in
               let new_oid =
                 match existing with
                 | Some oid ->
@@ -104,7 +116,7 @@ let run mapping ~integrated components =
                           && not (Value.equal v Value.Null)
                         then store := Store.set_value oid a v !store)
                       tuple;
-                    List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
+                    List.iter (fun p -> by_key := (p, oid) :: !by_key) pairs;
                     oid
                 | None ->
                     let st, oid = Store.insert insertion tuple !store in
@@ -114,7 +126,7 @@ let run mapping ~integrated components =
                         if not (Name.equal t insertion) then
                           store := Store.classify oid t !store)
                       target_classes;
-                    List.iter (fun p -> Hashtbl.replace by_key p oid) pairs;
+                    List.iter (fun p -> by_key := (p, oid) :: !by_key) pairs;
                     oid
               in
               Hashtbl.replace correspondence
@@ -122,7 +134,7 @@ let run mapping ~integrated components =
                 new_oid)
         (Store.entities comp_store))
     components;
-  let seen_links = Hashtbl.create 256 in
+  let seen_links = ref [] in
   List.iter
     (fun (schema, comp_store) ->
       let sname = Schema.name schema in
@@ -147,21 +159,10 @@ let run mapping ~integrated components =
                   if List.length translated = List.length participants then begin
                     let values' = rename_tuple entry values in
                     let key =
-                      Name.to_string entry.Integrate.Mapping.target
-                      ^ "|"
-                      ^ String.concat ","
-                          (List.map
-                             (fun o -> string_of_int (Store.Oid.to_int o))
-                             translated)
-                      ^ "|"
-                      ^ String.concat ","
-                          (List.map
-                             (fun (k, v) ->
-                               Name.to_string k ^ "=" ^ Value.to_string v)
-                             (Name.Map.bindings values'))
+                      (entry.Integrate.Mapping.target, translated, values')
                     in
-                    if not (Hashtbl.mem seen_links key) then begin
-                      Hashtbl.add seen_links key ();
+                    if not (List.exists (same_link key) !seen_links) then begin
+                      seen_links := key :: !seen_links;
                       incr links_out;
                       store :=
                         Store.relate entry.Integrate.Mapping.target translated

@@ -548,6 +548,24 @@ let binary_fuzz_tests =
         Dictionary.save saved paper_workspace;
         fuzz_binaries ~seed:0xB1D1C ~line:false ~apply:false saved
           [ ("sit", fun p -> [ p ]) ]);
+    tc "a directory as a journal or a schedule exits 2 and is named"
+      (fun () ->
+        let dir = Filename.temp_dir "binfuzz" "" in
+        Fun.protect ~finally:(fun () -> Unix.rmdir dir) @@ fun () ->
+        List.iter
+          (fun (name, args) ->
+            match spawn (binary name) args with
+            | Unix.WEXITED 2, err
+              when String.starts_with ~prefix:(dir ^ ": Is a directory") err
+              ->
+                ()
+            | _, err ->
+                Alcotest.failf "%s %s: not refused with exit 2 naming %s\n%s"
+                  name (String.concat " " args) dir err)
+          [
+            ("sit", [ sc1; "--journal"; dir ]);
+            ("sit_serve", [ sc1; sc2; "-s"; script; "--schedule"; dir ]);
+          ]);
   ]
 
 let () =

@@ -51,6 +51,19 @@ let value_tests =
     tc "to_string" (fun () ->
         check Alcotest.string "date" "2020-09-01" (V.to_string (V.date 2020 9 1));
         check Alcotest.string "null" "null" (V.to_string V.Null));
+    tc "equal values hash alike" (fun () ->
+        List.iter
+          (fun (a, b) ->
+            check Alcotest.bool "equal" true (V.equal a b);
+            check Alcotest.int (V.to_string a) (V.hash a) (V.hash b))
+          [
+            (V.int 3, V.real 3.);
+            (V.real 0., V.real (-0.));
+            (V.real Float.nan, V.real (-.Float.nan));
+            (V.int max_int, V.real (float_of_int max_int));
+            (V.str "x", V.str "x");
+            (V.date 2020 9 1, V.date 2020 9 1);
+          ]);
   ]
 
 let store_tests =
@@ -101,6 +114,19 @@ let store_tests =
         check (Alcotest.slist Alcotest.string String.compare) "both"
           [ "Person"; "Student" ]
           (List.map Name.to_string (S.classes_of p st)));
+    tc "placements lists every entity with its classes_of" (fun () ->
+        let st = S.create schema in
+        let st, p = S.insert (Name.v "Person") Name.Map.empty st in
+        let st, gone = S.insert (Name.v "Student") Name.Map.empty st in
+        let st, _ = S.insert (Name.v "Student") Name.Map.empty st in
+        let st = S.classify p (Name.v "Student") (S.remove_entity gone st) in
+        let show (oid, classes) =
+          string_of_int (S.Oid.to_int oid)
+          ^ ":" ^ String.concat "," (List.map Name.to_string classes)
+        in
+        check Alcotest.(list string) "one pass = per entity"
+          (List.map (fun oid -> show (oid, S.classes_of oid st)) (S.entities st))
+          (List.map show (S.placements st)));
   ]
 
 let integrity_tests =
@@ -130,6 +156,21 @@ let integrity_tests =
           (List.exists
              (function S.Duplicate_key _ -> true | _ -> false)
              (S.check st)));
+    tc "duplicate keys compare as values, not as printed" (fun () ->
+        let dups ssns =
+          let st =
+            List.fold_left
+              (fun st ssn ->
+                fst (S.insert (Name.v "Person") (S.tuple [ ("Ssn", ssn) ]) st))
+              (S.create schema) ssns
+          in
+          List.length
+            (List.filter
+               (function S.Duplicate_key _ -> true | _ -> false)
+               (S.check st))
+        in
+        check Alcotest.int "7th digit" 0 (dups [ V.real 1.0000001; V.real 1.0000002 ]);
+        check Alcotest.int "int and real" 1 (dups [ V.int 3; V.real 3. ]));
     tc "cardinality violation detected" (fun () ->
         (* every Student must be advised exactly once; an unadvised
            student violates (1,1) *)

@@ -98,7 +98,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Each write goes to a fresh inode: ext4 flushes a file truncated in
+   place when it is closed, which costs tens of milliseconds a write. *)
 let write_file path data =
+  (try Sys.remove path with Sys_error _ -> ());
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)

@@ -128,6 +128,8 @@ let query_tests =
             "select Name from Student via Majors to Department select Name";
             "select Name from Student via Majors with Since to Department";
             "select * from S where not (a = 1 or b = 2) and c <> 'x'";
+            "select D_Name from Student via E_Stud_Majo to E_Department select \
+             D_Name target where D_Name = 'CS'";
           ]);
   ]
 

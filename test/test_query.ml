@@ -300,8 +300,164 @@ let rewrite_tests =
           (Query.Rewrite.covers [ b ] [ Query.Eval.row [ ("x", V.int 9) ] ]));
   ]
 
+(* DDL, a session script and instance data, integrated and migrated
+   as [sit_batch -s SCRIPT --data DATA] does. *)
+let migrate_texts ~ddl ~script ~data =
+  let schemas = Ddl.Parser.schemas_of_string ddl in
+  let directives =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun i l -> Integrate.Script.parse_line ~file:"session" ~line:(i + 1) l)
+         (String.split_on_char '\n' script))
+  in
+  let ws = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
+  match Integrate.Script.apply directives ws with
+  | Error e -> Alcotest.fail (Integrate.Script.apply_error_to_string e)
+  | Ok ws ->
+      let r = Integrate.Workspace.integrate ws in
+      Query.Migrate.run r.Integrate.Result.mapping
+        ~integrated:r.Integrate.Result.schema
+        (Instance.Loader.load_string ~schemas data)
+
+(* Two copies of one schema, [sa] and [sb], merged by equals. *)
+let twin schema = "schema sa {" ^ schema ^ "} schema sb {" ^ schema ^ "}"
+
+(* The values of a merged store held under a name that no class of
+   their entity (or, for a link, its relationship set) declares, as
+   ["#oid.Attr"] or ["Rel.Attr"]: no query, update or view reads them. *)
+let undeclared integrated merged =
+  let declares names a = List.exists (Name.equal a) names in
+  let entities =
+    List.concat_map
+      (fun oid ->
+        let names =
+          List.concat_map
+            (fun c -> Attribute.names (Schema.all_attributes integrated c))
+            (S.classes_of oid merged)
+        in
+        Name.Map.fold
+          (fun a _ acc ->
+            if declares names a then acc
+            else
+              Printf.sprintf "#%d.%s" (S.Oid.to_int oid) (Name.to_string a) :: acc)
+          (S.tuple_of oid merged) [])
+      (S.entities merged)
+  in
+  let links =
+    List.concat_map
+      (fun r ->
+        let rel = r.Relationship.name in
+        let names = Attribute.names r.Relationship.attributes in
+        List.concat_map
+          (fun { S.values; _ } ->
+            Name.Map.fold
+              (fun a _ acc ->
+                if declares names a then acc
+                else (Name.to_string rel ^ "." ^ Name.to_string a) :: acc)
+              values [])
+          (S.links rel merged))
+      (Schema.relationships integrated)
+  in
+  entities @ links
+
+let example f =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    ("../../../examples/data/" ^ f)
+
 let migrate_tests =
   [
+    tc "real keys fuse only when their values are equal" (fun () ->
+        let merged, report =
+          migrate_texts
+            ~ddl:(twin "entity Part { Code : real key; Label : char; }")
+            ~script:
+              "equiv sa.Part.Code sb.Part.Code\n\
+               equiv sa.Part.Label sb.Part.Label\n\
+               object sa.Part 1 sb.Part"
+            ~data:
+              "instance sa { Part { Code = 1.0000001, Label = \"a\" } }\n\
+               instance sb { Part { Code = 1.0000002, Label = \"b\" } \
+               Part { Code = 3, Label = \"c\" } }"
+        in
+        check Alcotest.int "entities in" 3 report.Query.Migrate.entities_in;
+        check Alcotest.int "entities out" 3 report.Query.Migrate.entities_out;
+        check Alcotest.int "fused" 0 report.Query.Migrate.fused;
+        check Alcotest.int "no duplicate key" 0 (List.length (S.check merged)));
+    tc "an integer key fuses with the equal real" (fun () ->
+        let _, report =
+          migrate_texts
+            ~ddl:(twin "entity Part { Code : real key; }")
+            ~script:"equiv sa.Part.Code sb.Part.Code\nobject sa.Part 1 sb.Part"
+            ~data:
+              "instance sa { Part { Code = 3 } }\n\
+               instance sb { Part { Code = 3.0 } }"
+        in
+        check Alcotest.int "entities out" 1 report.Query.Migrate.entities_out;
+        check Alcotest.int "fused" 1 report.Query.Migrate.fused);
+    tc "links whose values differ in the 7th digit stay apart" (fun () ->
+        let merged, report =
+          migrate_texts
+            ~ddl:
+              (twin
+                 "entity P { K : char key; } entity Q { K : char key; } \
+                  relationship R (P (0,N), Q (0,N)) { W : real; }")
+            ~script:
+              "equiv sa.P.K sb.P.K\nequiv sa.Q.K sb.Q.K\nequiv sa.R.W sb.R.W\n\
+               object sa.P 1 sb.P\nobject sa.Q 1 sb.Q\nrel sa.R 1 sb.R"
+            ~data:
+              "instance sa { P { K = \"p\" } as p Q { K = \"q\" } as q \
+               R (p, q) { W = 1.0000001 } }\n\
+               instance sb { P { K = \"p\" } as p Q { K = \"q\" } as q \
+               R (p, q) { W = 1.0000002 } R (p, q) { W = 1.0000001 } }"
+        in
+        check Alcotest.int "fused participants" 2 report.Query.Migrate.entities_out;
+        check Alcotest.int "links in" 3 report.Query.Migrate.links_in;
+        check Alcotest.int "links out" 2 report.Query.Migrate.links_out;
+        check Alcotest.int "stored" 2
+          (List.length
+             (List.concat_map
+                (fun r -> S.links r.Relationship.name merged)
+                (Schema.relationships (S.schema merged)))));
+    tc "every merged value sits under an attribute its classes declare"
+      (fun () ->
+        let check_none what (integrated, merged) =
+          check Alcotest.(list string) what [] (undeclared integrated merged)
+        in
+        let migrate (result : Integrate.Result.t) stores =
+          ( result.Integrate.Result.schema,
+            fst
+              (Query.Migrate.run result.Integrate.Result.mapping
+                 ~integrated:result.Integrate.Result.schema stores) )
+        in
+        let paper = Workload.Paper.integrate_sc1_sc2 () in
+        check_none "paper session"
+          (migrate paper
+             (Instance.Loader.load_file
+                ~schemas:[ Workload.Paper.sc1; Workload.Paper.sc2 ]
+                (example "paper_instances.ecd")));
+        let company = Ddl.Parser.schemas_of_file (example "company.ecr") in
+        (match
+           Integrate.Script.apply
+             (Integrate.Script.parse_file (example "company_session.sit"))
+             (Integrate.Workspace.add_schemas company Integrate.Workspace.empty)
+         with
+        | Error e -> Alcotest.fail (Integrate.Script.apply_error_to_string e)
+        | Ok ws ->
+            check_none "company example"
+              (migrate
+                 (Integrate.Workspace.integrate ws)
+                 (Instance.Loader.load_file ~schemas:company
+                    (example "company_instances.ecd"))));
+        List.iter
+          (fun seed ->
+            let scn =
+              Workload.Scenario.generate
+                { Workload.Scenario.default_params with seed }
+            in
+            check_none
+              (Printf.sprintf "scenario seed %d" seed)
+              (migrate scn.Workload.Scenario.result scn.Workload.Scenario.stores))
+          [ 7; 11; 23; 42 ]);
     tc "migration fuses equal entities on keys" (fun () ->
         let _, _, _, merged, report = migrated () in
         check Alcotest.int "fused" 2 report.Query.Migrate.fused;
