@@ -863,10 +863,10 @@ let e19 () =
       verdict
   in
   let paper =
-    List.map (fun (a, b) -> Script.Equiv (a, b)) Workload.Paper.equivalences
-    @ List.map (fun (a, r, b) -> Script.Object_assertion (a, r, b))
+    List.map (fun (a, b) -> Op.Declare_equivalent (a, b)) Workload.Paper.equivalences
+    @ List.map (fun (a, r, b) -> Op.Assert_object (a, r, b))
         Workload.Paper.object_assertions
-    @ List.map (fun (a, r, b) -> Script.Rel_assertion (a, r, b))
+    @ List.map (fun (a, r, b) -> Op.Assert_relationship (a, r, b))
         Workload.Paper.relationship_assertions
   in
   let scenario seed schemas concepts =

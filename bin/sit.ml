@@ -29,6 +29,7 @@ let load_file file =
    valid prefix, so a crash — even mid-write — costs at most the last
    keystroke.  See lib/journal and docs/ROBUSTNESS.md. *)
 let run files save analyse journal_path =
+  Option.iter (fun path -> input (Load.output path)) save;
   let adds = List.map load_file files in
   let load ws = List.fold_left (fun ws add -> add ws) ws adds in
   let workspace = load Integrate.Workspace.empty in

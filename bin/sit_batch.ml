@@ -1,7 +1,7 @@
 (* sit_batch — non-interactive schema integration.
 
-   Consumes ECR DDL files plus one or more session scripts (see
-   Integrate.Script for the directive format) and emits the integrated
+   Consumes ECR DDL files plus one or more session scripts (op lines,
+   see Integrate.Op for their format) and emits the integrated
    schema (DDL), the generated mappings and a summary.  With several
    --script options the sessions are independent integration jobs over
    the same component schemas, run across the machine's cores
@@ -17,7 +17,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Session_error s)) fmt
    file outputs, which the driver only allows in single-script runs.
 
    With [~journal] the session is write-ahead logged: every schema
-   addition and directive is appended as one op record before the next
+   addition and script op is appended as one op record before the next
    one runs, so a killed run resumes from its journal (--resume) by
    replaying the recovered prefix and skipping that many ops.  The
    inputs must be unchanged between the runs — ops are skipped by
@@ -56,48 +56,33 @@ let run_session ~schemas ~directives ~out_ddl ~out_dot ~name ~analyse
       | Some (j, recovery) ->
           (recovery.Journal.seq, recovery.Journal.workspace, Some j)
     in
-    let items =
-      List.map (fun s -> `Schema s) schemas
-      @ List.map (fun d -> `Directive d) directives
+    let ops =
+      List.map (fun s -> Integrate.Op.Add_schema s) schemas @ directives
     in
-    if start > List.length items then
+    if start > List.length ops then
       fail
         "--resume: the journal records %d operations but the inputs only \
          define %d — did the DDL files or the script change?"
-        start (List.length items);
+        start (List.length ops);
     let ws, _ =
       List.fold_left
-        (fun (ws, i) item ->
+        (fun (ws, i) op ->
           if i < start then (ws, i + 1) (* already replayed from the journal *)
           else begin
             let ws =
-              match item with
-              | `Schema s -> Integrate.Workspace.add_schema s ws
-              | `Directive d -> (
-                  match Integrate.Script.apply_one d ws with
-                  | Ok ws -> ws
-                  | Error
-                      (Integrate.Script.Object_conflict (_, _, conflict) as e)
-                    ->
-                      fail "%s%s"
-                        (Tui.Canvas.to_string
-                           (Tui.Screens.conflict_resolution conflict))
-                        (Integrate.Script.apply_error_to_string e)
-                  | Error e ->
-                      fail "%s" (Integrate.Script.apply_error_to_string e))
+              match Integrate.Op.try_apply op ws with
+              | Ok ws -> ws
+              | Error (Integrate.Op.Object_conflict (_, _, conflict) as e) ->
+                  fail "%s%s"
+                    (Tui.Canvas.to_string
+                       (Tui.Screens.conflict_resolution conflict))
+                    (Integrate.Op.error_to_string e)
+              | Error e -> fail "%s" (Integrate.Op.error_to_string e)
             in
-            (match jopt with
-            | Some j ->
-                let op =
-                  match item with
-                  | `Schema s -> Integrate.Op.Add_schema s
-                  | `Directive d -> Integrate.Op.of_directive d
-                in
-                Journal.append ~after:ws j op
-            | None -> ());
+            Option.iter (fun j -> Journal.append ~after:ws j op) jopt;
             (ws, i + 1)
           end)
-        (base, 0) items
+        (base, 0) ops
     in
     ws
   in
@@ -254,9 +239,13 @@ let run files scripts out_ddl out_dot name analyse save_dict save_result
     Obs.enable ();
     Obs.reset ()
   end;
-  (* every input is read once, in order, before any session runs;
-     the jobs share the stores, which are immutable *)
+  (* every output path is checked and every input read once, in order,
+     before any session runs; the jobs share the stores, which are
+     immutable *)
   let input = function Ok v -> v | Error msg -> hard_fail "%s" msg in
+  List.iter
+    (Option.iter (fun path -> input (Load.output path)))
+    [ out_ddl; out_dot; save_dict; save_result; metrics ];
   let schemas = input (Load.schemas files) in
   let jobs_of_scripts =
     match scripts with
@@ -323,10 +312,10 @@ let scripts =
     & opt_all file []
     & info [ "s"; "script" ] ~docv:"SCRIPT"
         ~doc:
-          "Session script (equiv/object/rel/name directives).  Repeatable: \
-           each script is an independent integration job over the same \
-           schemas; the jobs run across the machine's cores and their \
-           outputs are printed in script order.")
+          "Session script (op lines such as equiv, object, rel and name).  \
+           Repeatable: each script is an independent integration job over \
+           the same schemas; the jobs run across the machine's cores and \
+           their outputs are printed in script order.")
 
 let out_ddl =
   Arg.(

@@ -268,6 +268,10 @@ let run files script data name journal listen queue deadline_ms cache
     metrics view_defs follow ack_replicas compact_every drive_addr endpoints
     timeout_ms conns requests queries global_queries mat_views schedule
     phases_spec transcript_out =
+  List.iter
+    (Option.iter (fun path ->
+         match Load.output path with Ok () -> () | Error e -> hard_fail "%s" e))
+    [ transcript_out; metrics ];
   let endpoints = parse_endpoints endpoints in
   match (drive_addr, schedule) with
   | Some addr, Some file ->

@@ -10,7 +10,9 @@
     back into a {!Integrate.Workspace}.
 
     Format: the schemas in DDL syntax, then a [%session] marker, then
-    one directive per line ([#] comments allowed):
+    the session as {!Integrate.Op} lines, one per line, in the text
+    {!Integrate.Op.to_string} prints (the grammar is in op.mli; [#]
+    comments allowed):
 
     {v
     schema sc1 { ... }
@@ -22,9 +24,7 @@
     name   sc1.Majors sc2.Major_in E_Stud_Majo
     v}
 
-    Assertion codes are the screens' menu numbers (1 equals,
-    2 contained-in, 3 contains, 4 disjoint-integrable, 5 may-be,
-    0 disjoint-nonintegrable). *)
+    {!to_string} writes {!Integrate.Op.of_workspace}. *)
 
 exception Error of string
 (** Malformed dictionary text (with a line-level description). *)
@@ -33,13 +33,16 @@ val to_string : Integrate.Workspace.t -> string
 (** Serialises a workspace. *)
 
 val of_string : string -> Integrate.Workspace.t
-(** Parses a dictionary.  Recorded assertions are replayed through the
-    matrix, so a dictionary edited into inconsistency is rejected.  An
-    assertion naming a structure that no schema defines is dropped, as
-    {!Integrate.Workspace.add_schema} drops it after a schema edit:
-    dictionaries and journal snapshots written by earlier releases may
-    still record one.
-    @raise Error on syntax errors or conflicting assertions. *)
+(** Parses a dictionary.  Each session line is read as a script line
+    ({!Integrate.Script.parse_line}) and applied
+    ({!Integrate.Op.try_apply}), so a dictionary edited into
+    inconsistency is rejected.  An assertion naming a structure that no
+    schema defines is dropped, as {!Integrate.Workspace.add_schema}
+    drops it after a schema edit: dictionaries and journal snapshots
+    written by earlier releases may still record one.
+    @raise Error ["line N: message"], in the script's wording, on a
+    malformed line or a conflicting assertion; ["schema ..."] on a
+    malformed or invalid schema. *)
 
 val save : string -> Integrate.Workspace.t -> unit
 (** Writes {!to_string} to a file through a temp file ([<path>.tmp])
@@ -51,12 +54,13 @@ val load : string -> Integrate.Workspace.t
 (** Reads and parses a file.  @raise Error / [Sys_error]. *)
 
 val merge : Integrate.Workspace.t -> Integrate.Workspace.t -> Integrate.Workspace.t
-(** [merge base extra] adds [extra]'s schemas, equivalences and
-    consistent assertions into [base]; assertions of [extra] that
-    conflict with [base] are dropped.  [extra]'s schemas go in with one
+(** [merge base extra] adds [extra]'s schemas with one
     {!Integrate.Workspace.add_schemas}, so [base]'s own assertions are
-    checked against the merged schema list only.  The dictionary is "available to
-    all of the tools": two tools' dictionaries can be combined. *)
+    checked against the merged schema list only, then applies [extra]'s
+    session ({!Integrate.Op.of_workspace}) with {!Integrate.Op.apply}:
+    assertions of [extra] that conflict with [base] are dropped.  The
+    dictionary is "available to all of the tools": two tools'
+    dictionaries can be combined. *)
 
 (** {1 Mappings}
 

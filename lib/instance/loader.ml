@@ -366,33 +366,11 @@ let load_file ~schemas path =
 (* ------------------------------------------------------------------ *)
 (* Serialisation.                                                      *)
 
-(* The shortest of 15, 16 and 17 significant digits that reads back as
-   [x]; a [.0] marks a whole number as a real. *)
-let real_to_syntax x =
-  let rec shortest digits =
-    let s = Printf.sprintf "%.*g" digits x in
-    if digits = 17 || float_of_string s = x then s else shortest (digits + 1)
-  in
-  let s = shortest 15 in
-  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
-
-(* Neither the loader nor the query language has escapes, so no string
-   holds both quotes: one with a double quote is written in single
-   quotes. *)
-let value_to_syntax = function
-  | Value.Str s when String.contains s '"' -> "'" ^ s ^ "'"
-  | Value.Str s -> "\"" ^ s ^ "\""
-  | Value.Int n -> string_of_int n
-  | Value.Real x -> real_to_syntax x
-  | Value.Bool b -> string_of_bool b
-  | Value.Date (y, m, d) -> Printf.sprintf "%04d-%02d-%02d" y m d
-  | Value.Null -> "null"
-
 let tuple_to_syntax tuple =
   let fields =
     Name.Map.bindings tuple
     |> List.filter (fun (_, v) -> not (Value.equal v Value.Null))
-    |> List.map (fun (k, v) -> Name.to_string k ^ " = " ^ value_to_syntax v)
+    |> List.map (fun (k, v) -> Name.to_string k ^ " = " ^ Value.to_string v)
   in
   "{ " ^ String.concat ", " fields ^ " }"
 

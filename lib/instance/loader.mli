@@ -64,7 +64,12 @@ val load_file :
 val to_string : Ecr.Schema.t -> Store.t -> string
 (** Serialises a store back to the format (labels are synthesised as
     [e<oid>]); [load_string] of the output reproduces the store up to
-    oid renumbering, every value exactly: a real is written with the
-    fewest of 15, 16 or 17 significant digits that read back as the
-    same float, and a string holding a double quote goes in single
-    quotes.  The store inside a replication snapshot is this text. *)
+    oid renumbering, every value exactly, since each value is written
+    by {!Value.to_string}.  The store inside a replication snapshot is
+    this text. *)
+
+val scan_exponent : string -> int -> int
+(** [scan_exponent src j] is the end of the exponent ([e] or [E], an
+    optional sign, digits) that starts at [j] right after a digit, as
+    in [1e-07] or [2.5E+300]; [j] itself when there is none.  The query
+    lexer reads numbers with it too. *)

@@ -79,6 +79,18 @@ let coerce v dom =
    format interpreter. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The fewest of 15, 16 and 17 significant digits that read back as
+   [x]; a [.0] marks a whole number as a real. *)
+let real_to_string x =
+  let s = format_float "%.15g" x in
+  let s =
+    if Float.equal (float_of_string s) x then s
+    else
+      let s = format_float "%.16g" x in
+      if Float.equal (float_of_string s) x then s else format_float "%.17g" x
+  in
+  if Float.is_integer x && not (String.contains s 'e') then s ^ ".0" else s
+
 (* [n] as [Printf]'s ["%0*d"] pads it to [width]. *)
 let add_padded buf width n =
   let s = string_of_int n in
@@ -102,10 +114,14 @@ let date_to_string y m d =
   add_padded buf 2 d;
   Buffer.contents buf
 
+(* Neither the loader nor the query language has escapes, so no string
+   holds both quotes: one with a double quote is written in single
+   quotes. *)
 let to_string = function
+  | Str s when String.contains s '"' -> "'" ^ s ^ "'"
   | Str s -> "\"" ^ s ^ "\""
   | Int n -> string_of_int n
-  | Real x -> format_float "%g" x
+  | Real x -> real_to_string x
   | Bool b -> string_of_bool b
   | Date (y, m, d) -> date_to_string y m d
   | Null -> "null"

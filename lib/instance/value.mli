@@ -29,6 +29,11 @@ val coerce : t -> Ecr.Domain.t -> t option
     exists (e.g. [Int 3] to [Real] becomes [Real 3.]). *)
 
 val to_string : t -> string
+(** The value in the syntax the instance loader and the query parser
+    read back, exactly: a real with the fewest of 15, 16 or 17
+    significant digits that read back as the same float, and with [.0]
+    when it is whole; a string in double quotes, or in single quotes
+    when it holds a double quote; a date bare, as [YYYY-MM-DD]. *)
 
 val date_to_string : int -> int -> int -> string
 (** [date_to_string y m d] prints a date as [Printf]'s

@@ -1,6 +1,6 @@
-(* The session journal: Integrate.Op payload semantics (directive
-   syntax for ops, Dictionary documents for snapshots) layered over the
-   generic framed log in frames.ml. *)
+(* The session journal: Integrate.Op payload semantics (op text for
+   ops, Dictionary documents for snapshots) layered over the generic
+   framed log in frames.ml. *)
 
 module Frames = Frames
 
@@ -45,69 +45,12 @@ exception Corrupt
 (* Internal: a CRC-valid record whose payload does not parse.  Recovery
    treats it exactly like a checksum failure — truncate there. *)
 
-let op_to_string op =
-  let qn = Ecr.Qname.to_string in
-  let qa = Ecr.Qname.Attr.to_string in
-  match op with
-  | Integrate.Op.Add_schema s -> "schema\n" ^ Ddl.Printer.to_string s
-  | Integrate.Op.Remove_schema n -> "rmschema " ^ Ecr.Name.to_string n
-  | Integrate.Op.Declare_equivalent (a, b) ->
-      Printf.sprintf "equiv %s %s" (qa a) (qa b)
-  | Integrate.Op.Separate_attribute a -> "sep " ^ qa a
-  | Integrate.Op.Assert_object (a, c, b) ->
-      Printf.sprintf "object %s %d %s" (qn a) (Integrate.Assertion.code c) (qn b)
-  | Integrate.Op.Assert_relationship (a, c, b) ->
-      Printf.sprintf "rel %s %d %s" (qn a) (Integrate.Assertion.code c) (qn b)
-  | Integrate.Op.Retract_object (a, b) ->
-      Printf.sprintf "retract %s %s" (qn a) (qn b)
-  | Integrate.Op.Retract_relationship (a, b) ->
-      Printf.sprintf "retractrel %s %s" (qn a) (qn b)
-  | Integrate.Op.Rename (a, b, forced) ->
-      Printf.sprintf "name %s %s %s" (qn a) (qn b) forced
-
-let op_of_string text =
-  let qattr s =
-    match String.split_on_char '.' s with
-    | [ a; b; c ] -> Ecr.Qname.Attr.v a b c
-    | _ -> raise Corrupt
-  in
-  let qname s =
-    match String.split_on_char '.' s with
-    | [ a; b ] -> Ecr.Qname.v a b
-    | _ -> raise Corrupt
-  in
-  let code s =
-    match Option.bind (int_of_string_opt s) Integrate.Assertion.of_code with
-    | Some a -> a
-    | None -> raise Corrupt
-  in
-  if String.length text >= 7 && String.sub text 0 7 = "schema\n" then
-    let ddl = String.sub text 7 (String.length text - 7) in
-    match Ddl.Parser.schemas_of_string ddl with
-    | [ s ] -> Integrate.Op.Add_schema s
-    | _ -> raise Corrupt
-  else
-    match String.split_on_char ' ' text |> List.filter (fun s -> s <> "") with
-    | [ "rmschema"; n ] -> Integrate.Op.Remove_schema (Ecr.Name.v n)
-    | [ "equiv"; a; b ] -> Integrate.Op.Declare_equivalent (qattr a, qattr b)
-    | [ "sep"; a ] -> Integrate.Op.Separate_attribute (qattr a)
-    | [ "object"; a; c; b ] ->
-        Integrate.Op.Assert_object (qname a, code c, qname b)
-    | [ "rel"; a; c; b ] ->
-        Integrate.Op.Assert_relationship (qname a, code c, qname b)
-    | [ "retract"; a; b ] -> Integrate.Op.Retract_object (qname a, qname b)
-    | [ "retractrel"; a; b ] ->
-        Integrate.Op.Retract_relationship (qname a, qname b)
-    | [ "name"; a; b; forced ] when Ecr.Name.is_valid forced ->
-        Integrate.Op.Rename (qname a, qname b, forced)
-    | _ -> raise Corrupt
-
 type record =
   | Rop of int * Integrate.Op.t
   | Rsnap of int * Integrate.Workspace.t
 
 let payload_of_record = function
-  | Rop (seq, op) -> Printf.sprintf "op %d\n%s" seq (op_to_string op)
+  | Rop (seq, op) -> Printf.sprintf "op %d\n%s" seq (Integrate.Op.to_string op)
   | Rsnap (seq, ws) -> Printf.sprintf "snap %d\n%s" seq (Dictionary.to_string ws)
 
 let record_of_payload payload =
@@ -119,7 +62,10 @@ let record_of_payload payload =
       match String.split_on_char ' ' header with
       | [ "op"; s ] -> (
           match int_of_string_opt s with
-          | Some seq -> Rop (seq, op_of_string body)
+          | Some seq -> (
+              match Integrate.Op.of_string body with
+              | Ok op -> Rop (seq, op)
+              | Error _ -> raise Corrupt)
           | None -> raise Corrupt)
       | [ "snap"; s ] -> (
           match int_of_string_opt s with

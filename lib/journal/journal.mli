@@ -17,8 +17,9 @@
 
     and each payload is a text header line plus a body:
 
-    - ["op <seq>\n<op>"] — one mutation, in the dictionary directive
-      syntax (schemas carry their full DDL);
+    - ["op <seq>\n<op>"] — one mutation, as {!Integrate.Op.to_string}
+      prints it (the grammar is in op.mli; a schema carries its full
+      DDL);
     - ["snap <seq>\n<dictionary>"] — a checkpoint: the complete
       workspace as a {!Dictionary} document.  Replay restarts here.
 

@@ -51,6 +51,19 @@ let script = read Integrate.Script.parse_file
 let data ~schemas = read (Instance.Loader.load_file ~schemas)
 let dictionary = read Dictionary.load
 
+(* A path that ends in a slash names a directory whether or not one is
+   there, and the empty path names no file. *)
+let output path =
+  let parent = Filename.dirname path in
+  if
+    String.ends_with ~suffix:"/" path
+    || (Sys.file_exists path && Sys.is_directory path)
+  then Error (path ^ ": Is a directory")
+  else if
+    path = "" || not (Sys.file_exists parent && Sys.is_directory parent)
+  then Error (path ^ ": No such file or directory")
+  else Ok ()
+
 let directory dir =
   match Unix.mkdir dir 0o755 with
   | () -> Ok ()

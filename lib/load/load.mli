@@ -11,7 +11,7 @@ val schemas : string list -> (Ecr.Schema.t list, string) result
     file order is refused, an invalid schema with all of its errors,
     one per line.  An empty list is refused. *)
 
-val script : string -> (Integrate.Script.directive list, string) result
+val script : string -> (Integrate.Op.t list, string) result
 
 val data :
   schemas:Ecr.Schema.t list ->
@@ -25,6 +25,13 @@ val read : (string -> 'a) -> string -> ('a, string) result
     refuse: a directory, an unreadable file, or a parse error, each
     named by its path.  For the files other libraries read (a journal,
     a scenario schedule). *)
+
+val output : string -> (unit, string) result
+(** Checks a path a tool will write, before the tool does any work: a
+    directory (or a path ending in [/]), an empty path, or a path whose
+    parent directory is missing, is refused as [PATH: reason].
+    Anything else is left to the writer, so [/dev/null] stays
+    allowed. *)
 
 val directory : string -> (unit, string) result
 (** Creates the journal directory unless a directory is there. *)

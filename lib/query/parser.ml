@@ -85,7 +85,7 @@ let tokenize src =
           scan (j + 1)
       | c when c = '-' || (c >= '0' && c <= '9') ->
           let rec stop j = if j < n && is_digit src.[j] then stop (j + 1) else j in
-          let j = stop (i + 1) in
+          let j = Instance.Loader.scan_exponent src (stop (i + 1)) in
           emit (Number (String.sub src i (j - i)));
           scan j
       | c when is_ident_start c ->
@@ -102,26 +102,30 @@ let tokenize src =
 (* Values.                                                             *)
 
 let date_of_string s =
-  match String.split_on_char '-' s with
-  | [ y; m; d ] -> (
-      match (int_of_string_opt y, int_of_string_opt m, int_of_string_opt d) with
-      | Some y, Some m, Some d
-        when String.length s = 10 && m >= 1 && m <= 12 && d >= 1 && d <= 31 ->
-          Some (V.date y m d)
-      | _ -> None)
-  | _ -> None
+  if String.length s <> 10 then None
+  else
+    match String.split_on_char '-' s with
+    | [ y; m; d ] -> (
+        let int = int_of_string_opt in
+        match (int y, int m, int d) with
+        | Some y, Some m, Some d when m >= 1 && m <= 12 && d >= 1 && d <= 31 ->
+            Some (V.date y m d)
+        | _ -> None)
+    | _ -> None
+
+let number s =
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f -> V.real f
+    | Some _ -> error "number %s is out of range" s
+    | None -> error "bad number %s" s
+  else
+    match int_of_string_opt s with
+    | Some i -> V.int i
+    | None -> error "bad number %s" s
 
 let value_of_token = function
-  | Number s -> (
-      if String.contains s '.' then
-        match float_of_string_opt s with
-        | Some f when Float.is_finite f -> V.real f
-        | Some _ -> error "number %s is out of range" s
-        | None -> error "bad number %s" s
-      else
-        match int_of_string_opt s with
-        | Some i -> V.int i
-        | None -> error "bad number %s" s)
+  | Number s -> ( match date_of_string s with Some d -> d | None -> number s)
   | Str s -> ( match date_of_string s with Some d -> d | None -> V.str s)
   | Ident s when keywordish s = "true" -> V.bool true
   | Ident s when keywordish s = "false" -> V.bool false
@@ -161,6 +165,11 @@ let name st =
   | Some n -> n
   | None -> error "invalid identifier"
 
+(* A bare [true] or [false] is a constant predicate, unless it names
+   the attribute of a comparison. *)
+let comparison_follows st =
+  match st.rest with _ :: (Cmp _ | Assign) :: _ -> true | _ -> false
+
 (* pred ::= disjunction *)
 let rec pred st = disjunction st
 
@@ -196,6 +205,11 @@ and atom st =
       | Rparen -> advance st
       | _ -> error "expected ')'");
       p
+  | Ident s
+    when (keywordish s = "true" || keywordish s = "false")
+         && not (comparison_follows st) ->
+      advance st;
+      Ast.Const (keywordish s = "true")
   | Ident _ ->
       let attr = name st in
       let cmp =

@@ -12,14 +12,17 @@
     attrs  ::= IDENT ("," IDENT)*
     assigns::= IDENT "=" value ("," IDENT "=" value)*
     pred   ::= pred "or" pred | pred "and" pred | "not" pred
-             | "(" pred ")" | IDENT cmp value
+             | "(" pred ")" | IDENT cmp value | "true" | "false"
     cmp    ::= "=" | "<>" | "<" | "<=" | ">" | ">="
-    value  ::= NUMBER | STRING | "true" | "false" | "null"
+    value  ::= NUMBER | STRING | DATE | "true" | "false" | "null"
     v}
 
-    Strings are single- or double-quoted; a string shaped like
-    [YYYY-MM-DD] becomes a date value.  Numbers with a point become
-    reals.
+    Strings are single- or double-quoted and have no escapes; a string
+    shaped like [YYYY-MM-DD] becomes a date value, as does a bare
+    [DATE].  Numbers with a point or an exponent ([1e-05], [1e+300])
+    become reals.  A bare [true] or [false] as a predicate is the
+    constant that query rewriting prints.  So every query
+    {!Ast.to_string} prints reads back as the same query. 
 
     Examples:
     {v

@@ -44,7 +44,7 @@ type t = {
   gen : Generator.t;
   flavors : (string * flavor) list;
   schemas : Ecr.Schema.t list;
-  directives : Integrate.Script.directive list;
+  directives : Integrate.Op.t list;
   script_text : string;
   stores : (Ecr.Schema.t * Instance.Store.t) list;
   result : Integrate.Result.t;
@@ -141,21 +141,6 @@ let flavored gen =
 
 (* ---- directives --------------------------------------------------- *)
 
-let directive_line =
-  let open Integrate in
-  function
-  | Script.Equiv (a, b) ->
-      Printf.sprintf "equiv %s %s" (Qname.Attr.to_string a)
-        (Qname.Attr.to_string b)
-  | Script.Object_assertion (q1, a, q2) ->
-      Printf.sprintf "object %s %d %s" (Qname.to_string q1) (Assertion.code a)
-        (Qname.to_string q2)
-  | Script.Rel_assertion (q1, a, q2) ->
-      Printf.sprintf "rel %s %d %s" (Qname.to_string q1) (Assertion.code a)
-        (Qname.to_string q2)
-  | Script.Rename (q1, q2, n) ->
-      Printf.sprintf "name %s %s %s" (Qname.to_string q1) (Qname.to_string q2) n
-
 (* Equivalences between the attributes of two structures, answered from
    the generator's global attribute-concept ids. *)
 let attr_equivs gen q1 attrs1 q2 attrs2 =
@@ -171,7 +156,7 @@ let attr_equivs gen q1 attrs1 q2 attrs2 =
               with
               | Some id2 when id1 = id2 ->
                   Some
-                    (Integrate.Script.Equiv
+                    (Integrate.Op.Declare_equivalent
                        ( Qname.Attr.make q1 a1.Attribute.name,
                          Qname.Attr.make q2 a2.Attribute.name ))
               | _ -> None)
@@ -197,7 +182,7 @@ let candidate_directives gen schemas =
     List.filter_map
       (fun (q1, q2, a) ->
         match (find_class q1, find_class q2) with
-        | Some _, Some _ -> Some (Integrate.Script.Object_assertion (q1, a, q2))
+        | Some _, Some _ -> Some (Integrate.Op.Assert_object (q1, a, q2))
         | _ -> None)
       gen.Generator.related_pairs
   in
@@ -224,7 +209,7 @@ let candidate_directives gen schemas =
                       (fun d -> acc := d :: !acc)
                       (attr_equivs gen q1 r1.Relationship.attributes q2
                          r2.Relationship.attributes);
-                    acc := Integrate.Script.Rel_assertion (q1, a, q2) :: !acc
+                    acc := Integrate.Op.Assert_relationship (q1, a, q2) :: !acc
                 | _ -> ())
               (Schema.relationships arr.(j)))
           (Schema.relationships arr.(i))
@@ -463,16 +448,16 @@ let generate (p : params) =
   let gen = Generator.generate gp in
   let flavors, schemas = flavored gen in
   let candidates = candidate_directives gen schemas in
-  (* pre-validate: a directive the workspace rejects (or that raises on
-     a structure a rendering dropped) is skipped, so the rendered script
+  (* pre-validate: a directive the workspace refuses (a conflict, or a
+     structure a rendering dropped) is skipped, so the rendered script
      always applies cleanly end to end *)
   let ws0 = Integrate.Workspace.add_schemas schemas Integrate.Workspace.empty in
   let ws, kept =
     List.fold_left
       (fun (ws, kept) d ->
-        match Integrate.Script.apply_one d ws with
+        match Integrate.Op.try_apply d ws with
         | Ok ws' -> (ws', d :: kept)
-        | Error _ | (exception _) -> (ws, kept))
+        | Error _ -> (ws, kept))
       (ws0, []) candidates
   in
   let directives = List.rev kept in
@@ -480,7 +465,7 @@ let generate (p : params) =
   let script_text =
     String.concat "\n"
       (Printf.sprintf "# scenario session: seed=%d schemas=%d" p.seed p.schemas
-      :: List.map directive_line directives)
+      :: List.map Integrate.Op.to_string directives)
     ^ "\n"
   in
   let stores = Generator.populate ~schemas gen in

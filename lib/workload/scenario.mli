@@ -88,8 +88,8 @@ type t = {
   gen : Generator.t;  (** the ground-truth universe *)
   flavors : (string * flavor) list;  (** schema name -> flavor *)
   schemas : Ecr.Schema.t list;  (** the flavored component schemas *)
-  directives : Integrate.Script.directive list;
-  script_text : string;  (** the directives in [Integrate.Script] syntax *)
+  directives : Integrate.Op.t list;
+  script_text : string;  (** the directives as {!Integrate.Op} lines *)
   stores : (Ecr.Schema.t * Instance.Store.t) list;
   result : Integrate.Result.t;
       (** the offline integration of the scenario, named ["G"] *)

@@ -7,7 +7,10 @@
 #      the wire protocol's op registry (the `ops` list in
 #      lib/server/wire.ml) in both directions — every served op
 #      documented, no phantom ops documented that the daemon would
-#      answer `unknown_op`.
+#      answer `unknown_op`;
+#   3. the op table in docs/ROBUSTNESS.md must match the constructors
+#      of `Op.t` (lib/integrate/op.mli) in both directions — every
+#      session op documented with its text, no phantom ops.
 #
 # Every failure names a file and line so the fix is one click away.
 # Pure POSIX sh + grep/sed so it runs anywhere the repo builds.
@@ -42,37 +45,52 @@ if [ -z "$registry" ]; then
   exit 1
 fi
 
-# check_ops DOC: the first-column cells of the markdown table whose
-# header row is `| op | ...` must equal the registry (each doc has
-# several tables — fields and error codes use the same layout, so the
-# range matters).
-check_ops() {
-  doc=$1
-  table_line=$(grep -n '^| op ' "$ROOT/$doc" | head -1 | cut -d: -f1)
+# check_table DOC HEADER REGISTRY NAMES SOURCE: the first-column cells
+# of the markdown table in DOC whose header row is `| HEADER | ...`
+# must equal the words NAMES, which REGISTRY at SOURCE (FILE:LINE)
+# defines (each doc has several tables — fields and error codes use the
+# same layout, so the range matters).
+check_table() {
+  doc=$1 header=$2 registry_name=$3 names=$4 source=$5
+  table_line=$(grep -n "^| $header " "$ROOT/$doc" | head -1 | cut -d: -f1)
   if [ -z "$table_line" ]; then
-    echo "docs-check: $doc:1: no op table (a '| op | ...' markdown table) found"
+    echo "docs-check: $doc:1: no op table (a '| $header | ...' markdown table) found"
     fail=1
     return
   fi
-  documented=$(sed -n '/^| op  */,/^$/p' "$ROOT/$doc" |
-    grep -o '^| `[a-z_]*`' | sed 's/| `//; s/`//' | sort -u)
-  for op in $registry; do
+  documented=$(sed -n "/^| $header  */,/^\$/p" "$ROOT/$doc" |
+    grep -o '^| `[A-Za-z_]*`' | sed 's/| `//; s/`//' | sort -u)
+  for op in $names; do
     if ! printf '%s\n' "$documented" | grep -qx "$op"; then
-      echo "docs-check: $doc:$table_line: op \"$op\" (lib/server/wire.ml:$registry_line) is missing from the op table"
+      echo "docs-check: $doc:$table_line: op \"$op\" ($source) is missing from the op table"
       fail=1
     fi
   done
   for op in $documented; do
-    if ! printf '%s\n' "$registry" | grep -qx "$op"; then
+    if ! printf '%s\n' "$names" | grep -qx "$op"; then
       op_line=$(grep -n "^| \`$op\`" "$ROOT/$doc" | head -1 | cut -d: -f1)
-      echo "docs-check: $doc:${op_line:-$table_line}: documents op \"$op\" which is not in Wire.ops (lib/server/wire.ml:$registry_line)"
+      echo "docs-check: $doc:${op_line:-$table_line}: documents op \"$op\" which is not in $registry_name ($source)"
       fail=1
     fi
   done
 }
 
-check_ops docs/SERVING.md
-check_ops docs/WIRE.md
+wire_source="lib/server/wire.ml:$registry_line"
+check_table docs/SERVING.md op Wire.ops "$registry" "$wire_source"
+check_table docs/WIRE.md op Wire.ops "$registry" "$wire_source"
+
+# --- 3: the op vocabulary table == Op.t ----------------------------
+# The constructors are the `  | Name` lines of `type t =`, up to the
+# first blank line.
+op_mli=lib/integrate/op.mli
+type_line=$(grep -n '^type t =' "$ROOT/$op_mli" | head -1 | cut -d: -f1)
+constructors=$(sed -n '/^type t =/,/^$/p' "$ROOT/$op_mli" |
+  grep -o '^  | [A-Z][A-Za-z_]*' | sed 's/^  | //' | sort)
+if [ -z "$constructors" ]; then
+  echo "docs-check: $op_mli:${type_line:-1}: cannot extract the constructors of Op.t"
+  exit 1
+fi
+check_table docs/ROBUSTNESS.md Op Op.t "$constructors" "$op_mli:$type_line"
 
 [ "$fail" -eq 0 ] && echo "docs-check: ok"
 exit "$fail"

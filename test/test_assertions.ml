@@ -485,11 +485,11 @@ let oracle_tests =
         let directives = scn.Workload.Scenario.directives in
         let objects =
           List.filter_map
-            (function Script.Object_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+            (function Op.Assert_object (l, a, r) -> Some (l, a, r) | _ -> None)
             directives
         and relationships =
           List.filter_map
-            (function Script.Rel_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+            (function Op.Assert_relationship (l, a, r) -> Some (l, a, r) | _ -> None)
             directives
         in
         check Alcotest.bool "a federation-sized matrix" true
@@ -572,7 +572,7 @@ let federation () =
   in
   ( scn.Workload.Scenario.schemas,
     List.filter_map
-      (function Script.Object_assertion (l, a, r) -> Some (l, a, r) | _ -> None)
+      (function Op.Assert_object (l, a, r) -> Some (l, a, r) | _ -> None)
       scn.Workload.Scenario.directives )
 
 (* [add] that keeps the matrix it was given on a conflict or a refusal *)

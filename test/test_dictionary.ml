@@ -105,10 +105,31 @@ let tests =
                 check Alcotest.string directive message msg
             | _ -> Alcotest.failf "accepted %S" directive)
           [
-            ("name a.X b.Y Bad-Name", "line 4: bad name Bad-Name");
-            ("equiv a.X.Na-me b.Y.Name", "line 4: bad attribute a.X.Na-me");
-            ("object a.X 1 b.9Y", "line 4: bad name b.9Y");
+            ("name a.X b.Y Bad-Name", "line 4: malformed name: Bad-Name");
+            ( "equiv a.X.Na-me b.Y.Name",
+              "line 4: malformed qualified attribute: a.X.Na-me" );
+            ("object a.X 1 b.9Y", "line 4: malformed qualified name: b.9Y");
           ]);
+    tc "a session section admits every one-line op" (fun () ->
+        let ws =
+          Dictionary.of_string
+            "schema a { entity X { N : char; } }\n\
+             schema b { entity Y { N : char; } }\n\
+             schema c { entity Z; }\n\
+             %session\n\
+             object a.X 1 b.Y\n\
+             retract a.X b.Y\n\
+             equiv a.X.N b.Y.N\n\
+             sep a.X.N\n\
+             rmschema c\n"
+        in
+        check Alcotest.int "fact retracted" 0
+          (List.length (Workspace.object_facts ws));
+        check Alcotest.int "attribute separated" 0
+          (List.length
+             (Equivalence.nontrivial_classes (Workspace.equivalence ws)));
+        check Alcotest.int "schema removed" 2
+          (List.length (Workspace.schemas ws)));
     tc "saving over a dictionary replaces it through a temp file" (fun () ->
         let path = Filename.temp_file "sit" ".sitd" in
         Fun.protect
@@ -235,6 +256,18 @@ let mapping_tests =
         let mapping = Dictionary.mappings_of_string "schema a { entity X; }" in
         check Alcotest.int "no entries" 0
           (List.length (Integrate.Mapping.object_entries mapping)));
+    tc "a malformed mapping line is an Error with its line" (fun () ->
+        List.iter
+          (fun (line, message) ->
+            match Dictionary.mappings_of_string ("%mappings\n" ^ line ^ "\n") with
+            | exception Dictionary.Error msg ->
+                check Alcotest.string line message msg
+            | _ -> Alcotest.failf "accepted %S" line)
+          [
+            ("object abc -> X", "line 1: bad source abc");
+            ("rel a.9b -> X", "line 1: bad names");
+            ("attr a.b -> X.y", "line 1: expected schema.object.attr, got a.b");
+          ]);
     tc "relationship mappings reconstruct too" (fun () ->
         let ws = paper_workspace () in
         let result = Workspace.integrate ws in
@@ -248,6 +281,27 @@ let mapping_tests =
           = Some "E_Stud_Majo"));
   ]
 
+(* The paper session's [sit_batch --save-result] file, written before
+   the session text had one owner and committed under test/fixtures. *)
+let fixture_tests =
+  [
+    tc "a committed --save-result file re-prints byte for byte" (fun () ->
+        let text =
+          In_channel.with_open_bin
+            (Filename.concat
+               (Filename.dirname Sys.executable_name)
+               "../../../test/fixtures/paper_result.sitd")
+            In_channel.input_all
+        in
+        let ws = Dictionary.of_string text in
+        check Alcotest.string "re-printed" text
+          (Dictionary.result_to_string ws (Workspace.integrate ws)));
+  ]
+
 let () =
   Alcotest.run "dictionary"
-    [ ("dictionary", tests); ("mappings", mapping_tests) ]
+    [
+      ("dictionary", tests);
+      ("mappings", mapping_tests);
+      ("fixtures", fixture_tests);
+    ]

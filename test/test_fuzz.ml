@@ -275,11 +275,13 @@ let line_fuzz_tests =
 
 (* ---- session-text fuzzing ---------------------------------------- *)
 
-(* The session text format has three parsers — script lines, the
-   dictionary's session section and the journal's op records — and one
-   contract: a mutated input is accepted, or refused through the
-   parser's own error, never by a stray exception such as
-   [Ecr.Name.Invalid].  Accepted input must also replay without one. *)
+(* Script lines, the dictionary's session section and the journal's op
+   records are one op text with one parser, [Integrate.Op.of_string],
+   and one contract: a mutated input is accepted, or refused through
+   the reader's own error (a positioned [Script.Parse_error], a
+   [Dictionary.Error], the end of a journal's valid prefix), never by a
+   stray exception such as [Ecr.Name.Invalid].  Accepted input must
+   also replay without one. *)
 
 let paper_session =
   let here = Filename.dirname Sys.executable_name in
@@ -311,9 +313,9 @@ let script_outcome input =
   match Integrate.Script.parse_line ~file:"fuzz.sit" ~line:7 input with
   | None -> ()
   | Some d -> (
-      match Integrate.Script.apply_one d paper_workspace with
+      match Integrate.Op.try_apply d paper_workspace with
       | Ok _ | Error _ -> ()
-      | exception e -> unhandled "Script.apply_one" e input)
+      | exception e -> unhandled "Op.try_apply" e input)
   | exception Integrate.Script.Parse_error { file; line; message } ->
       check bool
         (Printf.sprintf "%S positioned at fuzz.sit:7" input)
@@ -335,7 +337,7 @@ let journal_records =
   let ops =
     [ Integrate.Op.Add_schema Workload.Paper.sc1;
       Integrate.Op.Add_schema Workload.Paper.sc2 ]
-    @ List.map Integrate.Op.of_directive paper_directives
+    @ paper_directives
     @ [
         Integrate.Op.Separate_attribute (qa "sc1" "Student" "GPA");
         Integrate.Op.Retract_object (q "sc1" "Student", q "sc2" "Faculty");
@@ -524,6 +526,24 @@ let fuzz_binaries ~seed ~line ~apply file runs =
       done)
     [ `Truncate; `Insert; `Delete; `Cut ]
 
+(* Each command line of [runs path], given [path dir] where a file
+   belongs ([dir] is a fresh directory), exits 2 with a message that
+   opens on [path dir ^ reason]. *)
+let refused ?(path = Fun.id) ?(reason = ": Is a directory") runs =
+  let dir = Filename.temp_dir "binfuzz" "" in
+  Fun.protect ~finally:(fun () -> Unix.rmdir dir) @@ fun () ->
+  let path = path dir in
+  List.iter
+    (fun (name, args) ->
+      match spawn (binary name) args with
+      | Unix.WEXITED 2, err when String.starts_with ~prefix:(path ^ reason) err
+        ->
+          ()
+      | _, err ->
+          Alcotest.failf "%s %s: not refused with exit 2 naming %s\n%s" name
+            (String.concat " " args) path err)
+    (runs path)
+
 let binary_fuzz_tests =
   let sc1 = example "sc1.ecr" and sc2 = example "sc2.ecr" in
   let script = example "paper_session.sit" in
@@ -550,22 +570,29 @@ let binary_fuzz_tests =
           [ ("sit", fun p -> [ p ]) ]);
     tc "a directory as a journal or a schedule exits 2 and is named"
       (fun () ->
-        let dir = Filename.temp_dir "binfuzz" "" in
-        Fun.protect ~finally:(fun () -> Unix.rmdir dir) @@ fun () ->
-        List.iter
-          (fun (name, args) ->
-            match spawn (binary name) args with
-            | Unix.WEXITED 2, err
-              when String.starts_with ~prefix:(dir ^ ": Is a directory") err
-              ->
-                ()
-            | _, err ->
-                Alcotest.failf "%s %s: not refused with exit 2 naming %s\n%s"
-                  name (String.concat " " args) dir err)
+        refused (fun dir ->
+            [
+              ("sit", [ sc1; "--journal"; dir ]);
+              ("sit_serve", [ sc1; sc2; "-s"; script; "--schedule"; dir ]);
+            ]));
+    tc "a directory as each output path exits 2 before any work" (fun () ->
+        let outputs out =
+          let batch flag =
+            ("sit_batch", [ sc1; sc2; "-s"; script; flag; out ])
+          in
           [
-            ("sit", [ sc1; "--journal"; dir ]);
-            ("sit_serve", [ sc1; sc2; "-s"; script; "--schedule"; dir ]);
-          ]);
+            batch "-o"; batch "--dot"; batch "--save-dict";
+            batch "--save-result"; batch "--metrics";
+            ("sit", [ sc1; "--save"; out ]);
+            ("sit_serve", [ sc1; sc2; "-s"; script; "--transcript"; out ]);
+            ("sit_serve", [ sc1; sc2; "-s"; script; "--metrics"; out ]);
+          ]
+        in
+        refused outputs;
+        refused ~path:(fun dir -> Filename.concat dir "missing/") outputs;
+        refused
+          ~path:(fun dir -> Filename.concat dir "missing/out")
+          ~reason:": No such file or directory" outputs);
   ]
 
 let () =

@@ -683,6 +683,54 @@ let concurrency_tests =
               r.Journal.truncated_bytes));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* A committed journal: the op text of an earlier release still reads. *)
+
+(* An uncompacted journal with one record of each op kind (two schema
+   additions, then one of every other op), written before the op text
+   had one owner and committed under test/fixtures. *)
+let fixture =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../../../test/fixtures/one_of_each_op.sitj"
+
+let fixture_tests =
+  [
+    tc "every record of a committed journal re-prints byte for byte"
+      (fun () ->
+        let payloads =
+          (Journal.Frames.recover ~magic:"SITJRNL1" fixture)
+            .Journal.Frames.payloads
+        in
+        let kinds =
+          List.mapi
+            (fun i payload ->
+              let header = Printf.sprintf "op %d\n" (i + 1) in
+              check Alcotest.bool "an op record" true
+                (String.starts_with ~prefix:header payload);
+              let text =
+                String.sub payload (String.length header)
+                  (String.length payload - String.length header)
+              in
+              match Op.of_string text with
+              | Ok op ->
+                  check Alcotest.string "re-printed" text (Op.to_string op);
+                  (* the keyword: [schema] ends at a newline *)
+                  List.hd (String.split_on_char '\n' text)
+                  |> String.split_on_char ' ' |> List.hd
+              | Error msg -> Alcotest.failf "record %d: %s" (i + 1) msg)
+            payloads
+        in
+        check
+          Alcotest.(list string)
+          "one of each kind"
+          [ "equiv"; "name"; "object"; "rel"; "retract"; "retractrel";
+            "rmschema"; "schema"; "sep" ]
+          (List.sort_uniq compare kinds);
+        check Alcotest.int "every record replays" (List.length payloads)
+          (Journal.recover fixture).Journal.seq);
+  ]
+
 let () =
   Alcotest.run "journal"
     [
@@ -692,4 +740,5 @@ let () =
       ("snapshots", snapshot_tests);
       ("policies", policy_tests);
       ("concurrency", concurrency_tests);
+      ("fixtures", fixture_tests);
     ]

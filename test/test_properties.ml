@@ -437,7 +437,7 @@ let session_ops =
       ]
   in
   QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map Op.describe ops))
+    ~print:(fun ops -> String.concat "; " (List.map Op.to_string ops))
     (list_size (int_range 1 12) op)
 
 let persistence_props =
@@ -567,6 +567,155 @@ let persistence_props =
             (Workspace.empty, true) ops
         in
         ok);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Text formats read back what they print.                             *)
+
+(* Names from the paper's schemas and a scenario federation's. *)
+let text_schemas =
+  lazy
+    ([ Workload.Paper.sc1; Workload.Paper.sc2; Workload.Paper.sc3 ]
+    @ (Workload.Scenario.generate Workload.Scenario.default_params)
+        .Workload.Scenario.schemas)
+
+let text_names =
+  lazy
+    (List.concat_map
+       (fun s ->
+         Schema.name s
+         :: List.concat_map
+              (function
+                | Schema.Obj oc ->
+                    oc.Object_class.name
+                    :: List.map
+                         (fun (a : Attribute.t) -> a.Attribute.name)
+                         oc.Object_class.attributes
+                | Schema.Rel r ->
+                    r.Relationship.name
+                    :: List.map
+                         (fun (a : Attribute.t) -> a.Attribute.name)
+                         r.Relationship.attributes)
+              (Schema.structures s))
+       (Lazy.force text_schemas)
+    |> List.sort_uniq Name.compare)
+
+(* One op of each of the nine kinds, over the names above and random
+   identifiers, so malformed-looking but valid names are covered too. *)
+let op_gen =
+  let open QCheck.Gen in
+  let name =
+    oneof [ oneofl (Lazy.force text_names); map Name.v ident_gen ]
+  in
+  let qname = map2 Qname.make name name in
+  let qattr = map2 Qname.Attr.make qname name in
+  let assertion =
+    map (fun c -> Option.get (Assertion.of_code c)) (int_bound 5)
+  in
+  oneof
+    [
+      map (fun s -> Op.Add_schema s)
+        (oneof [ oneofl (Lazy.force text_schemas); edited_paper_schema ]);
+      map (fun n -> Op.Remove_schema n) name;
+      map2 (fun a b -> Op.Declare_equivalent (a, b)) qattr qattr;
+      map (fun a -> Op.Separate_attribute a) qattr;
+      map3 (fun a c b -> Op.Assert_object (a, c, b)) qname assertion qname;
+      map3
+        (fun a c b -> Op.Assert_relationship (a, c, b))
+        qname assertion qname;
+      map2 (fun a b -> Op.Retract_object (a, b)) qname qname;
+      map2 (fun a b -> Op.Retract_relationship (a, b)) qname qname;
+      map3 (fun a b n -> Op.Rename (a, b, Name.to_string n)) qname qname name;
+    ]
+
+let same_op a b =
+  match (a, b) with
+  | Op.Add_schema s, Op.Add_schema t -> Schema.equal s t
+  | _ -> a = b
+
+let value_gen =
+  let open QCheck.Gen in
+  let finite x = if Float.is_finite x then x else 0.5 in
+  let real =
+    oneof
+      [
+        oneofl
+          [ -0.; 0.; 3.; -2.; 5e-324; 1e300; -1e300; 1e-5; 0.1 +. 0.2;
+            3.1234567; 3.1234561; Float.max_float; Float.min_float ];
+        float_range (-1e4) 1e4;
+        map finite float;
+      ]
+  in
+  (* no escapes: a string holds one kind of quote, and no '-', so it
+     cannot look like a date *)
+  let str =
+    bool >>= fun double ->
+    let quote = if double then '"' else '\'' in
+    string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; ','; '.'; quote ]) (int_bound 8)
+  in
+  frequency
+    [
+      ( 2,
+        map (fun n -> Instance.Value.Int n) (oneof [ small_signed_int; int ]) );
+      (4, map (fun x -> Instance.Value.Real x) real);
+      (2, map (fun s -> Instance.Value.Str s) str);
+      ( 1,
+        map3
+          (fun y m d -> Instance.Value.Date (y, m, d))
+          (int_bound 9999) (int_range 1 12) (int_range 1 31) );
+      (1, map (fun b -> Instance.Value.Bool b) bool);
+      (1, return Instance.Value.Null);
+    ]
+
+let query_gen =
+  let open QCheck.Gen in
+  let name = oneofl (Lazy.force text_names) in
+  let names = list_size (int_bound 3) name in
+  let cmp = oneofl Query.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let atom =
+    frequency
+      [
+        (6, map3 (fun a c v -> Query.Ast.Atom (a, c, v)) name cmp value_gen);
+        (1, map (fun b -> Query.Ast.Const b) bool);
+      ]
+  in
+  let pred =
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then atom
+           else
+             let half = self (n / 2) in
+             frequency
+               [
+                 (2, atom);
+                 (1, map2 (fun p q -> Query.Ast.And (p, q)) half half);
+                 (1, map2 (fun p q -> Query.Ast.Or (p, q)) half half);
+                 (1, map (fun p -> Query.Ast.Not p) (self (n - 1)));
+               ])
+  in
+  let join =
+    map3
+      (fun (rel, rel_select) (target, target_select) target_where ->
+        { Query.Ast.rel; rel_select; target; target_where; target_select })
+      (pair name names) (pair name names) (opt pred)
+  in
+  map3
+    (fun (from_class, select) where via ->
+      { Query.Ast.from_class; where; select; via })
+    (pair name names) (opt pred) (opt join)
+
+let text_props =
+  [
+    qtest ~count:500 "op text reads back as the op, for all nine kinds"
+      (QCheck.make ~print:Op.to_string op_gen) (fun op ->
+        match Op.of_string (Op.to_string op) with
+        | Ok op' -> same_op op op'
+        | Error msg -> QCheck.Test.fail_report msg);
+    qtest ~count:2000 "query text reads back as the query"
+      (QCheck.make ~print:Query.Ast.to_string query_gen) (fun q ->
+        match Query.Parser.query_of_string (Query.Ast.to_string q) with
+        | q' -> Query.Ast.equal q q'
+        | exception Query.Parser.Error msg -> QCheck.Test.fail_report msg);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -700,7 +849,7 @@ let schema_list =
 let with_schema_list =
   QCheck.make
     ~print:(fun (ops, ss) ->
-      String.concat "; " (List.map Op.describe ops)
+      String.concat "; " (List.map Op.to_string ops)
       ^ "\nthen add_schemas:\n"
       ^ String.concat "\n" (List.map Ddl.Printer.to_string ss))
     QCheck.Gen.(pair (QCheck.gen session_ops) schema_list)
@@ -799,6 +948,7 @@ let () =
       ("integration", integration_props);
       ("misc", misc_props);
       ("persistence", persistence_props);
+      ("text", text_props);
       ("updates", update_props);
       ("add_schemas", add_schemas_props @ add_schemas_tests);
     ]

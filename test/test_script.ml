@@ -33,7 +33,7 @@ let parse_tests =
           ]
         @@ fun path ->
         match Script.parse_file path with
-        | [ Script.Equiv _; Object_assertion (_, a, _); Rel_assertion (_, m, _);
+        | [ Op.Declare_equivalent _; Assert_object (_, a, _); Assert_relationship (_, m, _);
             Rename (_, _, forced) ] ->
             check Alcotest.bool "code 1" true (a = Assertion.Equal);
             check Alcotest.bool "code 5" true (m = Assertion.May_be);
@@ -109,10 +109,10 @@ let apply_tests =
         in
         let directives =
           [
-            Script.Equiv
+            Op.Declare_equivalent
               ( Ecr.Qname.Attr.v "sc1" "Department" "Name",
                 Ecr.Qname.Attr.v "sc2" "Department" "Name" );
-            Script.Object_assertion
+            Op.Assert_object
               ( Ecr.Qname.v "sc1" "Department",
                 Assertion.Equal,
                 Ecr.Qname.v "sc2" "Department" );
@@ -134,14 +134,14 @@ let apply_tests =
         and dept2 = Ecr.Qname.v "sc2" "Department" in
         let directives =
           [
-            Script.Object_assertion (dept1, Assertion.Equal, dept2);
-            Script.Object_assertion
+            Op.Assert_object (dept1, Assertion.Equal, dept2);
+            Op.Assert_object
               (dept1, Assertion.Disjoint_nonintegrable, dept2);
           ]
         in
         match Script.apply directives ws with
         | Ok _ -> Alcotest.fail "expected a conflict"
-        | Error (Script.Object_conflict (a, b, _) as e) ->
+        | Error (Op.Object_conflict (a, b, _) as e) ->
             check Alcotest.bool "pair reported" true
               (Ecr.Qname.equal a dept1 && Ecr.Qname.equal b dept2);
             check Alcotest.bool "message mentions the pair" true
@@ -158,12 +158,12 @@ let apply_tests =
         and grad = Ecr.Qname.v "sc2" "Grad_student" in
         let directives =
           List.map
-            (fun (a, c, b) -> Script.Object_assertion (a, c, b))
+            (fun (a, c, b) -> Op.Assert_object (a, c, b))
             Workload.Paper.object_assertions
-          @ [ Script.Object_assertion (studnet, Assertion.Contains, grad) ]
+          @ [ Op.Assert_object (studnet, Assertion.Contains, grad) ]
         in
         (match Script.apply directives ws with
-        | Error (Script.Unknown_object q as e) ->
+        | Error (Op.Unknown_object q as e) ->
             check Alcotest.string "names the class" "sc1.Studnet"
               (Ecr.Qname.to_string q);
             check Alcotest.string "message"
@@ -173,22 +173,22 @@ let apply_tests =
         | Error e -> Alcotest.fail (Script.apply_error_to_string e));
         (* the other side, and relationship sets *)
         (match
-           Script.apply_one
-             (Script.Object_assertion (grad, Assertion.Equal, studnet))
+           Op.try_apply
+             (Op.Assert_object (grad, Assertion.Equal, studnet))
              ws
          with
-        | Error (Script.Unknown_object q) ->
+        | Error (Op.Unknown_object q) ->
             check Alcotest.string "right side" "sc1.Studnet"
               (Ecr.Qname.to_string q)
         | _ -> Alcotest.fail "expected a refusal");
         let majors = Ecr.Qname.v "sc1" "Majors"
         and minors = Ecr.Qname.v "sc2" "Minor_in" in
         match
-          Script.apply_one
-            (Script.Rel_assertion (majors, Assertion.Equal, minors))
+          Op.try_apply
+            (Op.Assert_relationship (majors, Assertion.Equal, minors))
             ws
         with
-        | Error (Script.Unknown_relationship q as e) ->
+        | Error (Op.Unknown_relationship q as e) ->
             check Alcotest.string "relationship set" "sc2.Minor_in"
               (Ecr.Qname.to_string q);
             check Alcotest.string "relationship message"
@@ -227,6 +227,22 @@ let apply_tests =
             check Alcotest.int "exit status" 2 code;
             check Alcotest.string "stderr"
               "assertion names an unknown object class sc1.Studnet\n" msg));
+    tc "an invalid schema is refused by name" (fun () ->
+        (* Majors still names the deleted Student *)
+        let invalid =
+          Ecr.Schema.remove_structure (Ecr.Name.v "Student") Workload.Paper.sc1
+        in
+        match Op.try_apply (Op.Add_schema invalid) Workspace.empty with
+        | Error (Op.Invalid_schema (n, _ :: _) as e) ->
+            check Alcotest.string "schema" "sc1" (Ecr.Name.to_string n);
+            check Alcotest.bool "message names it" true
+              (String.starts_with ~prefix:"invalid schema sc1: "
+                 (Op.error_to_string e));
+            check Alcotest.int "apply drops it" 0
+              (List.length
+                 (Workspace.schemas
+                    (Op.apply (Op.Add_schema invalid) Workspace.empty)))
+        | _ -> Alcotest.fail "expected Invalid_schema");
   ]
 
 let () =

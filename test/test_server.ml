@@ -453,10 +453,10 @@ let plan_tests =
                 (Server.exec t (Server.Wire.request_to_line ~view:"sc1" ~text "rewrite"))
             in
             check Alcotest.string "-0.0"
-              "select D_Name from Student where D_GPA > -0"
+              "select D_Name from Student where D_GPA > -0.0"
               (rewrite "select Name from Student where GPA > -0.0");
             check Alcotest.string "then 0.0"
-              "select D_Name from Student where D_GPA > 0"
+              "select D_Name from Student where D_GPA > 0.0"
               (rewrite "select Name from Student where GPA > 0.0");
             List.iter
               (fun (name, text) ->
