@@ -1,6 +1,9 @@
 open Ecr
 
-type placed_attr = { attr : Attribute.t; components : Qname.Attr.t list }
+type placed_attr = Merge.placed = {
+  attr : Attribute.t;
+  components : Qname.Attr.t list;
+}
 
 type node = {
   id : Name.t;
@@ -16,32 +19,6 @@ type t = {
   warnings : string list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Small persistent union-find over qualified names.                   *)
-
-module Uf = struct
-  type t = Qname.t Qname.Map.t
-
-  let empty : t = Qname.Map.empty
-
-  let rec find uf x =
-    match Qname.Map.find_opt x uf with
-    | None -> x
-    | Some p -> if Qname.equal p x then x else find uf p
-
-  let union ~prefer uf a b =
-    let ra = find uf a and rb = find uf b in
-    if Qname.equal ra rb then uf
-    else begin
-      (* keep the representative the caller prefers (the earliest class
-         in declaration order), for deterministic naming *)
-      let keep, absorb = if prefer ra rb then (ra, rb) else (rb, ra) in
-      Qname.Map.add absorb keep uf
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-
 let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
@@ -49,91 +26,31 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
   (* Universe of object classes, in (schema, declaration) order. *)
   let universe =
     List.concat_map
-      (fun s -> List.map (fun oc -> (Schema.qname s oc.Object_class.name, s, oc)) (Schema.objects s))
+      (fun s -> List.map (fun oc -> (Schema.qname s oc.Object_class.name, oc)) (Schema.objects s))
       schemas
   in
-  let index_of =
-    List.fold_left
-      (fun (i, m) (q, _, _) -> (i + 1, Qname.Map.add q i m))
-      (0, Qname.Map.empty) universe
-    |> snd
+  let classes = List.map fst universe in
+  let order = Merge.order classes in
+  let attributes =
+    Merge.attributes ~order
+      (List.map (fun (q, oc) -> (q, oc.Object_class.attributes)) universe)
   in
-  let order q =
-    Option.value ~default:max_int (Qname.Map.find_opt q index_of)
-  in
-  let attr_def =
-    (* qualified attribute -> (definition, position) *)
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun (q, _, oc) ->
-        List.iteri
-          (fun i a ->
-            Hashtbl.replace table
-              (Qname.Attr.to_string (Qname.Attr.make q a.Attribute.name))
-              (a, i))
-          oc.Object_class.attributes)
-      universe;
-    table
-  in
-  let find_attr qa = Hashtbl.find_opt attr_def (Qname.Attr.to_string qa) in
-
   let edges = Assertions.integration_edges matrix in
 
-  (* --- 1. equals-merge ------------------------------------------- *)
-  let prefer a b = order a <= order b in
-  let uf =
-    List.fold_left
-      (fun uf (a, b, assertion) ->
-        match assertion with
-        | Assertion.Equal -> Uf.union ~prefer uf a b
-        | _ -> uf)
-      Uf.empty edges
-  in
-  let rep q = Uf.find uf q in
-  (* groups: representative -> sorted members *)
-  let groups =
-    List.fold_left
-      (fun acc (q, _, _) ->
-        let r = rep q in
-        let cur = Option.value ~default:[] (Qname.Map.find_opt r acc) in
-        Qname.Map.add r (q :: cur) acc)
-      Qname.Map.empty universe
-  in
-  let group_list =
-    Qname.Map.bindings groups
-    |> List.map (fun (r, members) ->
-           (r, List.sort (fun a b -> Int.compare (order a) (order b)) members))
-    |> List.sort (fun (a, _) (b, _) -> Int.compare (order a) (order b))
-  in
-
-  (* --- 2. name the group nodes ----------------------------------- *)
-  let used = ref Name.Set.empty in
-  let claim n =
-    let n' = Naming.uniquify !used n in
-    used := Name.Set.add n' !used;
-    n'
-  in
+  (* --- 1. equals-merge and 2. the group nodes' names --------------- *)
+  let names = Merge.names Name.Set.empty in
   let group_names =
     List.map
-      (fun (r, members) ->
-        let desired =
-          match members with
-          | [ only ] ->
-              if Name.Set.mem only.Qname.obj !used then Naming.qualified only
-              else only.Qname.obj
-          | _ -> Naming.equivalent_name naming members
-        in
-        let final = claim desired in
-        (r, members, final))
-      group_list
+      (fun members -> (members, Merge.group_name naming names members))
+      (Merge.groups ~order classes edges)
   in
   let node_of_class =
     List.fold_left
-      (fun acc (_, members, final) ->
+      (fun acc (members, final) ->
         List.fold_left (fun acc m -> Qname.Map.add m final acc) acc members)
       Qname.Map.empty group_names
   in
-  let group_id q = Qname.Map.find (rep q) node_of_class in
+  let group_id q = Qname.Map.find q node_of_class in
 
   (* --- 3. IS-A edges and derived nodes ---------------------------- *)
   let lt_edges =
@@ -162,27 +79,11 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
         | _ -> None)
       edges
   in
-  (* dedup generalisation pairs at the group level *)
-  let gen_pairs =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun (_, _, ga, gb) ->
-        let key =
-          if Name.compare ga gb <= 0 then (ga, gb) else (gb, ga)
-        in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      gen_pairs
-  in
   let derived_nodes =
     List.map
       (fun (qa, qb, ga, gb) ->
-        let id = claim (Naming.derived_name naming qa qb) in
-        (id, ga, gb))
-      gen_pairs
+        (Merge.claim names (Naming.derived_name naming qa qb), ga, gb))
+      (Merge.first_pairs (fun (_, _, ga, gb) -> (ga, gb)) gen_pairs)
   in
 
   (* --- 4. parent map and transitive reduction --------------------- *)
@@ -222,61 +123,32 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
   in
 
   (* --- 5. attribute placement ------------------------------------ *)
-  let object_attr owner = Qname.Map.mem owner index_of in
   let node_order =
     (* creation order of all node ids, for deterministic tie-breaks *)
     let ids =
-      List.map (fun (_, _, final) -> final) group_names
-      @ List.map (fun (id, _, _) -> id) derived_nodes
+      List.map snd group_names @ List.map (fun (id, _, _) -> id) derived_nodes
     in
     List.fold_left
       (fun (i, m) id -> (i + 1, Name.Map.add id i m))
       (0, Name.Map.empty) ids
     |> snd
   in
-  let attrs_at : (string, placed_attr list) Hashtbl.t = Hashtbl.create 32 in
+  (* each node's placed attributes, last placed first *)
+  let attrs_at : (Name.t, placed_attr list) Hashtbl.t = Hashtbl.create 32 in
   let attrs_of_node id =
-    Option.value ~default:[] (Hashtbl.find_opt attrs_at (Name.to_string id))
+    List.rev (Option.value ~default:[] (Hashtbl.find_opt attrs_at id))
   in
-  let place id pa =
-    Hashtbl.replace attrs_at (Name.to_string id) (attrs_of_node id @ [ pa ])
-  in
-  let attr_sort_key qa =
-    match find_attr qa with
-    | Some (_, pos) -> (order qa.Qname.Attr.owner, pos)
-    | None -> (max_int, max_int)
-  in
-  let make_merged comps =
-    let comps =
-      List.sort (fun a b -> compare (attr_sort_key a) (attr_sort_key b)) comps
-    in
-    let defs = List.filter_map (fun c -> Option.map fst (find_attr c)) comps in
-    match (comps, defs) with
-    | [], _ | _, [] -> None
-    | first :: _, d0 :: drest ->
-        let domain =
-          List.fold_left
-            (fun acc d ->
-              match Domain.join acc d.Attribute.domain with
-              | Some j -> j
-              | None ->
-                  warn "incompatible domains merged for %s"
-                    (Qname.Attr.to_string first);
-                  acc)
-            d0.Attribute.domain drest
-        in
-        let key = List.for_all (fun d -> d.Attribute.key) defs in
-        let name =
-          if List.length comps > 1 then
-            Naming.merged_attribute_name first.Qname.Attr.attr
-          else first.Qname.Attr.attr
-        in
-        Some { attr = Attribute.make ~key name domain; components = comps }
+  let place id comps =
+    match Merge.merged_attribute ~warn:(warn "%s") attributes comps with
+    | Some pa ->
+        Hashtbl.replace attrs_at id
+          (pa :: Option.value ~default:[] (Hashtbl.find_opt attrs_at id))
+    | None -> ()
   in
   let classes =
     (* keep only attributes of object classes in our universe *)
     Equivalence.classes equivalence
-    |> List.map (List.filter (fun qa -> object_attr qa.Qname.Attr.owner))
+    |> List.map (List.filter (fun qa -> order qa.Qname.Attr.owner < max_int))
     |> List.filter (fun cls -> cls <> [])
   in
   List.iter
@@ -287,11 +159,8 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
       in
       match owner_nodes with
       | [] -> ()
-      | [ single ] -> (
-          match make_merged cls with
-          | Some pa -> place single pa
-          | None -> ())
-      | several -> (
+      | [ single ] -> place single cls
+      | several ->
           let anc_or_self n = Name.Set.add n (ancestors_of n) in
           let common =
             List.fold_left
@@ -306,12 +175,8 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
               (Qname.Attr.to_string (List.hd cls));
             List.iter
               (fun n ->
-                let sub =
-                  List.filter (fun qa -> Name.equal (group_id qa.Qname.Attr.owner) n) cls
-                in
-                match make_merged sub with
-                | Some pa -> place n pa
-                | None -> ())
+                place n
+                  (List.filter (fun qa -> Name.equal (group_id qa.Qname.Attr.owner) n) cls))
               several
           end
           else begin
@@ -335,44 +200,28 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
                        (Option.value ~default:max_int (Name.Map.find_opt b node_order)))
               |> List.hd
             in
-            match make_merged cls with
-            | Some pa -> place pick pa
-            | None -> ()
-          end))
+            place pick cls
+          end)
     classes;
 
   (* --- 6. assemble nodes ------------------------------------------ *)
-  let uniquify_attrs attrs =
-    let used = ref Name.Set.empty in
-    List.map
-      (fun pa ->
-        let n = Naming.uniquify !used pa.attr.Attribute.name in
-        used := Name.Set.add n !used;
-        { pa with attr = Attribute.rename n pa.attr })
-      attrs
+  let node id ~members ~derived_children =
+    {
+      id;
+      members;
+      derived_children;
+      parents = reduced_parents id;
+      attributes = Merge.unique_attributes (attrs_of_node id);
+    }
   in
   let group_nodes =
     List.map
-      (fun (_, members, id) ->
-        {
-          id;
-          members;
-          derived_children = [];
-          parents = reduced_parents id;
-          attributes = uniquify_attrs (attrs_of_node id);
-        })
+      (fun (members, id) -> node id ~members ~derived_children:[])
       group_names
   in
   let derived =
     List.map
-      (fun (id, ga, gb) ->
-        {
-          id;
-          members = [];
-          derived_children = [ ga; gb ];
-          parents = reduced_parents id;
-          attributes = uniquify_attrs (attrs_of_node id);
-        })
+      (fun (id, ga, gb) -> node id ~members:[] ~derived_children:[ ga; gb ])
       derived_nodes
   in
   {

@@ -2,24 +2,29 @@
 
     Given the component schemas, the attribute equivalence partition and
     the (closed, consistent) assertion matrix, this module performs the
-    object-class half of Phase 4:
+    object-class half of Phase 4.  The rules it shares with
+    relationship sets come from {!Merge}:
 
     - classes connected by {e equals} merge into one node ([E_] names);
+      a class that passes through alone keeps its name, schema-qualified
+      when an unrelated class has taken it;
+    - {e may be} and {e disjoint integrable} pairs generate one derived
+      node ([D_] names) per pair of nodes, with both nodes as its
+      categories;
+    - each attribute-equivalence class becomes one attribute (a merged
+      attribute gets a [D_] name and records its component
+      attributes).
+
+    What only the lattice does stays here:
+
     - {e contained in} becomes an IS-A edge (the contained class's node
       becomes a category of the containing class's node);
-    - {e may be} and {e disjoint integrable} pairs generate a new
-      derived node ([D_] names) with both classes' nodes as categories;
     - IS-A edges are transitively reduced;
-    - every attribute-equivalence class is placed once, at the lowest
-      node that dominates all of its owners (a merged attribute gets a
-      [D_] name and records its component attributes); attributes are
-      never duplicated down the lattice — lower nodes inherit.
+    - every attribute is placed once, at the lowest node that dominates
+      all of its owners; attributes are never duplicated down the
+      lattice — lower nodes inherit. *)
 
-    Classes not appearing in any cluster pass through as singleton
-    nodes.  Name collisions among unrelated pass-through classes are
-    resolved by schema-qualification. *)
-
-type placed_attr = {
+type placed_attr = Merge.placed = {
   attr : Ecr.Attribute.t;  (** the integrated attribute *)
   components : Ecr.Qname.Attr.t list;
       (** the component attributes it merges; a singleton for a

@@ -24,6 +24,64 @@ let c_objects_out = Obs.Counter.make "integrate.objects_out"
 let c_rels_out = Obs.Counter.make "integrate.relationships_out"
 let c_warnings = Obs.Counter.make "integrate.warnings"
 
+(* An integrated object class or relationship set, as the lattice or
+   Rel_merge built it. *)
+type structure = {
+  id : Name.t;
+  members : Qname.t list;
+  generalises : Name.t list;
+  attributes : Merge.placed list;
+}
+
+let origins structures =
+  List.fold_left
+    (fun acc s ->
+      let origin =
+        match (s.members, s.generalises) with
+        | [ only ], _ -> Result.Original only
+        | [], gen -> Result.Derived gen
+        | several, _ -> Result.Equivalent several
+      in
+      Name.Map.add s.id origin acc)
+    Name.Map.empty structures
+
+let attr_components structures =
+  List.fold_left
+    (fun acc s ->
+      Name.Map.add s.id
+        (List.fold_left
+           (fun acc p -> Name.Map.add p.Merge.attr.Attribute.name p.Merge.components acc)
+           Name.Map.empty s.attributes)
+        acc)
+    Name.Map.empty structures
+
+(* component attribute -> where the integrated schema holds it *)
+let attr_locations structures =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun comp ->
+              Hashtbl.replace table comp
+                { Mapping.in_class = s.id; as_attr = p.Merge.attr.Attribute.name })
+            p.Merge.components)
+        s.attributes)
+    structures;
+  table
+
+let entry locations source target attributes =
+  let attrs =
+    List.fold_left
+      (fun acc a ->
+        match Hashtbl.find_opt locations (Qname.Attr.make source a.Attribute.name) with
+        | Some loc -> Name.Map.add a.Attribute.name loc acc
+        | None -> acc)
+      Name.Map.empty attributes
+  in
+  { Mapping.source; target; attrs }
+
 let integrate inp =
   Obs.Span.run "integrate" @@ fun () ->
   let lattice =
@@ -42,166 +100,80 @@ let integrate inp =
       ~equivalence:inp.equivalence ~matrix:inp.relationship_assertions ~lattice
       ()
   in
-  (* --- integrated schema ------------------------------------------- *)
   let objects =
     List.map
       (fun n ->
-        let attrs = List.map (fun pa -> pa.Lattice.attr) n.Lattice.attributes in
-        match n.Lattice.parents with
-        | [] -> Object_class.entity ~attrs n.Lattice.id
-        | parents -> Object_class.category ~attrs ~parents n.Lattice.id)
+        {
+          id = n.Lattice.id;
+          members = n.Lattice.members;
+          generalises = n.Lattice.derived_children;
+          attributes = n.Lattice.attributes;
+        })
       lattice.Lattice.nodes
+  and relationships =
+    List.map
+      (fun m ->
+        {
+          id = m.Rel_merge.rel.Relationship.name;
+          members = m.Rel_merge.members;
+          generalises = m.Rel_merge.generalises;
+          attributes = m.Rel_merge.attributes;
+        })
+      rels.Rel_merge.rels
   in
-  let relationships = List.map (fun m -> m.Rel_merge.rel) rels.Rel_merge.rels in
-  let schema = Schema.make inp.integrated_name ~objects ~relationships in
-  (* --- origins ------------------------------------------------------ *)
-  let object_origin =
-    List.fold_left
-      (fun acc n ->
-        let origin =
-          match (n.Lattice.members, n.Lattice.derived_children) with
-          | [ only ], _ -> Result.Original only
-          | [], children -> Result.Derived children
-          | several, _ -> Result.Equivalent several
-        in
-        Name.Map.add n.Lattice.id origin acc)
-      Name.Map.empty lattice.Lattice.nodes
+  let schema =
+    Schema.make inp.integrated_name
+      ~objects:
+        (List.map
+           (fun n ->
+             let attrs = List.map (fun p -> p.Merge.attr) n.Lattice.attributes in
+             match n.Lattice.parents with
+             | [] -> Object_class.entity ~attrs n.Lattice.id
+             | parents -> Object_class.category ~attrs ~parents n.Lattice.id)
+           lattice.Lattice.nodes)
+      ~relationships:(List.map (fun m -> m.Rel_merge.rel) rels.Rel_merge.rels)
   in
-  let relationship_origin =
-    List.fold_left
-      (fun acc m ->
-        let id = m.Rel_merge.rel.Relationship.name in
-        let origin =
-          match (m.Rel_merge.members, m.Rel_merge.generalises) with
-          | [ only ], _ -> Result.Original only
-          | [], gen -> Result.Derived gen
-          | several, _ -> Result.Equivalent several
-        in
-        Name.Map.add id origin acc)
-      Name.Map.empty rels.Rel_merge.rels
-  in
-  (* --- attribute components ---------------------------------------- *)
-  let attr_components =
-    let of_object n =
-      List.fold_left
-        (fun acc pa ->
-          Name.Map.add pa.Lattice.attr.Attribute.name pa.Lattice.components acc)
-        Name.Map.empty n.Lattice.attributes
-    in
-    let base =
-      List.fold_left
-        (fun acc n -> Name.Map.add n.Lattice.id (of_object n) acc)
-        Name.Map.empty lattice.Lattice.nodes
-    in
-    List.fold_left
-      (fun acc m ->
-        let attrs =
-          List.fold_left
-            (fun acc (name, comps) -> Name.Map.add name comps acc)
-            Name.Map.empty m.Rel_merge.attr_components
-        in
-        Name.Map.add m.Rel_merge.rel.Relationship.name attrs acc)
-      base rels.Rel_merge.rels
-  in
-  (* --- mappings ----------------------------------------------------- *)
   let mapping =
     Obs.Span.run "integrate.mapping" @@ fun () ->
-    (* reverse index: component attribute -> (integrated class, attr) *)
-    let attr_location =
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun pa ->
-            List.iter
-              (fun comp ->
-                Hashtbl.replace table
-                  (Qname.Attr.to_string comp)
-                  { Mapping.in_class = n.Lattice.id;
-                    as_attr = pa.Lattice.attr.Attribute.name })
-              pa.Lattice.components)
-          n.Lattice.attributes)
-      lattice.Lattice.nodes;
-    List.iter
-      (fun m ->
-        List.iter
-          (fun (name, comps) ->
-            List.iter
-              (fun comp ->
-                Hashtbl.replace table
-                  (Qname.Attr.to_string comp)
-                  { Mapping.in_class = m.Rel_merge.rel.Relationship.name;
-                    as_attr = name })
-              comps)
-          m.Rel_merge.attr_components)
-      rels.Rel_merge.rels;
-      table
-    in
-    let object_entries =
-      List.concat_map
-        (fun s ->
-          List.map
-            (fun oc ->
+    let locations = attr_locations (objects @ relationships) in
+    List.fold_left
+      (fun m s ->
+        let m =
+          List.fold_left
+            (fun m oc ->
               let source = Schema.qname s oc.Object_class.name in
               let target =
-                Option.value
-                  ~default:oc.Object_class.name
+                Option.value ~default:oc.Object_class.name
                   (Lattice.node_of lattice source)
               in
-              let attrs =
-                List.fold_left
-                  (fun acc a ->
-                    let qa = Qname.Attr.make source a.Attribute.name in
-                    match Hashtbl.find_opt attr_location (Qname.Attr.to_string qa) with
-                    | Some loc -> Name.Map.add a.Attribute.name loc acc
-                    | None -> acc)
-                  Name.Map.empty oc.Object_class.attributes
-              in
-              { Mapping.source; target; attrs })
-            (Schema.objects s))
-        inp.schemas
-    in
-    let rel_entries =
-      List.concat_map
-        (fun s ->
-          List.filter_map
-            (fun r ->
-              let source = Schema.qname s r.Relationship.name in
-              match Qname.Map.find_opt source rels.Rel_merge.rel_of with
-              | None -> None
-              | Some target ->
-                  let attrs =
-                    List.fold_left
-                      (fun acc a ->
-                        let qa = Qname.Attr.make source a.Attribute.name in
-                        match
-                          Hashtbl.find_opt attr_location (Qname.Attr.to_string qa)
-                        with
-                        | Some loc -> Name.Map.add a.Attribute.name loc acc
-                        | None -> acc)
-                      Name.Map.empty r.Relationship.attributes
-                  in
-                  Some { Mapping.source; target; attrs })
-            (Schema.relationships s))
-        inp.schemas
-    in
-    let m =
-      List.fold_left (fun m e -> Mapping.add_object e m) Mapping.empty
-        object_entries
-    in
-    List.fold_left (fun m e -> Mapping.add_relationship e m) m rel_entries
+              Mapping.add_object
+                (entry locations source target oc.Object_class.attributes)
+                m)
+            m (Schema.objects s)
+        in
+        List.fold_left
+          (fun m r ->
+            let source = Schema.qname s r.Relationship.name in
+            match Qname.Map.find_opt source rels.Rel_merge.rel_of with
+            | None -> m
+            | Some target ->
+                Mapping.add_relationship
+                  (entry locations source target r.Relationship.attributes)
+                  m)
+          m (Schema.relationships s))
+      Mapping.empty inp.schemas
   in
+  let warnings = lattice.Lattice.warnings @ rels.Rel_merge.warnings in
   Obs.Counter.add c_objects_out (List.length objects);
   Obs.Counter.add c_rels_out (List.length relationships);
-  Obs.Counter.add c_warnings
-    (List.length lattice.Lattice.warnings + List.length rels.Rel_merge.warnings);
+  Obs.Counter.add c_warnings (List.length warnings);
   {
     Result.schema;
-    object_origin;
-    relationship_origin;
-    attr_components;
+    object_origin = origins objects;
+    relationship_origin = origins relationships;
+    attr_components = attr_components (objects @ relationships);
     mapping;
-    warnings = lattice.Lattice.warnings @ rels.Rel_merge.warnings;
+    warnings;
   }
 
 let quick ?naming ?name s1 s2 ~equivalences ~object_assertions

@@ -4,7 +4,7 @@ type merged = {
   rel : Relationship.t;
   members : Qname.t list;
   generalises : Name.t list;
-  attr_components : (Name.t * Qname.Attr.t list) list;
+  attributes : Merge.placed list;
 }
 
 type t = {
@@ -28,33 +28,26 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
           (Schema.relationships s))
       schemas
   in
-  let index_of =
-    List.fold_left
-      (fun (i, m) (q, _) -> (i + 1, Qname.Map.add q i m))
-      (0, Qname.Map.empty) universe
-    |> snd
-  in
-  let order q = Option.value ~default:max_int (Qname.Map.find_opt q index_of) in
-  let def_of q = List.assoc_opt q (List.map (fun (q, r) -> (q, r)) universe) in
+  let rels = List.map fst universe in
+  let order = Merge.order rels in
   let def q =
-    match def_of q with
+    match List.assoc_opt q universe with
     | Some r -> r
     | None -> invalid_arg ("Rel_merge: unknown relationship " ^ Qname.to_string q)
   in
 
   (* Participants as lattice slots. *)
+  let slot node p = { node; card = p.Relationship.card; role = p.Relationship.role } in
   let slots_of q =
-    let r = def q in
     List.map
       (fun p ->
-        let pq = Qname.make q.Qname.schema p.Relationship.obj in
-        match Lattice.node_of lattice pq with
-        | Some node -> { node; card = p.Relationship.card; role = p.Relationship.role }
-        | None ->
-            (* participant object class missing from the lattice can only
-               happen on malformed input; keep the raw name *)
-            { node = p.Relationship.obj; card = p.Relationship.card; role = p.Relationship.role })
-      r.Relationship.participants
+        (* a participant object class missing from the lattice can only
+           happen on malformed input; keep the raw name *)
+        slot
+          (Option.value ~default:p.Relationship.obj
+             (Lattice.node_of lattice (Qname.make q.Qname.schema p.Relationship.obj)))
+          p)
+      (def q).Relationship.participants
   in
 
   (* Match the participants of [slots2] against merged [slots1]; returns
@@ -74,8 +67,7 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
             in
             match candidate with
             | None -> None
-            | Some ((i, s2) as hit) ->
-                ignore hit;
+            | Some (i, s2) ->
                 remaining := List.filter (fun (j, _) -> j <> i) !remaining;
                 let node =
                   match Lattice.related lattice s1.node s2.node with
@@ -109,41 +101,7 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
 
   (* --- equals-merge groups ---------------------------------------- *)
   let edges = Assertions.integration_edges matrix in
-  let uf = Hashtbl.create 16 in
-  let rec find q =
-    match Hashtbl.find_opt uf (Qname.to_string q) with
-    | None -> q
-    | Some p -> if Qname.equal p q then q else find p
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if not (Qname.equal ra rb) then begin
-      let keep, absorb = if order ra <= order rb then (ra, rb) else (rb, ra) in
-      Hashtbl.replace uf (Qname.to_string absorb) keep
-    end
-  in
-  List.iter
-    (fun (a, b, assertion) ->
-      if assertion = Assertion.Equal then union a b)
-    edges;
-  let groups_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (q, _) ->
-      let r = find q in
-      let key = Qname.to_string r in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt groups_tbl key) in
-      Hashtbl.replace groups_tbl key (q :: cur))
-    universe;
-  let groups =
-    Hashtbl.fold
-      (fun _ members acc ->
-        List.sort (fun a b -> Int.compare (order a) (order b)) members :: acc)
-      groups_tbl []
-    |> List.sort (fun a b ->
-           match (a, b) with
-           | x :: _, y :: _ -> Int.compare (order x) (order y)
-           | _ -> 0)
-  in
+  let groups = Merge.groups ~order rels edges in
 
   (* split a group whose participants cannot be matched *)
   let groups =
@@ -173,72 +131,46 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
       groups
   in
 
-  (* --- naming ------------------------------------------------------ *)
-  let used = ref used_names in
-  let claim n =
-    let n' = Naming.uniquify !used n in
-    used := Name.Set.add n' !used;
-    n'
+  (* --- attributes: placed on the merged set itself ------------------ *)
+  let attributes =
+    Merge.attributes ~order
+      (List.map (fun (q, r) -> (q, r.Relationship.attributes)) universe)
   in
-
-  (* --- attribute merge for a member list --------------------------- *)
-  let attr_def =
-    let table = Hashtbl.create 32 in
-    List.iter
-      (fun (q, r) ->
-        List.iteri
-          (fun i a ->
-            Hashtbl.replace table
-              (Qname.Attr.to_string (Qname.Attr.make q a.Attribute.name))
-              (a, i))
-          r.Relationship.attributes)
-      universe;
-    table
+  let classes =
+    Equivalence.classes equivalence
+    |> List.map (List.filter (fun qa -> order qa.Qname.Attr.owner < max_int))
+    |> List.filter (fun cls -> cls <> [])
   in
-  let find_attr qa = Hashtbl.find_opt attr_def (Qname.Attr.to_string qa) in
   let merge_attrs members =
     let in_members qa = List.exists (Qname.equal qa.Qname.Attr.owner) members in
-    let classes =
-      Equivalence.classes equivalence
-      |> List.map (List.filter in_members)
-      |> List.filter (fun cls -> cls <> [])
-    in
-    let attr_key qa =
-      match find_attr qa with
-      | Some (_, pos) -> (order qa.Qname.Attr.owner, pos)
-      | None -> (max_int, max_int)
-    in
-    let used_attrs = ref Name.Set.empty in
     List.filter_map
       (fun cls ->
-        let cls = List.sort (fun a b -> compare (attr_key a) (attr_key b)) cls in
-        let defs = List.filter_map (fun c -> Option.map fst (find_attr c)) cls in
-        match (cls, defs) with
-        | [], _ | _, [] -> None
-        | first :: _, d0 :: drest ->
-            let domain =
-              List.fold_left
-                (fun acc d ->
-                  match Domain.join acc d.Attribute.domain with
-                  | Some j -> j
-                  | None ->
-                      warn "incompatible domains merged for %s"
-                        (Qname.Attr.to_string first);
-                      acc)
-                d0.Attribute.domain drest
-            in
-            let key = List.for_all (fun d -> d.Attribute.key) defs in
-            let base =
-              if List.length cls > 1 then
-                Naming.merged_attribute_name first.Qname.Attr.attr
-              else first.Qname.Attr.attr
-            in
-            let name = Naming.uniquify !used_attrs base in
-            used_attrs := Name.Set.add name !used_attrs;
-            Some (Attribute.make ~key name domain, cls))
+        match List.filter in_members cls with
+        | [] -> None
+        | cls -> Merge.merged_attribute ~warn:(warn "%s") attributes cls)
       classes
-    |> List.sort (fun (_, c1) (_, c2) ->
-           compare (attr_key (List.hd c1)) (attr_key (List.hd c2)))
+    |> Merge.unique_attributes
+    |> List.sort (fun a b ->
+           compare
+             (Merge.position attributes (List.hd a.Merge.components))
+             (Merge.position attributes (List.hd b.Merge.components)))
+  in
+  let names = Merge.names used_names in
+  (* [owners] are the component sets whose attributes it merges *)
+  let merged id ~owners ~members ~generalises slots =
+    let attributes = merge_attrs owners in
+    {
+      rel =
+        Relationship.make
+          ~attrs:(List.map (fun p -> p.Merge.attr) attributes)
+          id
+          (List.map
+             (fun s -> Relationship.participant ?role:s.role s.node s.card)
+             slots);
+      members;
+      generalises;
+      attributes;
+    }
   in
 
   (* A participant slot's minimum cardinality only binds the extents the
@@ -291,31 +223,8 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
                 (slots_of first) rest
               |> relax_slots group
             in
-            let id =
-              match group with
-              | [ only ] ->
-                  if Name.Set.mem only.Qname.obj !used then
-                    claim (Naming.qualified only)
-                  else claim only.Qname.obj
-              | _ -> claim (Naming.equivalent_name naming group)
-            in
-            let attrs = merge_attrs group in
-            let participants =
-              List.map
-                (fun s -> Relationship.participant ?role:s.role s.node s.card)
-                slots
-            in
-            Some
-              {
-                rel =
-                  Relationship.make
-                    ~attrs:(List.map fst attrs)
-                    id participants;
-                members = group;
-                generalises = [];
-                attr_components =
-                  List.map (fun (a, cls) -> (a.Attribute.name, cls)) attrs;
-              })
+            let id = Merge.group_name naming names group in
+            Some (merged id ~owners:group ~members:group ~generalises:[] slots))
       groups
   in
   let rel_of =
@@ -331,92 +240,51 @@ let build ?(naming = Naming.default) ?(used_names = Name.Set.empty) ~schemas
   in
 
   (* --- derived generalisations ------------------------------------- *)
-  let gen_edges =
+  let gen_pairs =
     List.filter_map
       (fun (a, b, assertion) ->
         match assertion with
         | Assertion.Contained_in | Assertion.Contains | Assertion.May_be
-        | Assertion.Disjoint_integrable ->
-            Some (a, b)
+        | Assertion.Disjoint_integrable -> (
+            match (group_of a, group_of b) with
+            | Some ga, Some gb
+              when not (Name.equal ga.rel.Relationship.name gb.rel.Relationship.name)
+              ->
+                Some (a, b, ga, gb)
+            | _ -> None)
         | Assertion.Equal | Assertion.Disjoint_nonintegrable -> None)
       edges
+    |> Merge.first_pairs (fun (_, _, ga, gb) ->
+           (ga.rel.Relationship.name, gb.rel.Relationship.name))
   in
-  let seen_gen = Hashtbl.create 8 in
+  let rel_slots m =
+    List.map (fun p -> slot p.Relationship.obj p) m.rel.Relationship.participants
+  in
   let derived =
     List.filter_map
-      (fun (a, b) ->
-        match (group_of a, group_of b) with
-        | Some ga, Some gb
-          when not (Name.equal ga.rel.Relationship.name gb.rel.Relationship.name)
-          -> (
-            let key =
-              let na = Name.to_string ga.rel.Relationship.name
-              and nb = Name.to_string gb.rel.Relationship.name in
-              if na <= nb then na ^ "/" ^ nb else nb ^ "/" ^ na
-            in
-            if Hashtbl.mem seen_gen key then None
-            else begin
-              Hashtbl.add seen_gen key ();
-              match
-                match_slots
-                  (List.map
-                     (fun p ->
-                       {
-                         node = p.Relationship.obj;
-                         card = p.Relationship.card;
-                         role = p.Relationship.role;
-                       })
-                     ga.rel.Relationship.participants)
-                  (List.map
-                     (fun p ->
-                       {
-                         node = p.Relationship.obj;
-                         card = p.Relationship.card;
-                         role = p.Relationship.role;
-                       })
-                     gb.rel.Relationship.participants)
-              with
-              | None ->
-                  warn
-                    "relationship sets %s and %s related but participants do \
-                     not correspond; no derived set generated"
-                    (Qname.to_string a) (Qname.to_string b);
-                  None
-              | Some slots when ambiguous slots ->
-                  (* a class paired with its own subclass widens both
-                     slots to one ancestor, leaving twin participants *)
-                  warn
-                    "relationship sets %s and %s related but participants \
-                     widen to one class without distinct roles; no derived \
-                     set generated"
-                    (Qname.to_string a) (Qname.to_string b);
-                  None
-              | Some slots ->
-                  let id = claim (Naming.derived_name naming a b) in
-                  let attrs = merge_attrs (ga.members @ gb.members) in
-                  let participants =
-                    List.map
-                      (fun s ->
-                        Relationship.participant ?role:s.role s.node s.card)
-                      slots
-                  in
-                  Some
-                    {
-                      rel =
-                        Relationship.make
-                          ~attrs:(List.map fst attrs)
-                          id participants;
-                      members = [];
-                      generalises =
-                        [ ga.rel.Relationship.name; gb.rel.Relationship.name ];
-                      attr_components =
-                        List.map
-                          (fun (at, cls) -> (at.Attribute.name, cls))
-                          attrs;
-                    }
-            end)
-        | _ -> None)
-      gen_edges
+      (fun (a, b, ga, gb) ->
+        match match_slots (rel_slots ga) (rel_slots gb) with
+        | None ->
+            warn
+              "relationship sets %s and %s related but participants do not \
+               correspond; no derived set generated"
+              (Qname.to_string a) (Qname.to_string b);
+            None
+        | Some slots when ambiguous slots ->
+            (* a class paired with its own subclass widens both slots to
+               one ancestor, leaving twin participants *)
+            warn
+              "relationship sets %s and %s related but participants widen to \
+               one class without distinct roles; no derived set generated"
+              (Qname.to_string a) (Qname.to_string b);
+            None
+        | Some slots ->
+            let id = Merge.claim names (Naming.derived_name naming a b) in
+            Some
+              (merged id ~owners:(ga.members @ gb.members) ~members:[]
+                 ~generalises:[ ga.rel.Relationship.name; gb.rel.Relationship.name ]
+                 slots))
+      gen_pairs
   in
   {
     rels = merged_groups @ derived;

@@ -1,19 +1,24 @@
 (** Relationship-set integration.
 
-    After object classes are integrated, relationship sets are: every
-    component relationship's participants are redirected to the
-    integrated lattice nodes; relationship sets asserted {e equal} merge
-    into a single [E_] set whose participants are matched pairwise
-    through the lattice (a participant pair matches when one integrated
-    node dominates the other; the merged slot keeps the more general
-    node and the union of the structural constraints); {e contained in},
-    {e may be} and {e disjoint integrable} assertions additionally
-    generate a derived [D_] relationship set generalising the pair
-    (ECR has no relationship IS-A, so both originals are kept).
+    After object classes are integrated, relationship sets are, by the
+    rules {!Merge} shares with object classes: relationship sets
+    asserted {e equal} group into one [E_] set, names are claimed in
+    the namespace the lattice's nodes already fill, each
+    attribute-equivalence class becomes one attribute of the merged set
+    itself (relationship sets do not inherit), and {e contained in},
+    {e may be} and {e disjoint integrable} assertions generate one
+    derived [D_] relationship set per pair of groups (ECR has no
+    relationship IS-A, so both originals are kept).
 
-    Merged attributes follow the attribute-equivalence partition, as for
-    object classes, but are placed on the merged relationship itself
-    (relationship sets do not inherit). *)
+    What only relationship sets have stays here: every component
+    relationship's participants are redirected to the integrated
+    lattice nodes and matched pairwise (a participant pair matches when
+    one integrated node dominates the other; the merged slot keeps the
+    more general node and the union of the structural constraints); a
+    group whose participants do not match is split, a slot's minimum
+    relaxes when its node also carries foreign extents, and a derived
+    set whose slots widen to one class without distinct roles is not
+    generated. *)
 
 type merged = {
   rel : Ecr.Relationship.t;  (** the integrated relationship set *)
@@ -22,8 +27,8 @@ type merged = {
   generalises : Ecr.Name.t list;
       (** for a derived set, the integrated names of the two sets it
           generalises *)
-  attr_components : (Ecr.Name.t * Ecr.Qname.Attr.t list) list;
-      (** integrated attribute name -> component attributes *)
+  attributes : Merge.placed list;
+      (** the attributes of [rel], with their component attributes *)
 }
 
 type t = {
