@@ -29,8 +29,8 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
       (fun s -> List.map (fun oc -> (Schema.qname s oc.Object_class.name, oc)) (Schema.objects s))
       schemas
   in
-  let classes = List.map fst universe in
-  let order = Merge.order classes in
+  let objects = List.map fst universe in
+  let order = Merge.order objects in
   let attributes =
     Merge.attributes ~order
       (List.map (fun (q, oc) -> (q, oc.Object_class.attributes)) universe)
@@ -42,7 +42,7 @@ let build ?(naming = Naming.default) ~schemas ~equivalence ~matrix () =
   let group_names =
     List.map
       (fun members -> (members, Merge.group_name naming names members))
-      (Merge.groups ~order classes edges)
+      (Merge.groups ~order objects edges)
   in
   let node_of_class =
     List.fold_left

@@ -109,9 +109,9 @@ let first_pairs groups_of items =
     (fun item ->
       let a, b = groups_of item in
       let key = if Name.compare a b <= 0 then (a, b) else (b, a) in
-      (not (Hashtbl.mem seen key))
-      && begin
-           Hashtbl.add seen key ();
-           true
-         end)
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
     items

@@ -174,8 +174,8 @@ let rewrite_pred_back reverse p =
         | Some comp -> Ast.Atom (comp, cmp, v)
         | None ->
             (* attribute absent in this component: its value there is
-               Null, and Null comparisons are false *)
-            Ast.Const false)
+               Null, compared as the evaluator compares it *)
+            Ast.Const (Eval.matches (fun _ -> Instance.Value.Null) (Ast.Atom (a, cmp, v))))
     | Ast.And (p, q) -> Ast.And (walk p, walk q)
     | Ast.Or (p, q) -> Ast.Or (walk p, walk q)
     | Ast.Not p -> Ast.Not (walk p)

@@ -31,35 +31,12 @@ let check_attrs schema cls names =
           (Name.to_string n))
     names
 
+(* the entities of [cls] a [where] selects, as [Eval.run] selects them *)
 let matching store cls pred =
-  let passes oid =
-    match pred with
-    | None -> true
-    | Some p ->
-        let lookup a = S.value oid a store in
-        let rec eval = function
-          | Ast.Atom (a, cmp, v) -> (
-              let actual = lookup a in
-              match (actual, cmp) with
-              | V.Null, Ast.Eq -> V.equal v V.Null
-              | V.Null, _ -> false
-              | _ ->
-                  let c = V.compare actual v in
-                  (match cmp with
-                  | Ast.Eq -> c = 0
-                  | Ast.Ne -> c <> 0
-                  | Ast.Lt -> c < 0
-                  | Ast.Le -> c <= 0
-                  | Ast.Gt -> c > 0
-                  | Ast.Ge -> c >= 0))
-          | Ast.And (p, q) -> eval p && eval q
-          | Ast.Or (p, q) -> eval p || eval q
-          | Ast.Not p -> not (eval p)
-          | Ast.Const b -> b
-        in
-        eval p
-  in
-  S.Oid.Set.elements (S.extent cls store) |> List.filter passes
+  let extent = S.Oid.Set.elements (S.extent cls store) in
+  match pred with
+  | None -> extent
+  | Some p -> List.filter (fun oid -> Eval.matches (fun a -> S.value oid a store) p) extent
 
 let apply op store =
   let schema = S.schema store in

@@ -31,10 +31,12 @@
     it after.
 
     Rewrite plans (view and global unfoldings) are cached in an LRU
-    keyed by (view class, parsed query): spellings that differ only in
-    whitespace or keyword case share a plan, queries whose constants
-    differ get their own; hits/misses/evictions are on
-    [server.cache_*] counters and in {!stats}.
+    keyed by (cache epoch, view class, parsed query): spellings that
+    differ only in whitespace or keyword case share a plan, queries
+    whose constants differ get their own, and every mutation opens a
+    new epoch, so a plan cached before a write is never served after
+    it; hits/misses/evictions are on [server.cache_*] counters and in
+    {!stats}.
 
     Every protocol failure is a typed error {e response}; no exception
     of the query layer ([Query.Parser.Error], [Query.Rewrite.Unmapped],

@@ -51,7 +51,7 @@ let rewrite_pred_back reverse p =
     | Ast.Atom (a, cmp, v) -> (
         match Name.Map.find_opt a reverse with
         | Some comp -> Ast.Atom (comp, cmp, v)
-        | None -> Ast.Const false)
+        | None -> Ast.Const (cmp = Ast.Eq && Value.equal v Value.Null))
     | Ast.And (p, q) -> Ast.And (walk p, walk q)
     | Ast.Or (p, q) -> Ast.Or (walk p, walk q)
     | Ast.Not p -> Ast.Not (walk p)

@@ -492,39 +492,46 @@ let check_run ~path ~line ~apply (exe, args) (status, err) =
   | Unix.WEXITED n -> fail (Printf.sprintf "exit %d" n)
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "killed by a signal"
 
-(* Twenty edits of each kind of [file], each run through every [runs]
-   command line (a function of the edited file's path).  Each edit is
-   written to a new file: ext4 flushes a file truncated in place when
-   it is closed, which costs tens of milliseconds an edit. *)
-let fuzz_binaries ~seed ~line ~apply file runs =
+(* Removes [dir] and the files in it. *)
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* [count] seeded edits of each kind of [file], each written to
+   [dir/edited<ext>] and handed to [f dir path]; [dir] is removed, with
+   whatever the runs left in it, at the end.  Each edit is written to a
+   new file: ext4 flushes a file truncated in place when it is closed,
+   which costs tens of milliseconds an edit. *)
+let with_edits ~seed ~count file f =
   let src = read_file file in
   let g = Workload.Prng.create seed in
   let dir = Filename.temp_dir "binfuzz" "" in
   let path = Filename.concat dir ("edited" ^ Filename.extension file) in
-  let sock = Filename.concat dir "s.sock" in
-  let remove f = if Sys.file_exists f then Sys.remove f in
-  Fun.protect ~finally:(fun () ->
-      remove path;
-      remove sock;
-      Unix.rmdir dir)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
   List.iter
     (fun kind ->
-      for _ = 1 to 20 do
-        remove path;
+      for _ = 1 to count do
+        if Sys.file_exists path then Sys.remove path;
         Out_channel.with_open_bin path (fun oc ->
             output_string oc (single_edit g kind src));
-        List.iter
-          (fun (name, args) ->
-            let serve = name = "sit_serve" in
-            let args =
-              args path @ if serve then [ "--listen"; "unix:" ^ sock ] else []
-            in
-            check_run ~path ~line ~apply (binary name, args)
-              (spawn ~serve (binary name) args))
-          runs
+        f dir path
       done)
     [ `Truncate; `Insert; `Delete; `Cut ]
+
+(* Twenty edits of each kind of [file], each run through every [runs]
+   command line (a function of the edited file's path). *)
+let fuzz_binaries ~seed ~line ~apply file runs =
+  with_edits ~seed ~count:20 file @@ fun dir path ->
+  let sock = Filename.concat dir "s.sock" in
+  List.iter
+    (fun (name, args) ->
+      let serve = name = "sit_serve" in
+      let args =
+        args path @ if serve then [ "--listen"; "unix:" ^ sock ] else []
+      in
+      check_run ~path ~line ~apply (binary name, args)
+        (spawn ~serve (binary name) args))
+    runs
 
 (* Each command line of [runs path], given [path dir] where a file
    belongs ([dir] is a fresh directory), exits 2 with a message that
@@ -593,6 +600,26 @@ let binary_fuzz_tests =
         refused
           ~path:(fun dir -> Filename.concat dir "missing/out")
           ~reason:": No such file or directory" outputs);
+    tc "edited schedule: sit_serve replays it offline and exits 0 or 2"
+      (fun () ->
+        let dir = Filename.temp_dir "binfuzz" "" in
+        Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+        let files =
+          Workload.Scenario.write_files ~dir
+            (Workload.Scenario.generate (Util.default_scenario 7))
+        in
+        with_edits ~seed:0xB15CD ~count:10 files.Workload.Scenario.schedule
+        @@ fun _ path ->
+        let args =
+          [
+            files.Workload.Scenario.ddl; "-s"; files.Workload.Scenario.script;
+            "--data"; files.Workload.Scenario.data; "--schedule"; path;
+            "--transcript"; "/dev/null";
+          ]
+        in
+        check_run ~path ~line:false ~apply:false
+          (binary "sit_serve", args)
+          (spawn (binary "sit_serve") args));
   ]
 
 let () =

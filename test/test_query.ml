@@ -757,13 +757,15 @@ let plans_agree ~what mapping integrated stores queries =
            (Query.Ast.to_string q))
     queries
 
+(* Up to 24 values drawn from the stores. *)
+let random_values st stores =
+  let values = Array.of_list (store_values stores) in
+  List.init (min 24 (Array.length values)) (fun _ ->
+      values.(Random.State.int st (Array.length values)))
+
 let random_queries ~seed ~n integrated stores =
   let st = Random.State.make [| seed |] in
-  let values = Array.of_list (store_values stores) in
-  let values =
-    List.init (min 24 (Array.length values)) (fun _ ->
-        values.(Random.State.int st (Array.length values)))
-  in
+  let values = random_values st stores in
   List.init n (fun _ -> random_global_query st integrated values)
 
 (* A scenario federation as sit_scenario renders it by default: the
@@ -883,6 +885,80 @@ let plan_tests =
                    "select Support_type from Student where Support_type = 'RA'"))));
   ]
 
+(* A global [where] keeps the evaluator's semantics through unfolding:
+   [select S from C where p] answers exactly the rows of
+   [select S from C] that satisfy [p] under [Eval.matches], for [p]
+   over the attributes of [S] comparing with stored values and null,
+   also where a component lacks an attribute of [S]. *)
+let filtered_sessions =
+  lazy
+    (let r = Lazy.force paper in
+     let paper_stores =
+       Instance.Loader.load_file
+         ~schemas:[ Workload.Paper.sc1; Workload.Paper.sc2 ]
+         (example "paper_instances.ecd")
+     in
+     ("paper", r, paper_stores)
+     :: List.map
+          (fun seed ->
+            let session, _ = scenario_federation seed in
+            ( Printf.sprintf "seed %d" seed,
+              session.Server.result,
+              session.Server.component_stores ))
+          [ 7; 42 ])
+
+let random_filter st integrated values =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let cls = (pick (Schema.objects integrated)).Object_class.name in
+  let attrs =
+    List.sort_uniq Name.compare
+      (List.concat_map
+         (fun c -> Attribute.names (Schema.all_attributes integrated c))
+         (cls :: Schema.descendants integrated cls))
+  in
+  let select = List.filter (fun _ -> Random.State.int st 3 > 0) attrs in
+  let select = if select = [] then [ pick attrs ] else select in
+  let rec pred depth =
+    match Random.State.int st (if depth = 0 then 1 else 5) with
+    | 0 | 1 ->
+        Query.Ast.Atom
+          (pick select, pick Query.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ], pick values)
+    | 2 -> Query.Ast.And (pred (depth - 1), pred (depth - 1))
+    | 3 -> Query.Ast.Or (pred (depth - 1), pred (depth - 1))
+    | _ -> Query.Ast.Not (pred (depth - 1))
+  in
+  ({ Query.Ast.from_class = cls; where = None; select; via = None }, pred 2)
+
+let filter_tests =
+  [
+    qtest ~count:20 "a global where answers the rows of the unfiltered answer it selects"
+      QCheck.small_nat (fun seed ->
+        List.for_all
+          (fun (what, r, stores) ->
+            let integrated = r.Integrate.Result.schema in
+            let run q =
+              Query.Rewrite.run_global r.Integrate.Result.mapping ~integrated
+                ~stores:(List.map (fun (s, st) -> (Schema.name s, st)) stores)
+                q
+            in
+            let st = Random.State.make [| seed |] in
+            let values = V.Null :: random_values st stores in
+            List.for_all
+              (fun (q, p) ->
+                let selected = run { q with Query.Ast.where = Some p } in
+                let expected =
+                  List.filter
+                    (fun row -> Query.Eval.matches (fun a -> Name.Map.find a row) p)
+                    (run q)
+                in
+                List.map exact_row selected = List.map exact_row expected
+                || QCheck.Test.fail_reportf "%s: %s answers %d rows, %d expected" what
+                     (Query.Ast.to_string { q with Query.Ast.where = Some p })
+                     (List.length selected) (List.length expected))
+              (List.init 25 (fun _ -> random_filter st integrated values)))
+          (Lazy.force filtered_sessions));
+  ]
+
 let () =
   Alcotest.run "query"
     [
@@ -891,4 +967,5 @@ let () =
       ("migrate", migrate_tests);
       ("differential", query_differential_tests);
       ("plans", plan_tests);
+      ("filters", filter_tests);
     ]

@@ -167,6 +167,108 @@ let translation_tests =
           (S.cardinality_of (Name.v "E_Department") merged));
   ]
 
+(* ---- writes select the entities reads select --------------------- *)
+
+let example f =
+  Filename.concat (Filename.dirname Sys.executable_name) ("../../../examples/data/" ^ f)
+
+(* The paper's instances, the store they migrate to, and a scenario
+   federation's component stores. *)
+let stores =
+  let r = Workload.Paper.integrate_sc1_sc2 () in
+  let paper =
+    Instance.Loader.load_file
+      ~schemas:[ Workload.Paper.sc1; Workload.Paper.sc2 ]
+      (example "paper_instances.ecd")
+  in
+  let merged, _ =
+    Query.Migrate.run r.Integrate.Result.mapping
+      ~integrated:r.Integrate.Result.schema paper
+  in
+  let scenario =
+    (Workload.Scenario.generate { Workload.Scenario.default_params with seed = 7 })
+      .Workload.Scenario.stores
+  in
+  Array.of_list (List.map snd paper @ [ merged ] @ List.map snd scenario)
+
+(* A store, one of its classes, a [where] over the class's attributes
+   comparing with values the store holds and with null, and an
+   assignment to make. *)
+let write_case =
+  let open QCheck.Gen in
+  let* st = oneofa stores in
+  let schema = S.schema st in
+  let* cls = oneofl (List.map (fun oc -> oc.Object_class.name) (Schema.objects schema)) in
+  let attrs = Attribute.names (Schema.all_attributes schema cls) in
+  let values =
+    V.Null :: V.int 3 :: V.str "Ann"
+    :: List.concat_map
+         (fun oid -> List.map (fun a -> S.value oid a st) attrs)
+         (S.Oid.Set.elements (S.extent cls st))
+  in
+  let rec pred depth =
+    let atom =
+      map3 (fun a cmp v -> Query.Ast.Atom (a, cmp, v)) (oneofl attrs)
+        (oneofl Query.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ])
+        (oneofl values)
+    in
+    let leaf = if attrs = [] then map (fun b -> Query.Ast.Const b) bool else atom in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map2 (fun p q -> Query.Ast.And (p, q)) (pred (depth - 1)) (pred (depth - 1)));
+          (1, map2 (fun p q -> Query.Ast.Or (p, q)) (pred (depth - 1)) (pred (depth - 1)));
+          (1, map (fun p -> Query.Ast.Not p) (pred (depth - 1)));
+        ]
+  in
+  let* p = pred 2 in
+  let+ set = if attrs = [] then return None else map Option.some (pair (oneofl attrs) (oneofl values)) in
+  (st, cls, p, set)
+
+let print_case (st, cls, p, _) =
+  Format.asprintf "%s: %s where %a"
+    (Name.to_string (Schema.name (S.schema st)))
+    (Name.to_string cls) Query.Ast.pp_pred p
+
+let rows st cls where =
+  Query.Eval.run { Query.Ast.from_class = cls; where; select = []; via = None } st
+
+let semantics_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"delete and modify affect exactly the entities a read selects"
+         (QCheck.make ~print:print_case write_case)
+         (fun ((st, cls, p, set) as case) ->
+           let chosen = rows st cls (Some p)
+           and rest = rows st cls (Some (Query.Ast.Not p)) in
+           let after_delete, deleted =
+             Query.Update.apply (Query.Update.Delete (cls, Some p)) st
+           in
+           let modified_ok =
+             match set with
+             | None -> true
+             | Some (a, v) ->
+                 let after, modified =
+                   Query.Update.apply (Query.Update.Modify (cls, Some p, [ (a, v) ])) st
+                 in
+                 modified = List.length chosen
+                 && Query.Eval.same_answers (rows after cls None)
+                      (rest @ List.map (Name.Map.add a v) chosen)
+           in
+           (deleted = List.length chosen
+           && Query.Eval.same_answers (rows after_delete cls None) rest
+           && modified_ok)
+           || QCheck.Test.fail_reportf "%s: %d read, %d deleted" (print_case case)
+                (List.length chosen) deleted));
+  ]
+
 let () =
   Alcotest.run "update"
-    [ ("direct", direct_tests); ("translation", translation_tests) ]
+    [
+      ("direct", direct_tests);
+      ("translation", translation_tests);
+      ("semantics", semantics_tests);
+    ]
