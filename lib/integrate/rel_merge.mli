@@ -2,8 +2,8 @@
 
     After object classes are integrated, relationship sets are, by the
     rules {!Merge} shares with object classes: relationship sets
-    asserted {e equal} group into one [E_] set, names are claimed in
-    the namespace the lattice's nodes already fill, each
+    asserted {e equal} group into one [E_] set, names are claimed
+    against [used_names] (see {!build}), each
     attribute-equivalence class becomes one attribute of the merged set
     itself (relationship sets do not inherit), and {e contained in},
     {e may be} and {e disjoint integrable} assertions generate one
